@@ -56,10 +56,6 @@ EXIT_IO = 5
 #: Environment override for the default --seed.
 SEED_ENV = "HAAR_MI_SEED"
 
-#: Hidden fault-injection hook: a float added to J inside `verify` only,
-#: so the failure path of the harness can be exercised end to end.
-FAULT_J_BIAS_ENV = "HAAR_MI_FAULT_J_BIAS"
-
 CSV_COLUMNS = [
     "dA",
     "dB",
@@ -287,7 +283,7 @@ def _fill_series(row: dict, dims: Dimensions, k_max: int):
     return expansion
 
 
-def _fill_integral(row: dict, dims: Dimensions, tol: float, j_bias: float = 0.0):
+def _fill_integral(row: dict, dims: Dimensions, tol: float):
     if not dims.factorised_regime:
         raise RegimeError(
             f"integral route requires the factorised regime "
@@ -298,7 +294,7 @@ def _fill_integral(row: dict, dims: Dimensions, tol: float, j_bias: float = 0.0)
         row.update(I_integral=0.0, bound_deficit=0.0, I_leading=lead)
         return
     su = casimir_counts(dims).su_product
-    j = compute_J(dims, tol).value + j_bias
+    j = compute_J(dims, tol).value
     row.update(
         I_integral=lead - 2.0 * su * j,
         J=j,
@@ -412,8 +408,6 @@ def _run_verify(config: RunConfig) -> RunResult:
     breakdown = _fill_exact(row, dims)
     exact_value = breakdown.total
     rational_value = float(mutual_information_rational(dims))
-
-    j_bias = float(os.environ.get(FAULT_J_BIAS_ENV, "0") or "0")
     checks: list[dict] = []
 
     def record(name: str, status: str, detail: str) -> None:
@@ -421,7 +415,7 @@ def _run_verify(config: RunConfig) -> RunResult:
 
     if dims.factorised_regime:
         _fill_series(row, dims, config.k_max)
-        _fill_integral(row, dims, config.tol, j_bias=j_bias)
+        _fill_integral(row, dims, config.tol)
 
         integral_diff = abs(exact_value - row["I_integral"])
         integral_tol = max(1e-12, 10.0 * config.tol)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidDimensionError
+from .errors import InvalidDimensionError, _require_int
 
 
 class CasimirCounts(NamedTuple):
@@ -42,15 +42,7 @@ class Dimensions:
 
     def __post_init__(self):
         for name in ("d_a", "d_b", "d_e"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidDimensionError(
-                    f"{name} must be an int, got {value!r}"
-                )
-            if value < 1:
-                raise InvalidDimensionError(
-                    f"{name} must be >= 1, got {value}"
-                )
+            _require_int(name, getattr(self, name), 1, InvalidDimensionError)
 
     @property
     def n(self) -> int:

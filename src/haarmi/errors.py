@@ -56,3 +56,12 @@ class NumericalValidityError(HaarMIError, ArithmeticError):
 class OracleWorkerError(HaarMIError, RuntimeError):
     """A Monte Carlo worker raised; the run is aborted and partial results
     are discarded."""
+
+
+def _require_int(
+    name: str, value, minimum: int, error: type[HaarMIError] = DomainError
+) -> None:
+    """Raise ``error`` unless ``value`` is an int (bools excluded) that is
+    at least ``minimum``; the one integer check every module shares."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise error(f"{name} must be an int >= {minimum}, got {value!r}")

@@ -217,20 +217,13 @@ def compute_J(dims: Dimensions, tol: float = 1e-14) -> QuadratureResult:
 
 
 def mutual_information_integral(dims: Dimensions, tol: float = 1e-14) -> float:
-    """Average mutual information via ``su * (1/(2N) - 2 J)``.
+    """Average mutual information via ``su * (1/(2N) - 2 J)``, i.e. the
+    leading order minus :func:`bound_deficit`.
 
     Only valid in the factorised regime ``d_a d_b <= d_e``; exactly zero
     (without quadrature) when either dimension is 1.
     """
-    if not dims.factorised_regime:
-        raise RegimeError(
-            f"integral representation requires d_a*d_b <= d_e, got {dims}"
-        )
-    if dims.d_a == 1 or dims.d_b == 1:
-        return 0.0
-    su = casimir_counts(dims).su_product
-    j = compute_J(dims, tol).value
-    return leading_order(dims) - 2.0 * su * j
+    return leading_order(dims) - bound_deficit(dims, tol)
 
 
 def bound_deficit(dims: Dimensions, tol: float = 1e-14) -> float:
@@ -239,7 +232,8 @@ def bound_deficit(dims: Dimensions, tol: float = 1e-14) -> float:
     ``<I> < (d_a^2-1)(d_b^2-1)/(2N)``."""
     if not dims.factorised_regime:
         raise RegimeError(
-            f"bound deficit requires the factorised regime, got {dims}"
+            f"integral route requires the factorised regime "
+            f"d_a*d_b <= d_e, got {dims}"
         )
     if dims.d_a == 1 or dims.d_b == 1:
         return 0.0

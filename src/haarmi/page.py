@@ -21,13 +21,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dims import Dimensions, casimir_counts
-from .errors import DomainError, InvalidDimensionError, NumericalValidityError
+from .errors import (
+    DomainError,
+    InvalidDimensionError,
+    NumericalValidityError,
+    _require_int,
+)
 from .special import digamma, harmonic_rational
 
 
-def _check_positive(name: str, value: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InvalidDimensionError(f"{name} must be an int >= 1, got {value!r}")
+def _check_sizes(m: int, n: int) -> None:
+    _require_int("m", m, 1, InvalidDimensionError)
+    _require_int("n", n, 1, InvalidDimensionError)
 
 
 @dataclass(frozen=True)
@@ -57,8 +62,7 @@ class MutualInformationBreakdown:
 def page_entropy(m: int, n: int) -> float:
     """Average entanglement entropy ``psi(mn+1) - psi(hi+1) - (lo-1)/(2 hi)``
     where ``lo, hi = sorted((m, n))``."""
-    _check_positive("m", m)
-    _check_positive("n", n)
+    _check_sizes(m, n)
     lo, hi = sorted((m, n))
     return digamma(m * n + 1) - digamma(hi + 1) - (lo - 1) / (2 * hi)
 
@@ -66,8 +70,7 @@ def page_entropy(m: int, n: int) -> float:
 def page_entropy_rational(m: int, n: int) -> Fraction:
     """Exact rational counterpart of :func:`page_entropy`
     (``H_{mn} - H_hi - (lo-1)/(2 hi)``)."""
-    _check_positive("m", m)
-    _check_positive("n", n)
+    _check_sizes(m, n)
     lo, hi = sorted((m, n))
     return (
         harmonic_rational(m * n)
@@ -78,15 +81,13 @@ def page_entropy_rational(m: int, n: int) -> Fraction:
 
 def diagonal_entropy_avg(m: int, n: int) -> float:
     """Average Shannon entropy of the diagonal: ``psi(mn+1) - psi(n+1)``."""
-    _check_positive("m", m)
-    _check_positive("n", n)
+    _check_sizes(m, n)
     return digamma(m * n + 1) - digamma(n + 1)
 
 
 def diagonal_entropy_avg_rational(m: int, n: int) -> Fraction:
     """Exact rational counterpart of :func:`diagonal_entropy_avg`."""
-    _check_positive("m", m)
-    _check_positive("n", n)
+    _check_sizes(m, n)
     return harmonic_rational(m * n) - harmonic_rational(n)
 
 
@@ -97,8 +98,7 @@ def schur_deficit(m: int, n: int) -> float:
     raise entropy on average), and this closed form requires the subsystem
     to be the smaller factor.
     """
-    _check_positive("m", m)
-    _check_positive("n", n)
+    _check_sizes(m, n)
     if m > n:
         raise DomainError(
             f"schur_deficit closed form requires m <= n, got m={m}, n={n}"
@@ -109,16 +109,14 @@ def schur_deficit(m: int, n: int) -> float:
 def lubkin_purity(m: int, n: int) -> Fraction:
     """Average purity ``<Tr rho_A^2> = (m+n)/(mn+1)`` of the m-dimensional
     part of a random pure state on ``m x n``."""
-    _check_positive("m", m)
-    _check_positive("n", n)
+    _check_sizes(m, n)
     return Fraction(m + n, m * n + 1)
 
 
 def diagonal_second_moment(m: int, n: int) -> Fraction:
     """Average ``<sum_i rho_ii^2> = (n+1)/(mn+1)`` over the m diagonal
     entries (each cell a Dirichlet weight with concentration n)."""
-    _check_positive("m", m)
-    _check_positive("n", n)
+    _check_sizes(m, n)
     return Fraction(n + 1, m * n + 1)
 
 
@@ -126,8 +124,7 @@ def bloch_variance(m: int, n: int) -> Fraction:
     """Per-generator variance ``<r_a^2> = 2 / (m (mn+1))`` of the Bloch
     components ``r_a = Tr(rho_A lambda_a)``, identical for every generator
     ``lambda_a`` normalised to ``Tr(lambda_a lambda_b) = 2 delta_ab``."""
-    _check_positive("m", m)
-    _check_positive("n", n)
+    _check_sizes(m, n)
     return Fraction(2, m * (m * n + 1))
 
 

@@ -6,11 +6,14 @@ is exactly Haar-distributed on the unit sphere.  Sample ``index`` under
 every sample is reproducible in isolation and results are bitwise
 independent of chunking order and worker count.
 
-Samples are processed in fixed chunks of ``CHUNK_SIZE`` states; each chunk
-writes a disjoint slice of the per-sample result arrays, so running chunks
-on a thread pool changes nothing about the final reductions (numpy's
-pairwise ``sum``/``mean`` over a fixed-length array is a fixed reduction
-tree).
+Both runs, :func:`run_oracle` and :func:`bloch_variances`, go through one
+chunk driver: it splits the sample range into fixed chunks of
+``CHUNK_SIZE`` states and calls the run's work function on each, serially
+or on a thread pool.  Each chunk writes a disjoint slice of the per-sample
+result arrays, so the worker count changes nothing about the final
+reductions (numpy's pairwise ``sum``/``mean`` over a fixed-length array is
+a fixed reduction tree).  One batched partial-trace kernel serves both
+:func:`run_oracle` and :func:`reduce_state`, which is a batch of one.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .errors import (
     InvalidDimensionError,
     NumericalValidityError,
     OracleWorkerError,
+    _require_int,
 )
 
 #: Largest total Hilbert-space dimension a state may have.
@@ -38,6 +42,9 @@ CHUNK_SIZE = 512
 
 #: Identity string of the random stream, recorded in every result.
 RNG_IDENTITY = "philox4x64-10 (numpy.random.Philox), key=(seed, sample_index)"
+
+#: Seeds and sample indices are the two 64-bit words of the Philox key.
+_KEY_LIMIT = 2**64
 
 _EIG_FLOOR = 1e-14
 _EIG_NEG_LIMIT = -1e-10
@@ -131,9 +138,10 @@ class GellMannBasis:
         return self.matrices.shape[0]
 
 
-def _check_seed(seed: int) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise DomainError(f"seed must be a non-negative int, got {seed!r}")
+def _check_key(name: str, value: int) -> None:
+    _require_int(name, value, 0)
+    if value >= _KEY_LIMIT:
+        raise DomainError(f"{name} must be below 2**64, got {value}")
 
 
 def _check_cap(dims: Dimensions) -> None:
@@ -157,33 +165,42 @@ def _sample_block(dims: Dimensions, seed: int, start: int, count: int) -> np.nda
     return out
 
 
+def _check_run(dims: Dimensions, n_samples: int, seed: int) -> None:
+    _check_key("seed", seed)
+    _check_cap(dims)
+    _require_int("n_samples", n_samples, 2)
+
+
 def sample_state(dims: Dimensions, seed: int, index: int) -> PureState:
     """The ``index``-th Haar-random pure state of the stream keyed by
     ``(seed, index)``; identical no matter which other samples are drawn."""
-    _check_seed(seed)
-    if not isinstance(index, int) or isinstance(index, bool) or index < 0:
-        raise DomainError(f"sample index must be a non-negative int, got {index!r}")
+    _check_key("seed", seed)
+    _check_key("sample index", index)
     _check_cap(dims)
     amplitudes = _sample_block(dims, seed, index, 1)[0]
     return PureState(amplitudes=amplitudes, dims=dims)
 
 
+def _partial_traces(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``rho_A``, ``rho_B`` and ``rho_AB`` of a batch of states shaped
+    ``(z, d_a, d_b, d_e)``."""
+    z, d_a, d_b, _ = t.shape
+    tc = t.conj()
+    rho_a = np.einsum("zabe,zcbe->zac", t, tc)
+    rho_b = np.einsum("zabe,zace->zbc", t, tc)
+    rho_ab = np.einsum("zabe,zcde->zabcd", t, tc).reshape(z, d_a * d_b, d_a * d_b)
+    return rho_a, rho_b, rho_ab
+
+
 def reduce_state(state: PureState, keep: Literal["A", "B", "AB"]) -> DensityMatrix:
     """Partial trace of a pure tripartite state down to A, B, or AB."""
-    d = state.dims
-    t = state.amplitudes.reshape(d.d_a, d.d_b, d.d_e)
-    if keep == "A":
-        rho = np.einsum("abe,cbe->ac", t, t.conj())
-        dim = d.d_a
-    elif keep == "B":
-        rho = np.einsum("abe,ace->bc", t, t.conj())
-        dim = d.d_b
-    elif keep == "AB":
-        dim = d.d_a * d.d_b
-        rho = np.einsum("abe,cde->abcd", t, t.conj()).reshape(dim, dim)
-    else:
+    targets = ("A", "B", "AB")
+    if keep not in targets:
         raise DomainError(f"keep must be 'A', 'B' or 'AB', got {keep!r}")
-    return DensityMatrix(matrix=rho, dim=dim)
+    d = state.dims
+    t = state.amplitudes.reshape(1, d.d_a, d.d_b, d.d_e)
+    rho = _partial_traces(t)[targets.index(keep)][0]
+    return DensityMatrix(matrix=rho, dim=rho.shape[0])
 
 
 def _entropy_from_weights(weights: np.ndarray, what: str) -> np.ndarray:
@@ -228,8 +245,7 @@ def mutual_info_sample(dims: Dimensions, seed: int, index: int) -> float:
 
 def gell_mann_basis(m: int) -> GellMannBasis:
     """The ``m^2 - 1`` generalised Gell-Mann matrices for su(m)."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise DomainError(f"generator basis needs an int m >= 2, got {m!r}")
+    _require_int("m", m, 2)
     matrices = np.zeros((m * m - 1, m, m), dtype=np.complex128)
     flags = np.zeros(m * m - 1, dtype=bool)
     idx = 0
@@ -251,21 +267,19 @@ def gell_mann_basis(m: int) -> GellMannBasis:
     return GellMannBasis(matrices=matrices, is_cartan=flags)
 
 
-def _chunk_ranges(n_samples: int) -> list[tuple[int, int]]:
-    return [
+def _run_chunks(n_samples: int, workers: int, work) -> None:
+    """Call ``work(start, stop)`` on each ``CHUNK_SIZE`` slice of
+    ``range(n_samples)``, serially or on a thread pool."""
+    chunks = [
         (start, min(start + CHUNK_SIZE, n_samples))
         for start in range(0, n_samples, CHUNK_SIZE)
     ]
-
-
-def _run_chunks(worklist, workers: int) -> None:
-    """Execute chunk closures, serially or on a thread pool."""
     if workers <= 1:
-        for work in worklist:
-            work()
+        for start, stop in chunks:
+            work(start, stop)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work) for work in worklist]
+        futures = [pool.submit(work, start, stop) for start, stop in chunks]
         for future in futures:
             try:
                 future.result()
@@ -287,12 +301,7 @@ def run_oracle(
 ) -> HaarSampleStats:
     """Sample statistics of S_A, S_B, S_AB, I, purity, diagonal moments and
     Bloch sector variances over ``n_samples`` Haar-random states."""
-    _check_seed(seed)
-    _check_cap(dims)
-    if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 2:
-        raise DomainError(
-            f"n_samples must be an int >= 2 for standard errors, got {n_samples!r}"
-        )
+    _check_run(dims, n_samples, seed)
     d_a, d_b = dims.d_a, dims.d_b
     basis = gell_mann_basis(d_a) if d_a >= 2 else None
 
@@ -305,37 +314,29 @@ def run_oracle(
     cartan_sq = np.empty(n_samples) if basis is not None else None
     offdiag_sq = np.empty(n_samples) if basis is not None else None
 
-    def make_work(start: int, stop: int):
-        def work() -> None:
-            block = _sample_block(dims, seed, start, stop - start)
-            t = block.reshape(-1, d_a, d_b, dims.d_e)
-            rho_a = np.einsum("zabe,zcbe->zac", t, t.conj())
-            rho_b = np.einsum("zabe,zace->zbc", t, t.conj())
-            rho_ab = np.einsum("zabe,zcde->zabcd", t, t.conj()).reshape(
-                -1, d_a * d_b, d_a * d_b
-            )
-            entropy_a[start:stop] = _entropy_from_weights(
-                np.linalg.eigvalsh(rho_a), "eigendecomposition of A"
-            )
-            entropy_b[start:stop] = _entropy_from_weights(
-                np.linalg.eigvalsh(rho_b), "eigendecomposition of B"
-            )
-            entropy_ab[start:stop] = _entropy_from_weights(
-                np.linalg.eigvalsh(rho_ab), "eigendecomposition of AB"
-            )
-            purity_a[start:stop] = np.einsum("zij,zji->z", rho_a, rho_a).real
-            diag = np.diagonal(rho_a, axis1=1, axis2=2).real
-            diag_entropy_a[start:stop] = _entropy_from_weights(diag, "diagonal of A")
-            diag_second_a[start:stop] = np.sum(diag * diag, axis=-1)
-            if basis is not None:
-                bloch = np.einsum("gij,zji->zg", basis.matrices, rho_a).real
-                squares = bloch * bloch
-                cartan_sq[start:stop] = np.mean(squares[:, basis.is_cartan], axis=1)
-                offdiag_sq[start:stop] = np.mean(squares[:, ~basis.is_cartan], axis=1)
+    def work(start: int, stop: int) -> None:
+        block = _sample_block(dims, seed, start, stop - start)
+        rho_a, rho_b, rho_ab = _partial_traces(block.reshape(-1, d_a, d_b, dims.d_e))
+        entropy_a[start:stop] = _entropy_from_weights(
+            np.linalg.eigvalsh(rho_a), "eigendecomposition of A"
+        )
+        entropy_b[start:stop] = _entropy_from_weights(
+            np.linalg.eigvalsh(rho_b), "eigendecomposition of B"
+        )
+        entropy_ab[start:stop] = _entropy_from_weights(
+            np.linalg.eigvalsh(rho_ab), "eigendecomposition of AB"
+        )
+        purity_a[start:stop] = np.einsum("zij,zji->z", rho_a, rho_a).real
+        diag = np.diagonal(rho_a, axis1=1, axis2=2).real
+        diag_entropy_a[start:stop] = _entropy_from_weights(diag, "diagonal of A")
+        diag_second_a[start:stop] = np.sum(diag * diag, axis=-1)
+        if basis is not None:
+            bloch = np.einsum("gij,zji->zg", basis.matrices, rho_a).real
+            squares = bloch * bloch
+            cartan_sq[start:stop] = np.mean(squares[:, basis.is_cartan], axis=1)
+            offdiag_sq[start:stop] = np.mean(squares[:, ~basis.is_cartan], axis=1)
 
-        return work
-
-    _run_chunks([make_work(a, b) for a, b in _chunk_ranges(n_samples)], workers)
+    _run_chunks(n_samples, workers, work)
 
     mutual_information = entropy_a + entropy_b - entropy_ab
     mean_sa, se_sa = _mean_stderr(entropy_a)
@@ -384,27 +385,16 @@ def bloch_variances(
     a Haar-random pure state on ``m x n``."""
     basis = gell_mann_basis(m)
     dims = Dimensions(m, n, 1)
-    _check_seed(seed)
-    _check_cap(dims)
-    if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 2:
-        raise DomainError(
-            f"n_samples must be an int >= 2 for standard errors, got {n_samples!r}"
-        )
+    _check_run(dims, n_samples, seed)
 
     components = np.empty((n_samples, basis.count))
 
-    def make_work(start: int, stop: int):
-        def work() -> None:
-            block = _sample_block(dims, seed, start, stop - start)
-            t = block.reshape(-1, m, n)
-            rho = np.einsum("zae,zce->zac", t, t.conj())
-            components[start:stop] = np.einsum(
-                "gij,zji->zg", basis.matrices, rho
-            ).real
+    def work(start: int, stop: int) -> None:
+        t = _sample_block(dims, seed, start, stop - start).reshape(-1, m, n)
+        rho = np.einsum("zae,zce->zac", t, t.conj())
+        components[start:stop] = np.einsum("gij,zji->zg", basis.matrices, rho).real
 
-        return work
-
-    _run_chunks([make_work(a, b) for a, b in _chunk_ranges(n_samples)], workers)
+    _run_chunks(n_samples, workers, work)
 
     squares = components * components
     gen_mean = np.mean(components, axis=0)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .dims import Dimensions, leading_order
-from .errors import DomainError, SeriesOverflowError
+from .errors import DomainError, SeriesOverflowError, _require_int
 from .special import BERNOULLI_LIMIT, zeta_negative_odd
 
 #: Default number of terms kept by :func:`expand`.
@@ -58,8 +58,7 @@ class SeriesExpansion:
 
 
 def _check_k_max(k_max: int) -> None:
-    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
-        raise DomainError(f"k_max must be an int >= 1, got {k_max!r}")
+    _require_int("k_max", k_max, 1)
     if 2 * k_max > BERNOULLI_LIMIT:
         raise DomainError(
             f"k_max={k_max} needs Bernoulli numbers past the supported "
@@ -104,19 +103,17 @@ def expand(dims: Dimensions, k_max: int = K_MAX_DEFAULT) -> SeriesExpansion:
     for t in terms:
         partial_sums.append(partial_sums[-1] + t)
 
+    # One scan: a tie stops the descent (optimal_k), only strict growth
+    # marks divergence, and strict growth can come no earlier than a tie.
     magnitudes = [abs(t) for t in terms]
-    optimal_k = k_max
+    optimal_k, divergence_k = k_max, None
     for k in range(1, k_max):
         if magnitudes[k] >= magnitudes[k - 1]:
-            optimal_k = k
-            break
+            optimal_k = min(optimal_k, k)
+            if magnitudes[k] > magnitudes[k - 1]:
+                divergence_k = k + 1
+                break
     error_estimate = magnitudes[optimal_k] if optimal_k < k_max else magnitudes[-1]
-
-    divergence_k = None
-    for k in range(1, k_max):
-        if magnitudes[k] > magnitudes[k - 1]:
-            divergence_k = k + 1
-            break
 
     return SeriesExpansion(
         dims=dims,

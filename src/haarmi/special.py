@@ -12,7 +12,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, _require_int
 
 #: Euler-Mascheroni constant, correctly rounded to binary64.
 EULER_GAMMA = 0.5772156649015328606065
@@ -35,8 +35,7 @@ def bernoulli(m: int) -> Fraction:
     ``BERNOULLI_LIMIT`` are refused: they are never meaningful here and
     their exact numerators grow without bound.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise DomainError(f"Bernoulli index must be a non-negative int, got {m!r}")
+    _require_int("Bernoulli index", m, 0)
     if m > BERNOULLI_LIMIT:
         raise DomainError(
             f"Bernoulli index {m} exceeds the supported limit {BERNOULLI_LIMIT}"
@@ -57,15 +56,13 @@ def zeta_negative_odd(k: int) -> Fraction:
     These rationals are the coefficients of the large-N expansion;
     ``zeta(-1) = -1/12``, ``zeta(-3) = 1/120``, ``zeta(-5) = -1/252``.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"zeta_negative_odd expects an int k >= 1, got {k!r}")
+    _require_int("k", k, 1)
     return -bernoulli(2 * k) / (2 * k)
 
 
 def harmonic_rational(n: int) -> Fraction:
     """Exact harmonic number ``H_n = 1 + 1/2 + ... + 1/n`` (``H_0 = 0``)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"harmonic index must be a non-negative int, got {n!r}")
+    _require_int("harmonic index", n, 0)
     with _lock:
         while len(_harmonic_cache) <= n:
             _harmonic_cache.append(

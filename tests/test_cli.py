@@ -1,5 +1,6 @@
 """Command-line surface: parsing, exit codes, serialization schemas."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -266,13 +267,28 @@ def test_verify_swapped_regime_skips_factorised_checks():
     assert statuses["oracle_3se"] == "pass"
 
 
-def test_verify_fault_injection_exits_4():
-    result = run_cli(
-        "verify", "--da", "2", "--db", "3", "--de", "7", "--samples", "2000",
-        env_extra={"HAAR_MI_FAULT_J_BIAS": "1e-6"},
-    )
-    assert result.returncode == 4
-    assert "verification failed" in result.stderr
+def test_verify_fault_injection_exits_4(monkeypatch, capsys):
+    real_compute_J = cli.compute_J
+
+    def biased(dims, tol):
+        result = real_compute_J(dims, tol)
+        return dataclasses.replace(result, value=result.value + 1e-6)
+
+    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
+    monkeypatch.setattr(cli, "compute_J", biased)
+    config = cli.parse_args(["verify", "--da", "2", "--db", "3", "--de", "7",
+                             "--samples", "2000"])
+    assert cli.run(config) == 4
+    assert "verification failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_seed_beyond_64_bits_exits_2(workers, capsys):
+    config = cli.parse_args(["oracle", "--da", "2", "--db", "2", "--de", "2",
+                             "--samples", "10", "--seed", str(2**64),
+                             "--workers", workers])
+    assert cli.run(config) == 2
+    assert "invalid input" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_5(tmp_path):

@@ -20,7 +20,7 @@ def test_rejects_non_positive(bad, slot):
         Dimensions(*args)
 
 
-@pytest.mark.parametrize("bad", [2.0, "3", None, 2.5])
+@pytest.mark.parametrize("bad", [2.0, "3", None, 2.5, True])
 def test_rejects_non_integers(bad):
     with pytest.raises(InvalidDimensionError):
         Dimensions(bad, 3, 5)

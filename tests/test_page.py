@@ -115,12 +115,18 @@ def test_moment_consistency_identities():
             assert diagonal_second_moment(m, n) - Fraction(1, m) == Fraction(m - 1, 2) * var
 
 
-@pytest.mark.parametrize("fn", [lubkin_purity, diagonal_second_moment, bloch_variance])
+@pytest.mark.parametrize(
+    "fn", [lubkin_purity, diagonal_second_moment, bloch_variance, page_entropy]
+)
 def test_moment_domain(fn):
     with pytest.raises(InvalidDimensionError):
         fn(0, 5)
     with pytest.raises(InvalidDimensionError):
         fn(2, -1)
+    with pytest.raises(InvalidDimensionError):
+        fn(True, 5)
+    with pytest.raises(InvalidDimensionError):
+        fn(5, True)
 
 
 # ---------------------------------------------------------------------------

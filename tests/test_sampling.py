@@ -55,6 +55,10 @@ def test_sample_state_validation():
         sample_state(DIMS, seed=-1, index=0)
     with pytest.raises(DomainError):
         sample_state(DIMS, seed=42, index=-3)
+    with pytest.raises(DomainError):
+        sample_state(DIMS, seed=True, index=0)
+    with pytest.raises(DomainError):
+        sample_state(DIMS, seed=42, index=True)
     big = Dimensions(16, 16, 17)  # N = 4352
     assert big.n > STATE_DIMENSION_CAP
     with pytest.raises(InvalidDimensionError):
@@ -191,6 +195,8 @@ def test_gell_mann_basis_m2_is_pauli():
 def test_gell_mann_basis_domain():
     with pytest.raises(DomainError):
         gell_mann_basis(1)
+    with pytest.raises(DomainError):
+        gell_mann_basis(True)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +242,32 @@ def test_run_oracle_validation():
     with pytest.raises(DomainError):
         run_oracle(DIMS, n_samples=1, seed=0)
     with pytest.raises(DomainError):
+        run_oracle(DIMS, n_samples=True, seed=0)
+    with pytest.raises(DomainError):
         run_oracle(DIMS, n_samples=100, seed=-4)
+
+
+def test_key_words_must_fit_64_bits():
+    for workers in (1, 2):
+        with pytest.raises(DomainError):
+            run_oracle(DIMS, n_samples=10, seed=2**64, workers=workers)
+    with pytest.raises(DomainError):
+        sample_state(DIMS, seed=0, index=2**64)
+    with pytest.raises(DomainError):
+        sample_state(DIMS, seed=2**64, index=0)
+    state = sample_state(DIMS, seed=2**64 - 1, index=2**64 - 1)
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+    assert run_oracle(DIMS, n_samples=10, seed=2**64 - 1).n_samples == 10
+
+
+@pytest.mark.parametrize("dims", [Dimensions(2, 3, 4), Dimensions(3, 4, 2)])
+def test_oracle_mean_equals_per_sample_route(dims):
+    """The batched chunk kernel and the single-sample route agree bitwise."""
+    n = CHUNK_SIZE + 3
+    per_sample = np.mean([mutual_info_sample(dims, 6, i) for i in range(n)])
+    for workers in (1, 2):
+        stats = run_oracle(dims, n, 6, workers=workers)
+        assert stats.mean_mutual_information == per_sample
 
 
 def test_run_oracle_worker_failure(monkeypatch):

@@ -48,6 +48,7 @@ def test_terms_vanish_when_dimension_one():
     assert all(s == 0.0 for s in e.partial_sums)
     assert e.value_at_optimal == 0.0
     assert e.error_estimate == 0.0
+    assert e.optimal_k == 1  # all-zero terms tie at k=1
     assert e.divergence_k is None
 
 
@@ -110,6 +111,8 @@ def test_k_max_validation():
     dims = Dimensions(2, 3, 7)
     with pytest.raises(DomainError):
         expand(dims, 0)
+    with pytest.raises(DomainError):
+        expand(dims, True)
     with pytest.raises(DomainError):
         expand(dims, 61)  # needs Bernoulli numbers past the supported limit
     with pytest.raises(DomainError):

@@ -88,7 +88,7 @@ def test_harmonic_recurrence():
         assert harmonic_rational(n) - harmonic_rational(n - 1) == Fraction(1, n)
 
 
-@pytest.mark.parametrize("bad", [-1, 2.0, "3"])
+@pytest.mark.parametrize("bad", [-1, 2.0, "3", True])
 def test_harmonic_domain(bad):
     with pytest.raises(DomainError):
         harmonic_rational(bad)
@@ -128,6 +128,8 @@ def test_bernoulli_limit_guard():
         bernoulli(BERNOULLI_LIMIT + 2)
     with pytest.raises(DomainError):
         bernoulli(-2)
+    with pytest.raises(DomainError):
+        bernoulli(True)
 
 
 def test_bernoulli_factorial_growth():
@@ -158,7 +160,7 @@ def test_zeta_negative_odd_values():
         assert (zeta_negative_odd(k) > 0) == (k % 2 == 0)
 
 
-@pytest.mark.parametrize("bad", [0, -1, 1.0])
+@pytest.mark.parametrize("bad", [0, -1, 1.0, True])
 def test_zeta_negative_odd_domain(bad):
     with pytest.raises(DomainError):
         zeta_negative_odd(bad)
