@@ -62,8 +62,9 @@ for m, n in [(2, 8), (3, 3)]:
           f" +- {b.stderr_cartan_var:.6f},  off-diag {b.offdiag_var:.6f}"
           f" +- {b.stderr_offdiag_var:.6f},  2/(m(mn+1)) = {target:.6f}")
 
-# Determinism: the sample stream is keyed by (seed, sample index), so the
-# worker count cannot change a single bit of the result.
+# Determinism: each chunk of 512 samples is one stream keyed by
+# (seed, chunk index), so the worker count cannot change a single bit of
+# the result.
 single = run_oracle(dims, n_samples=5_000, seed=7, workers=1)
 eight = run_oracle(dims, n_samples=5_000, seed=7, workers=8)
 same = dataclasses.asdict(single) == dataclasses.asdict(eight)

@@ -44,7 +44,7 @@ from .page import (
     mutual_information_exact,
     mutual_information_rational,
 )
-from .sampling import RNG_IDENTITY, HaarSampleStats, run_oracle
+from .sampling import _KEY_LIMIT, RNG_IDENTITY, HaarSampleStats, run_oracle
 from .series import expand
 
 EXIT_OK = 0
@@ -199,8 +199,9 @@ def parse_args(argv: list[str]) -> RunConfig:
         seed = args.seed if args.seed is not None else _default_seed()
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
-    if seed < 0:
-        parser.error("--seed must be non-negative")
+    if not 0 <= seed < _KEY_LIMIT:
+        parser.error(f"seed must be in 0 .. 2**64 - 1 (--seed or {SEED_ENV}), "
+                     f"got {seed}")
     if not (args.tol > 0.0) or not math.isfinite(args.tol):
         parser.error("--tol must be a positive finite real")
     if args.k_max < 1:

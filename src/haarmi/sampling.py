@@ -1,9 +1,13 @@
 """Monte Carlo oracle: entropies of Haar-random pure states.
 
 States are drawn by normalising a vector of iid complex Gaussians, which
-is exactly Haar-distributed on the unit sphere.  Sample ``index`` under
-``seed`` uses a counter-based Philox stream keyed by ``(seed, index)``, so
-every sample is reproducible in isolation and results are bitwise
+is exactly Haar-distributed on the unit sphere.  The chunk of
+``CHUNK_SIZE`` samples is the unit of randomness: chunk ``c`` under
+``seed`` is one counter-based Philox stream keyed by ``(seed, c)`` (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), drawn as
+one ``(CHUNK_SIZE, N)`` block of complex Gaussians, and sample ``index`` is
+row ``index % CHUNK_SIZE`` of chunk ``index // CHUNK_SIZE``.  Every sample
+is therefore reproducible in isolation, and results are bitwise
 independent of chunking order and worker count.
 
 Both runs, :func:`run_oracle` and :func:`bloch_variances`, go through one
@@ -41,9 +45,14 @@ STATE_DIMENSION_CAP = 4096
 CHUNK_SIZE = 512
 
 #: Identity string of the random stream, recorded in every result.
-RNG_IDENTITY = "philox4x64-10 (numpy.random.Philox), key=(seed, sample_index)"
+RNG_IDENTITY = (
+    f"philox4x64-10 (numpy.random.Philox), "
+    f"key=(seed, sample_index // {CHUNK_SIZE}), "
+    f"sample = row sample_index % {CHUNK_SIZE}"
+)
 
-#: Seeds and sample indices are the two 64-bit words of the Philox key.
+#: Seeds and sample indices must fit one 64-bit word; the seed and the
+#: chunk index are the two words of the Philox key.
 _KEY_LIMIT = 2**64
 
 _EIG_FLOOR = 1e-14
@@ -153,16 +162,23 @@ def _check_cap(dims: Dimensions) -> None:
 
 
 def _sample_block(dims: Dimensions, seed: int, start: int, count: int) -> np.ndarray:
-    """Rows ``start .. start+count-1`` of the sample stream, shape (count, N)."""
-    n = dims.n
-    out = np.empty((count, n), dtype=np.complex128)
-    for i in range(count):
-        key = np.array([seed, start + i], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        z = gen.standard_normal(2 * n)
-        vec = z[0::2] + 1j * z[1::2]
-        out[i] = vec / np.linalg.norm(vec)
-    return out
+    """Rows ``start .. start+count-1`` of the sample stream, shape (count, N).
+
+    The rows must lie in one chunk.  Its stream is drawn from the chunk's
+    first row, so rows before ``start`` are drawn and dropped."""
+    chunk, row = divmod(start, CHUNK_SIZE)
+    assert row + count <= CHUNK_SIZE, "rows span two chunks"
+    key = np.array([seed, chunk], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    block = np.empty((row + count, dims.n), dtype=np.complex128)
+    # Real and imaginary parts alternate, as in the complex128 memory layout.
+    gen.standard_normal(out=block.view(np.float64))
+    if row:
+        block = block[row:].copy()
+    parts = block.view(np.float64)
+    # einsum forms the squared row norms without a block-sized temporary.
+    parts /= np.sqrt(np.einsum("ij,ij->i", parts, parts))[:, None]
+    return block
 
 
 def _check_run(dims: Dimensions, n_samples: int, seed: int) -> None:
@@ -172,8 +188,13 @@ def _check_run(dims: Dimensions, n_samples: int, seed: int) -> None:
 
 
 def sample_state(dims: Dimensions, seed: int, index: int) -> PureState:
-    """The ``index``-th Haar-random pure state of the stream keyed by
-    ``(seed, index)``; identical no matter which other samples are drawn."""
+    """The ``index``-th Haar-random pure state under ``seed``: row
+    ``index % CHUNK_SIZE`` of chunk ``index // CHUNK_SIZE``, identical no
+    matter which other samples are drawn.
+
+    The chunk's stream is drawn up to the requested row, so one call costs
+    the Gaussian draws of ``index % CHUNK_SIZE + 1`` states (up to
+    ``CHUNK_SIZE``); use :func:`run_oracle` to sample many states."""
     _check_key("seed", seed)
     _check_key("sample index", index)
     _check_cap(dims)

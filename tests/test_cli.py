@@ -284,11 +284,34 @@ def test_verify_fault_injection_exits_4(monkeypatch, capsys):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_seed_beyond_64_bits_exits_2(workers, capsys):
+    # parse_args rejects such a seed; a config built in code reaches the
+    # sampler's own range check, which must not become a worker failure
     config = cli.parse_args(["oracle", "--da", "2", "--db", "2", "--de", "2",
-                             "--samples", "10", "--seed", str(2**64),
-                             "--workers", workers])
+                             "--samples", "10", "--workers", workers])
+    config = dataclasses.replace(config, seed=2**64)
     assert cli.run(config) == 2
     assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+@pytest.mark.parametrize("argv", [
+    ["exact", "--da", "2", "--db", "3", "--de", "7", "--format", "json"],
+    ["sweep", "--da", "2", "--db", "2", "--de-mult", "1", "--format", "csv"],
+], ids=["exact", "sweep"])
+def test_seed_range_checked_for_every_command(argv, via_env, monkeypatch, capsys):
+    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
+
+    def parse(seed):
+        if via_env:
+            monkeypatch.setenv("HAAR_MI_SEED", str(seed))
+            return cli.parse_args(argv)
+        return cli.parse_args([*argv, "--seed", str(seed)])
+
+    assert parse(2**64 - 1).seed == 2**64 - 1
+    with pytest.raises(SystemExit) as exc:
+        parse(2**64)
+    assert exc.value.code == 2
+    assert "2**64" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_5(tmp_path):

@@ -50,6 +50,36 @@ def test_sample_state_streams_differ():
     assert not np.array_equal(base, sample_state(DIMS, seed=43, index=0).amplitudes)
 
 
+def test_sample_state_is_row_of_its_chunk(monkeypatch):
+    chunks = {}
+    for index in (0, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 2):
+        chunk, row = divmod(index, CHUNK_SIZE)
+        if chunk not in chunks:
+            chunks[chunk] = sampling_module._sample_block(
+                DIMS, 3, chunk * CHUNK_SIZE, CHUNK_SIZE
+            )
+        state = sample_state(DIMS, seed=3, index=index)
+        assert np.array_equal(state.amplitudes, chunks[chunk][row]), index
+    assert not np.array_equal(chunks[0][0], chunks[1][0])
+    # a run of CHUNK_SIZE + 3 samples draws the same first chunk as one of
+    # 2 * CHUNK_SIZE, and a prefix of its second
+    drawn = {}
+    real_block = sampling_module._sample_block
+
+    def recording(dims, seed, start, count):
+        drawn[start] = real_block(dims, seed, start, count)
+        return drawn[start]
+
+    monkeypatch.setattr(sampling_module, "_sample_block", recording)
+    run_oracle(DIMS, n_samples=CHUNK_SIZE + 3, seed=3)
+    short = dict(drawn)
+    run_oracle(DIMS, n_samples=2 * CHUNK_SIZE, seed=3)
+    assert np.array_equal(short[0], chunks[0])
+    assert np.array_equal(drawn[0], chunks[0])
+    assert np.array_equal(short[CHUNK_SIZE], drawn[CHUNK_SIZE][:3])
+    assert np.array_equal(drawn[CHUNK_SIZE], chunks[1])
+
+
 def test_sample_state_validation():
     with pytest.raises(DomainError):
         sample_state(DIMS, seed=-1, index=0)
@@ -233,9 +263,14 @@ def test_run_oracle_statistics_concord():
 
 
 def test_run_oracle_chunking_boundaries():
-    # sample counts straddling the chunk size must agree sample-by-sample
-    small = run_oracle(DIMS, n_samples=CHUNK_SIZE + 3, seed=2, workers=2)
-    assert small.n_samples == CHUNK_SIZE + 3
+    # sample counts straddling the chunk size agree field by field across
+    # worker counts
+    for n_samples in (CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 3):
+        one = run_oracle(DIMS, n_samples=n_samples, seed=2, workers=1)
+        two = run_oracle(DIMS, n_samples=n_samples, seed=2, workers=2)
+        assert one.n_samples == n_samples
+        for name in one.__dataclass_fields__:
+            assert getattr(one, name) == getattr(two, name), (n_samples, name)
 
 
 def test_run_oracle_validation():
