@@ -54,7 +54,6 @@ from .series import (
     SeriesExpansion,
     bernoulli_term,
     expand,
-    optimal_truncation_value,
 )
 from .integral import (
     EVAL_BUDGET,
@@ -73,7 +72,6 @@ from .sampling import (
     RNG_IDENTITY,
     STATE_DIMENSION_CAP,
     BlochVarianceStats,
-    DensityMatrix,
     GellMannBasis,
     HaarSampleStats,
     PureState,
@@ -106,15 +104,14 @@ __all__ = [
     "diagonal_second_moment", "bloch_variance",
     # series
     "K_MAX_DEFAULT", "SeriesExpansion", "bernoulli_term", "expand",
-    "optimal_truncation_value",
     # integral
     "EVAL_BUDGET", "PartialFractionForm", "QuadratureResult", "binet_tail",
     "bound_deficit", "compute_J", "folded_integrand", "kernel_R",
     "mutual_information_integral", "partial_fractions",
     # sampling
     "CHUNK_SIZE", "RNG_IDENTITY", "STATE_DIMENSION_CAP",
-    "BlochVarianceStats", "DensityMatrix", "GellMannBasis",
-    "HaarSampleStats", "PureState", "bloch_variances", "diagonal_entropy",
-    "gell_mann_basis", "mutual_info_sample", "reduce_state", "run_oracle",
-    "sample_state", "von_neumann_entropy",
+    "BlochVarianceStats", "GellMannBasis", "HaarSampleStats", "PureState",
+    "bloch_variances", "diagonal_entropy", "gell_mann_basis",
+    "mutual_info_sample", "reduce_state", "run_oracle", "sample_state",
+    "von_neumann_entropy",
 ]

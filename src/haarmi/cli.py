@@ -155,10 +155,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write output to this path instead of stdout")
 
     single = argparse.ArgumentParser(add_help=False)
-    single.add_argument("--da", type=int, required=True, help="dimension of A")
-    single.add_argument("--db", type=int, required=True, help="dimension of B")
-    single.add_argument("--de", type=int, required=True,
-                        help="dimension of the environment E")
+    single.add_argument("--da", dest="d_a", metavar="DA", type=int,
+                        required=True, help="dimension of A")
+    single.add_argument("--db", dest="d_b", metavar="DB", type=int,
+                        required=True, help="dimension of B")
+    single.add_argument("--de", dest="d_e", metavar="DE", type=int,
+                        required=True, help="dimension of the environment E")
 
     parser = argparse.ArgumentParser(
         prog="haarmi",
@@ -177,15 +179,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", parents=[common],
                            help="tabulate routes over dimension ranges")
-    sweep.add_argument("--da", type=_parse_span, required=True,
-                       help="range for d_A, e.g. 2..4 or 3")
-    sweep.add_argument("--db", type=_parse_span, required=True,
-                       help="range for d_B")
+    sweep.add_argument("--da", dest="da_range", metavar="DA", type=_parse_span,
+                       required=True, help="range for d_A, e.g. 2..4 or 3")
+    sweep.add_argument("--db", dest="db_range", metavar="DB", type=_parse_span,
+                       required=True, help="range for d_B")
     group = sweep.add_mutually_exclusive_group(required=True)
-    group.add_argument("--de", type=_parse_span,
+    group.add_argument("--de", dest="de_range", metavar="DE", type=_parse_span,
                        help="explicit range for d_E (may leave the "
                             "factorised regime)")
-    group.add_argument("--de-mult", dest="de_mult", type=_parse_span,
+    group.add_argument("--de-mult", dest="de_mult_range", metavar="DE_MULT",
+                       type=_parse_span,
                        help="range of multipliers m, with d_E = m*d_A*d_B "
                             "(factorised by construction)")
     return parser
@@ -195,53 +198,27 @@ def parse_args(argv: list[str]) -> RunConfig:
     """Parse and validate argv into a RunConfig (usage errors exit 2)."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        seed = args.seed if args.seed is not None else _default_seed()
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
-    if not 0 <= seed < _KEY_LIMIT:
+    if args.seed is None:
+        try:
+            args.seed = _default_seed()
+        except argparse.ArgumentTypeError as exc:
+            parser.error(str(exc))
+    if not 0 <= args.seed < _KEY_LIMIT:
         parser.error(f"seed must be in 0 .. 2**64 - 1 (--seed or {SEED_ENV}), "
-                     f"got {seed}")
+                     f"got {args.seed}")
     if not (args.tol > 0.0) or not math.isfinite(args.tol):
         parser.error("--tol must be a positive finite real")
     if args.k_max < 1:
         parser.error("--kmax must be >= 1")
     if args.command in ("oracle", "verify") and args.n_samples < 2:
         parser.error("--samples must be >= 2 for oracle and verify")
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    if workers < 1:
+    if args.workers is None:
+        args.workers = os.cpu_count() or 1
+    if args.workers < 1:
         parser.error("--workers must be >= 1")
-
-    if args.command == "sweep":
-        return RunConfig(
-            command="sweep",
-            da_range=args.da,
-            db_range=args.db,
-            de_range=args.de,
-            de_mult_range=args.de_mult,
-            tol=args.tol,
-            k_max=args.k_max,
-            n_samples=args.n_samples,
-            seed=seed,
-            workers=workers,
-            output_format=args.output_format,
-            output_path=args.output_path,
-        )
-    if args.da < 1 or args.db < 1 or args.de < 1:
+    if args.command != "sweep" and min(args.d_a, args.d_b, args.d_e) < 1:
         parser.error("--da, --db and --de must be >= 1")
-    return RunConfig(
-        command=args.command,
-        d_a=args.da,
-        d_b=args.db,
-        d_e=args.de,
-        tol=args.tol,
-        k_max=args.k_max,
-        n_samples=args.n_samples,
-        seed=seed,
-        workers=workers,
-        output_format=args.output_format,
-        output_path=args.output_path,
-    )
+    return RunConfig(**vars(args))
 
 
 def _format_number(value, digits: int) -> str:
@@ -275,6 +252,11 @@ def _fill_exact(row: dict, dims: Dimensions) -> MutualInformationBreakdown:
 
 
 def _fill_series(row: dict, dims: Dimensions, k_max: int):
+    if not dims.factorised_regime:
+        raise RegimeError(
+            "the large-N expansion targets the factorised closed form; "
+            f"{dims} is in the swapped regime"
+        )
     expansion = expand(dims, k_max)
     row.update(
         I_leading=expansion.leading,
@@ -304,6 +286,18 @@ def _fill_integral(row: dict, dims: Dimensions, tol: float):
     )
 
 
+def _fill_analytic(
+    row: dict, dims: Dimensions, config: RunConfig
+) -> MutualInformationBreakdown:
+    """The exact route, plus the series and integral routes where they are
+    defined (the factorised regime)."""
+    breakdown = _fill_exact(row, dims)
+    if dims.factorised_regime:
+        _fill_series(row, dims, config.k_max)
+        _fill_integral(row, dims, config.tol)
+    return breakdown
+
+
 def _fill_oracle(row: dict, dims: Dimensions, config: RunConfig) -> HaarSampleStats:
     stats = run_oracle(dims, config.n_samples, config.seed, config.workers)
     row.update(
@@ -317,22 +311,17 @@ def _kv_lines(pairs: list[tuple[str, object]]) -> list[str]:
     width = max(len(key) for key, _ in pairs)
     return [
         f"{key.ljust(width)}  {_format_number(value, _TABLE_DIGITS)}"
-        if not isinstance(value, str)
-        else f"{key.ljust(width)}  {value}"
         for key, value in pairs
     ]
 
 
-def _dims_from(config: RunConfig) -> Dimensions:
-    return Dimensions(config.d_a, config.d_b, config.d_e)
+# Each single-triple view fills ``row``, may append verify checks, and
+# returns the table pairs that follow the ``dims`` line.
 
 
-def _run_exact(config: RunConfig) -> RunResult:
-    dims = _dims_from(config)
-    row = _empty_row(dims)
+def _exact_view(row, dims, config, checks):
     breakdown = _fill_exact(row, dims)
     pairs = [
-        ("dims", f"({dims.d_a}, {dims.d_b}, {dims.d_e})  N={dims.n}"),
         ("regime", dims.regime_label),
         ("I_exact", breakdown.total),
         ("I_diag", breakdown.i_diag),
@@ -341,20 +330,12 @@ def _run_exact(config: RunConfig) -> RunResult:
     ]
     if breakdown.g_value is not None:
         pairs.append(("g_value", breakdown.g_value))
-    return RunResult(rows=[row], table_lines=_kv_lines(pairs))
+    return pairs
 
 
-def _run_series(config: RunConfig) -> RunResult:
-    dims = _dims_from(config)
-    if not dims.factorised_regime:
-        raise RegimeError(
-            "the large-N expansion targets the factorised closed form; "
-            f"{dims} is in the swapped regime"
-        )
-    row = _empty_row(dims)
+def _series_view(row, dims, config, checks):
     expansion = _fill_series(row, dims, config.k_max)
-    pairs = [
-        ("dims", f"({dims.d_a}, {dims.d_b}, {dims.d_e})  N={dims.n}"),
+    return [
         ("I_leading", expansion.leading),
         ("I_series_opt", expansion.value_at_optimal),
         ("series_err", expansion.error_estimate),
@@ -362,29 +343,21 @@ def _run_series(config: RunConfig) -> RunResult:
         ("divergence_k", expansion.divergence_k
          if expansion.divergence_k is not None else "none"),
     ]
-    return RunResult(rows=[row], table_lines=_kv_lines(pairs))
 
 
-def _run_integral(config: RunConfig) -> RunResult:
-    dims = _dims_from(config)
-    row = _empty_row(dims)
+def _integral_view(row, dims, config, checks):
     _fill_integral(row, dims, config.tol)
-    pairs = [
-        ("dims", f"({dims.d_a}, {dims.d_b}, {dims.d_e})  N={dims.n}"),
+    return [
         ("I_integral", row["I_integral"]),
         ("J", row["J"] if row["J"] is not None else "n/a (dimension 1)"),
         ("I_leading", row["I_leading"]),
         ("bound_deficit", row["bound_deficit"]),
     ]
-    return RunResult(rows=[row], table_lines=_kv_lines(pairs))
 
 
-def _run_oracle_cmd(config: RunConfig) -> RunResult:
-    dims = _dims_from(config)
-    row = _empty_row(dims)
+def _oracle_view(row, dims, config, checks):
     stats = _fill_oracle(row, dims, config)
     pairs = [
-        ("dims", f"({dims.d_a}, {dims.d_b}, {dims.d_e})  N={dims.n}"),
         ("samples", stats.n_samples),
         ("seed", stats.seed),
         ("rng", stats.rng),
@@ -400,24 +373,17 @@ def _run_oracle_cmd(config: RunConfig) -> RunResult:
     if stats.cartan_var is not None:
         pairs.append(("cartan_var", stats.cartan_var))
         pairs.append(("offdiag_var", stats.offdiag_var))
-    return RunResult(rows=[row], table_lines=_kv_lines(pairs))
+    return pairs
 
 
-def _run_verify(config: RunConfig) -> RunResult:
-    dims = _dims_from(config)
-    row = _empty_row(dims)
-    breakdown = _fill_exact(row, dims)
-    exact_value = breakdown.total
+def _verify_view(row, dims, config, checks):
+    exact_value = _fill_analytic(row, dims, config).total
     rational_value = float(mutual_information_rational(dims))
-    checks: list[dict] = []
 
     def record(name: str, status: str, detail: str) -> None:
         checks.append({"name": name, "status": status, "detail": detail})
 
     if dims.factorised_regime:
-        _fill_series(row, dims, config.k_max)
-        _fill_integral(row, dims, config.tol)
-
         integral_diff = abs(exact_value - row["I_integral"])
         integral_tol = max(1e-12, 10.0 * config.tol)
         record(
@@ -458,8 +424,7 @@ def _run_verify(config: RunConfig) -> RunResult:
         f"(<= 3*SE = {oracle_band:.3e})",
     )
 
-    pairs = [
-        ("dims", f"({dims.d_a}, {dims.d_b}, {dims.d_e})  N={dims.n}"),
+    return [
         ("regime", dims.regime_label),
         ("I_exact", exact_value),
         ("I_rational", rational_value),
@@ -468,13 +433,34 @@ def _run_verify(config: RunConfig) -> RunResult:
         ("oracle_mean", stats.mean_mutual_information),
         ("oracle_stderr", stats.stderr_mutual_information),
     ]
-    lines = _kv_lines(pairs)
-    lines.append("")
-    for check in checks:
-        lines.append(
+
+
+_SINGLE_VIEWS = {
+    "exact": _exact_view,
+    "series": _series_view,
+    "integral": _integral_view,
+    "oracle": _oracle_view,
+    "verify": _verify_view,
+}
+
+
+def _run_single(config: RunConfig) -> RunResult:
+    """One triple: its row, its table (``dims`` line, the view's pairs, then
+    any check lines) and its checks."""
+    dims = Dimensions(config.d_a, config.d_b, config.d_e)
+    row = _empty_row(dims)
+    checks: list[dict] = []
+    pairs = _SINGLE_VIEWS[config.command](row, dims, config, checks)
+    lines = _kv_lines(
+        [("dims", f"({dims.d_a}, {dims.d_b}, {dims.d_e})  N={dims.n}"), *pairs]
+    )
+    if checks:
+        lines.append("")
+        lines.extend(
             f"[{check['status'].upper():>7}] {check['name']}: {check['detail']}"
+            for check in checks
         )
-    return RunResult(rows=[row], checks=checks, table_lines=lines)
+    return RunResult(rows=[row], checks=checks or None, table_lines=lines)
 
 
 def _run_sweep(config: RunConfig) -> RunResult:
@@ -487,15 +473,11 @@ def _run_sweep(config: RunConfig) -> RunResult:
                 mult_lo, mult_hi = config.de_mult_range
                 de_values = [m * d_a * d_b for m in range(mult_lo, mult_hi + 1)]
             else:
-                de_lo, de_hi = config.de_range
-                de_values = list(range(de_lo, de_hi + 1))
+                de_values = range(config.de_range[0], config.de_range[1] + 1)
             for d_e in de_values:
                 dims = Dimensions(d_a, d_b, d_e)
                 row = _empty_row(dims)
-                _fill_exact(row, dims)
-                if dims.factorised_regime:
-                    _fill_series(row, dims, config.k_max)
-                    _fill_integral(row, dims, config.tol)
+                _fill_analytic(row, dims, config)
                 rows.append(row)
 
     header = CSV_COLUMNS
@@ -537,20 +519,11 @@ def emit(result: RunResult, output_format: str, metadata: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_HANDLERS = {
-    "exact": _run_exact,
-    "series": _run_series,
-    "integral": _run_integral,
-    "oracle": _run_oracle_cmd,
-    "verify": _run_verify,
-    "sweep": _run_sweep,
-}
-
-
 def run(config: RunConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     try:
-        result = _HANDLERS[config.command](config)
+        result = (_run_sweep(config) if config.command == "sweep"
+                  else _run_single(config))
     except (InvalidDimensionError, DomainError, RegimeError,
             DegeneratePoleError) as exc:
         print(f"haarmi: invalid input: {exc}", file=sys.stderr)
@@ -580,12 +553,10 @@ def run(config: RunConfig) -> int:
             print(f"haarmi: cannot write output: {exc}", file=sys.stderr)
             return EXIT_IO
 
-    if config.command == "verify":
-        failed = [c for c in result.checks if c["status"] == "fail"]
-        if failed:
-            names = ", ".join(c["name"] for c in failed)
-            print(f"haarmi: verification failed: {names}", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
+    failed = [c["name"] for c in result.checks or () if c["status"] == "fail"]
+    if failed:
+        print(f"haarmi: verification failed: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 

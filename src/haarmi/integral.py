@@ -50,17 +50,16 @@ _EXP_CUT = 700.0
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value of an adaptive quadrature together with its convergence record.
+    """Value of a converged adaptive quadrature (failure to converge raises
+    :class:`NonConvergenceError` instead of returning).
 
     error_estimate is the difference between the last two panel
-    refinements; converged is always True on a returned result (failure to
-    converge raises instead) and is recorded for report plumbing.
+    refinements; evaluations counts every integrand evaluation made.
     """
 
     value: float
     error_estimate: float
     evaluations: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -78,20 +77,18 @@ def _composite_gauss(
     fn: Callable[[np.ndarray], np.ndarray],
     upper: float,
     tol: float,
-    budget: int | None = None,
 ) -> QuadratureResult:
-    """Composite Gauss-Legendre on (0, upper] with panel-count doubling."""
-    if budget is None:
-        budget = EVAL_BUDGET
+    """Composite Gauss-Legendre on (0, upper] with panel-count doubling,
+    within ``EVAL_BUDGET`` integrand evaluations."""
     if not (tol > 0.0) or not math.isfinite(tol):
         raise DomainError(f"tolerance must be a positive finite real, got {tol!r}")
     previous = None
     panels = 2
     evaluations = 0
     while True:
-        if evaluations + panels * _GL_ORDER > budget:
+        if evaluations + panels * _GL_ORDER > EVAL_BUDGET:
             raise NonConvergenceError(
-                f"quadrature exceeded {budget} evaluations without two "
+                f"quadrature exceeded {EVAL_BUDGET} evaluations without two "
                 f"refinements agreeing to {tol:g}"
             )
         edges = np.linspace(0.0, upper, panels + 1)
@@ -105,10 +102,7 @@ def _composite_gauss(
             drift = abs(total - previous)
             if drift <= tol:
                 return QuadratureResult(
-                    value=total,
-                    error_estimate=drift,
-                    evaluations=evaluations,
-                    converged=True,
+                    value=total, error_estimate=drift, evaluations=evaluations
                 )
         previous = total
         panels *= 2

@@ -54,10 +54,6 @@ class MutualInformationBreakdown:
     delta_ev: float
     g_value: float | None
 
-    @property
-    def regime_label(self) -> str:
-        return self.dims.regime_label
-
 
 def page_entropy(m: int, n: int) -> float:
     """Average entanglement entropy ``psi(mn+1) - psi(hi+1) - (lo-1)/(2 hi)``

@@ -12,12 +12,12 @@ independent of chunking order and worker count.
 
 Both runs, :func:`run_oracle` and :func:`bloch_variances`, go through one
 chunk driver: it splits the sample range into fixed chunks of
-``CHUNK_SIZE`` states and calls the run's work function on each, serially
-or on a thread pool.  Each chunk writes a disjoint slice of the per-sample
-result arrays, so the worker count changes nothing about the final
-reductions (numpy's pairwise ``sum``/``mean`` over a fixed-length array is
-a fixed reduction tree).  One batched partial-trace kernel serves both
-:func:`run_oracle` and :func:`reduce_state`, which is a batch of one.
+``CHUNK_SIZE`` states and calls the run's work function on each, on a
+pool of ``workers`` threads.  Each chunk writes a disjoint slice of the
+per-sample result arrays, so the worker count changes nothing about the
+final reductions (numpy's pairwise ``sum``/``mean`` over a fixed-length
+array is a fixed reduction tree).  One batched partial-trace kernel serves
+both :func:`run_oracle` and :func:`reduce_state`, which is a batch of one.
 """
 
 from __future__ import annotations
@@ -65,14 +65,6 @@ class PureState:
 
     amplitudes: np.ndarray
     dims: Dimensions
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace reduced state on ``dim`` levels."""
-
-    matrix: np.ndarray
-    dim: int
 
 
 @dataclass(frozen=True)
@@ -213,15 +205,15 @@ def _partial_traces(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rho_a, rho_b, rho_ab
 
 
-def reduce_state(state: PureState, keep: Literal["A", "B", "AB"]) -> DensityMatrix:
-    """Partial trace of a pure tripartite state down to A, B, or AB."""
+def reduce_state(state: PureState, keep: Literal["A", "B", "AB"]) -> np.ndarray:
+    """Partial trace of a pure tripartite state down to A, B, or AB: the
+    Hermitian, unit-trace reduced density matrix."""
     targets = ("A", "B", "AB")
     if keep not in targets:
         raise DomainError(f"keep must be 'A', 'B' or 'AB', got {keep!r}")
     d = state.dims
     t = state.amplitudes.reshape(1, d.d_a, d.d_b, d.d_e)
-    rho = _partial_traces(t)[targets.index(keep)][0]
-    return DensityMatrix(matrix=rho, dim=rho.shape[0])
+    return _partial_traces(t)[targets.index(keep)][0]
 
 
 def _entropy_from_weights(weights: np.ndarray, what: str) -> np.ndarray:
@@ -237,20 +229,16 @@ def _entropy_from_weights(weights: np.ndarray, what: str) -> np.ndarray:
     return np.sum(contrib, axis=-1)
 
 
-def _as_matrix(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-
-
-def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """``-Tr rho ln rho`` from the eigenvalues of a Hermitian matrix."""
-    eigenvalues = np.linalg.eigvalsh(_as_matrix(rho))
+    eigenvalues = np.linalg.eigvalsh(rho)
     return float(_entropy_from_weights(eigenvalues, "eigendecomposition"))
 
 
-def diagonal_entropy(rho: DensityMatrix | np.ndarray) -> float:
+def diagonal_entropy(rho: np.ndarray) -> float:
     """Shannon entropy of the diagonal of a density matrix in the
     computational basis."""
-    diag = np.diagonal(_as_matrix(rho)).real.copy()
+    diag = np.diagonal(rho).real.copy()
     return float(_entropy_from_weights(diag, "diagonal"))
 
 
@@ -290,17 +278,14 @@ def gell_mann_basis(m: int) -> GellMannBasis:
 
 def _run_chunks(n_samples: int, workers: int, work) -> None:
     """Call ``work(start, stop)`` on each ``CHUNK_SIZE`` slice of
-    ``range(n_samples)``, serially or on a thread pool."""
-    chunks = [
-        (start, min(start + CHUNK_SIZE, n_samples))
-        for start in range(0, n_samples, CHUNK_SIZE)
-    ]
-    if workers <= 1:
-        for start, stop in chunks:
-            work(start, stop)
-        return
+    ``range(n_samples)`` on a pool of ``workers`` threads; any failure in a
+    chunk is raised as :class:`OracleWorkerError`."""
+    _require_int("workers", workers, 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work, start, stop) for start, stop in chunks]
+        futures = [
+            pool.submit(work, start, min(start + CHUNK_SIZE, n_samples))
+            for start in range(0, n_samples, CHUNK_SIZE)
+        ]
         for future in futures:
             try:
                 future.result()

@@ -124,11 +124,3 @@ def expand(dims: Dimensions, k_max: int = K_MAX_DEFAULT) -> SeriesExpansion:
         error_estimate=error_estimate,
         divergence_k=divergence_k,
     )
-
-
-def optimal_truncation_value(
-    dims: Dimensions, k_max: int = K_MAX_DEFAULT
-) -> tuple[float, float]:
-    """Superasymptotically truncated value and its error estimate."""
-    expansion = expand(dims, k_max)
-    return expansion.value_at_optimal, expansion.error_estimate

@@ -236,6 +236,44 @@ def test_verify_table_lists_checks():
     assert "FAIL" not in result.stdout
 
 
+_ORACLE_LABELS = [
+    "dims", "samples", "seed", "rng", "mean_I", "stderr_I", "mean_S_A",
+    "mean_S_B", "mean_S_AB", "mean_purity_A", "mean_diag_S_A",
+    "mean_diag_2nd_A",
+]
+
+
+@pytest.mark.parametrize("command,triple,labels,fixed", [
+    ("series", (2, 3, 7),
+     ["dims", "I_leading", "I_series_opt", "series_err", "optimal_k",
+      "divergence_k"],
+     {"dims": "(2, 3, 7)  N=42"}),
+    ("integral", (2, 3, 7),
+     ["dims", "I_integral", "J", "I_leading", "bound_deficit"], {}),
+    ("integral", (1, 3, 7),
+     ["dims", "I_integral", "J", "I_leading", "bound_deficit"],
+     {"J": "n/a (dimension 1)", "I_integral": "0", "bound_deficit": "0"}),
+    ("oracle", (2, 2, 4), [*_ORACLE_LABELS, "cartan_var", "offdiag_var"],
+     {"samples": "600", "seed": "42"}),
+    ("oracle", (1, 3, 3), _ORACLE_LABELS, {}),
+], ids=["series-2-3-7", "integral-2-3-7", "integral-1-3-7", "oracle-2-2-4",
+        "oracle-1-3-3"])
+def test_single_triple_table_labels(command, triple, labels, fixed,
+                                    monkeypatch, capsys):
+    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
+    d_a, d_b, d_e = (str(d) for d in triple)
+    config = cli.parse_args([command, "--da", d_a, "--db", d_b, "--de", d_e,
+                             "--samples", "600", "--workers", "1"])
+    assert cli.run(config) == 0
+    table = capsys.readouterr().out.split("\n\n")[0]
+    pairs = [line.partition("  ") for line in table.splitlines()]
+    assert [label for label, _, _ in pairs] == labels
+    values = {label: value.strip() for label, _, value in pairs}
+    for label, value in fixed.items():
+        assert values[label] == value
+    assert all(values[label] != "" for label in labels)
+
+
 # ---------------------------------------------------------------------------
 # verify semantics and exit codes
 

@@ -139,7 +139,7 @@ def test_golden_breakdown_2_3_7():
     assert b.i_diag == pytest.approx(0.02267891818042558, abs=2e-15, rel=0)
     assert b.delta_ev == (24 - 2) / 84  # exact: (su - cartan)/(2N)
     assert b.g_value == pytest.approx(b.total / 24.0, abs=0, rel=1e-15)
-    assert b.regime_label == "factorised"
+    assert b.dims.regime_label == "factorised"
 
 
 def test_breakdown_identity_bitwise():

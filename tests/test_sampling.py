@@ -103,11 +103,11 @@ def test_sample_state_validation():
 def test_reduce_state_is_density_matrix(keep, dim):
     state = sample_state(DIMS, seed=1, index=0)
     rho = reduce_state(state, keep)
-    assert rho.dim == dim
-    assert rho.matrix.shape == (dim, dim)
-    assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-12
-    assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
-    assert np.linalg.eigvalsh(rho.matrix).min() > -1e-10
+    assert rho.shape[0] == dim
+    assert rho.shape == (dim, dim)
+    assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+    assert abs(np.trace(rho).real - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(rho).min() > -1e-10
 
 
 def test_reduce_state_bad_target():
@@ -125,14 +125,14 @@ def test_reduce_product_state():
     psi = np.einsum("a,b,e->abe", u, v, w).reshape(-1)
     state = sampling_module.PureState(amplitudes=psi, dims=dims)
     np.testing.assert_allclose(
-        reduce_state(state, "A").matrix, np.outer(u, u.conj()), atol=1e-14
+        reduce_state(state, "A"), np.outer(u, u.conj()), atol=1e-14
     )
     np.testing.assert_allclose(
-        reduce_state(state, "B").matrix, np.outer(v, v.conj()), atol=1e-14
+        reduce_state(state, "B"), np.outer(v, v.conj()), atol=1e-14
     )
     uv = np.kron(u, v)
     np.testing.assert_allclose(
-        reduce_state(state, "AB").matrix, np.outer(uv, uv.conj()), atol=1e-14
+        reduce_state(state, "AB"), np.outer(uv, uv.conj()), atol=1e-14
     )
 
 
@@ -141,7 +141,7 @@ def test_schmidt_symmetry():
     state = sample_state(Dimensions(2, 3, 4), seed=3, index=7)
     t = state.amplitudes.reshape(2, 12)
     rho_be = np.einsum("ax,ay->xy", t.conj(), t)  # complement of A
-    eig_a = np.linalg.eigvalsh(reduce_state(state, "A").matrix)
+    eig_a = np.linalg.eigvalsh(reduce_state(state, "A"))
     eig_be = np.linalg.eigvalsh(rho_be)
     largest = np.sort(eig_be)[-2:]
     np.testing.assert_allclose(np.sort(eig_a), largest, atol=1e-12)
@@ -305,7 +305,8 @@ def test_oracle_mean_equals_per_sample_route(dims):
         assert stats.mean_mutual_information == per_sample
 
 
-def test_run_oracle_worker_failure(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_oracle_worker_failure(workers, monkeypatch):
     real_block = sampling_module._sample_block
 
     def flaky(dims, seed, start, count):
@@ -315,7 +316,7 @@ def test_run_oracle_worker_failure(monkeypatch):
 
     monkeypatch.setattr(sampling_module, "_sample_block", flaky)
     with pytest.raises(OracleWorkerError):
-        run_oracle(DIMS, n_samples=2 * CHUNK_SIZE, seed=0, workers=2)
+        run_oracle(DIMS, n_samples=2 * CHUNK_SIZE, seed=0, workers=workers)
 
 
 def test_bloch_variances_structure_and_concordance():

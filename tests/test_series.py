@@ -12,7 +12,6 @@ from haarmi import (
     expand,
     leading_order,
     mutual_information_rational,
-    optimal_truncation_value,
     zeta_negative_odd,
 )
 
@@ -74,12 +73,9 @@ def test_divergence_and_optimal_truncation_2_2_4():
     assert magnitudes[-1] > 1.0
 
 
-def test_optimal_truncation_value_tuple():
-    dims = Dimensions(2, 3, 7)
-    value, err = optimal_truncation_value(dims)
-    e = expand(dims)
-    assert value == e.partial_sums[e.optimal_k]
-    assert err == e.error_estimate
+def test_value_at_optimal_is_optimal_partial_sum():
+    e = expand(Dimensions(2, 3, 7))
+    assert e.value_at_optimal == e.partial_sums[e.optimal_k]
 
 
 def test_truncation_honesty_exact_arithmetic():
@@ -101,7 +97,8 @@ def test_truncation_honesty_exact_arithmetic():
 def test_truncation_honesty_float_route():
     # where the estimate is far above machine noise, the float route obeys it
     dims = Dimensions(2, 2, 4)
-    value, err = optimal_truncation_value(dims, 60)
+    e = expand(dims, 60)
+    value, err = e.value_at_optimal, e.error_estimate
     exact = float(mutual_information_rational(dims))
     assert err > 1e-12
     assert abs(value - exact) <= 2.0 * err
