@@ -24,7 +24,6 @@ from .errors import (
     NumericalValidityError,
     OracleWorkerError,
     RegimeError,
-    SeriesOverflowError,
 )
 from .special import (
     BERNOULLI_LIMIT,
@@ -91,8 +90,8 @@ __all__ = [
     "CasimirCounts", "Dimensions", "casimir_counts", "leading_order",
     # errors
     "HaarMIError", "InvalidDimensionError", "DomainError", "RegimeError",
-    "DegeneratePoleError", "NonConvergenceError", "SeriesOverflowError",
-    "NumericalValidityError", "OracleWorkerError",
+    "DegeneratePoleError", "NonConvergenceError", "NumericalValidityError",
+    "OracleWorkerError",
     # special functions
     "BERNOULLI_LIMIT", "EULER_GAMMA", "bernoulli", "digamma",
     "harmonic_rational", "zeta_negative_odd",

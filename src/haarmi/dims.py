@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidDimensionError, _require_int
+from .errors import InvalidDimensionError, RegimeError, _require_int
 
 
 class CasimirCounts(NamedTuple):
@@ -57,6 +57,15 @@ class Dimensions:
     @property
     def regime_label(self) -> str:
         return "factorised" if self.factorised_regime else "swapped"
+
+    def require_factorised(self, route: str) -> None:
+        """Raise :class:`RegimeError` unless ``d_a * d_b <= d_e``: the one
+        guard of every route that expands the factorised closed form."""
+        if not self.factorised_regime:
+            raise RegimeError(
+                f"the {route} route requires the factorised regime "
+                f"d_a*d_b <= d_e, got {self}"
+            )
 
 
 def casimir_counts(dims: Dimensions) -> CasimirCounts:

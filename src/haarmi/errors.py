@@ -1,12 +1,14 @@
 """Exception types shared across the package.
 
-Every failure mode that callers are expected to handle gets its own class so
-that the command-line driver can map it to a stable exit code.
+Every failure mode that callers are expected to handle gets its own class.
+The command-line driver maps the invalid-input classes (bad dimension,
+domain, regime, degenerate poles) to exit code 2 and every other
+:class:`HaarMIError` to exit code 3.
 """
 
 
 class HaarMIError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; never raised itself."""
 
 
 class InvalidDimensionError(HaarMIError, ValueError):
@@ -22,7 +24,8 @@ class DomainError(HaarMIError, ValueError):
 
 class RegimeError(HaarMIError, ValueError):
     """An operation that requires the factorised regime (d_A * d_B <= d_E)
-    was invoked on swapped-regime dimensions."""
+    was invoked on swapped-regime dimensions; raised only by
+    ``Dimensions.require_factorised``."""
 
 
 class DegeneratePoleError(HaarMIError, ValueError):
@@ -33,18 +36,6 @@ class DegeneratePoleError(HaarMIError, ValueError):
 class NonConvergenceError(HaarMIError, ArithmeticError):
     """An adaptive quadrature failed to reach the requested tolerance within
     its evaluation budget."""
-
-
-class SeriesOverflowError(HaarMIError, OverflowError):
-    """A term of the asymptotic series produced a non-finite intermediate.
-
-    Attributes:
-        k: 1-based index of the offending term.
-    """
-
-    def __init__(self, message: str, k: int):
-        super().__init__(message)
-        self.k = k
 
 
 class NumericalValidityError(HaarMIError, ArithmeticError):

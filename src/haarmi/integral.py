@@ -31,12 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .dims import Dimensions, casimir_counts, leading_order
-from .errors import (
-    DegeneratePoleError,
-    DomainError,
-    NonConvergenceError,
-    RegimeError,
-)
+from .errors import DegeneratePoleError, DomainError, NonConvergenceError
 
 #: Hard cap on integrand evaluations per quadrature call.
 EVAL_BUDGET = 1_000_000
@@ -214,8 +209,9 @@ def mutual_information_integral(dims: Dimensions, tol: float = 1e-14) -> float:
     """Average mutual information via ``su * (1/(2N) - 2 J)``, i.e. the
     leading order minus :func:`bound_deficit`.
 
-    Only valid in the factorised regime ``d_a d_b <= d_e``; exactly zero
-    (without quadrature) when either dimension is 1.
+    Only valid in the factorised regime ``d_a d_b <= d_e``
+    (:class:`RegimeError` otherwise); exactly zero (without quadrature)
+    when either dimension is 1.
     """
     return leading_order(dims) - bound_deficit(dims, tol)
 
@@ -224,11 +220,7 @@ def bound_deficit(dims: Dimensions, tol: float = 1e-14) -> float:
     """Gap ``leading_order - <I> = 2 su J``, strictly positive whenever
     both dimensions exceed 1; quantifies the strict upper bound
     ``<I> < (d_a^2-1)(d_b^2-1)/(2N)``."""
-    if not dims.factorised_regime:
-        raise RegimeError(
-            f"integral route requires the factorised regime "
-            f"d_a*d_b <= d_e, got {dims}"
-        )
+    dims.require_factorised("integral")
     if dims.d_a == 1 or dims.d_b == 1:
         return 0.0
     su = casimir_counts(dims).su_product

@@ -396,8 +396,8 @@ def bloch_variances(
     components = np.empty((n_samples, basis.count))
 
     def work(start: int, stop: int) -> None:
-        t = _sample_block(dims, seed, start, stop - start).reshape(-1, m, n)
-        rho = np.einsum("zae,zce->zac", t, t.conj())
+        block = _sample_block(dims, seed, start, stop - start)
+        rho = _partial_traces(block.reshape(-1, m, 1, n))[0]
         components[start:stop] = np.einsum("gij,zji->zg", basis.matrices, rho).real
 
     _run_chunks(n_samples, workers, work)

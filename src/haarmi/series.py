@@ -16,11 +16,10 @@ truncation) leaves an error of the order of that term, which is what
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .dims import Dimensions, leading_order
-from .errors import DomainError, SeriesOverflowError, _require_int
+from .errors import DomainError, _require_int
 from .special import BERNOULLI_LIMIT, zeta_negative_odd
 
 #: Default number of terms kept by :func:`expand`.
@@ -69,33 +68,24 @@ def _check_k_max(k_max: int) -> None:
 def bernoulli_term(dims: Dimensions, k: int) -> float:
     """Term ``t_k = zeta(1-2k) (d_a^{2k}-1)(d_b^{2k}-1) / N^{2k}``.
 
-    Each dimension factor is evaluated as ``(d^2/N)^k - (1/N)^k``, which
-    never overflows for moderate dims (both bases are O(1) in the
-    factorised regime), is exactly zero when ``d = 1``, and keeps the
-    term's sign pattern ``(-1)^k`` intact.
+    Defined only in the factorised regime (:class:`RegimeError` otherwise).
+    Each dimension factor is evaluated as ``(d^2/N)^k - (1/N)^k``, which is
+    exactly zero when ``d = 1`` and keeps the term's sign pattern
+    ``(-1)^k`` intact.  No term can overflow: both bases ``d^2/N`` are at
+    most 1 when ``d_a d_b <= d_e``, and ``|zeta(1-2k)| <= 1.85e101`` for
+    every allowed ``k <= 60``.
     """
     _check_k_max(k)
+    dims.require_factorised("series")
     n = dims.n
-    coeff = float(zeta_negative_odd(k))
-    try:
-        factor_a = (dims.d_a * dims.d_a / n) ** k - (1.0 / n) ** k
-        factor_b = (dims.d_b * dims.d_b / n) ** k - (1.0 / n) ** k
-        term = coeff * factor_a * factor_b
-    except OverflowError:
-        # float ** raises instead of returning inf once d^2/N is large
-        raise SeriesOverflowError(
-            f"series term k={k} overflows binary64 for {dims}", k=k
-        ) from None
-    if not math.isfinite(term):
-        raise SeriesOverflowError(
-            f"series term k={k} is non-finite for {dims}", k=k
-        )
-    return term
+    factor_a = (dims.d_a * dims.d_a / n) ** k - (1.0 / n) ** k
+    factor_b = (dims.d_b * dims.d_b / n) ** k - (1.0 / n) ** k
+    return float(zeta_negative_odd(k)) * factor_a * factor_b
 
 
 def expand(dims: Dimensions, k_max: int = K_MAX_DEFAULT) -> SeriesExpansion:
     """Evaluate the first ``k_max`` terms together with their partial sums
-    and the superasymptotic truncation bookkeeping."""
+    and the superasymptotic truncation bookkeeping; factorised regime only."""
     _check_k_max(k_max)
     lead = leading_order(dims)
     terms = [bernoulli_term(dims, k) for k in range(1, k_max + 1)]

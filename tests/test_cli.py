@@ -131,8 +131,12 @@ def test_series_command_populates_series_fields():
 
 
 def test_series_swapped_regime_is_usage_error():
-    assert run_cli("series", "--da", "3", "--db", "4", "--de", "2").returncode == 2
-    assert run_cli("integral", "--da", "3", "--db", "4", "--de", "2").returncode == 2
+    for command in ("series", "integral"):
+        for d_a, d_b, d_e in (("3", "4", "2"), ("1", "5", "3")):
+            result = run_cli(command, "--da", d_a, "--db", d_b, "--de", d_e)
+            assert result.returncode == 2
+            assert result.stdout == ""
+            assert "requires the factorised regime" in result.stderr
 
 
 def test_sweep_csv_factorised_and_swapped_rows():
@@ -303,6 +307,24 @@ def test_verify_swapped_regime_skips_factorised_checks():
     assert statuses["series_route"] == "skipped"
     assert statuses["strict_bound"] == "skipped"
     assert statuses["oracle_3se"] == "pass"
+
+
+@pytest.mark.parametrize("triple", [(1, 3, 7), (3, 1, 7)])
+def test_verify_dimension_one_skips_strict_bound(triple, monkeypatch, capsys):
+    # the deficit is exactly 0 when a dimension is 1: no strict bound to check
+    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
+    d_a, d_b, d_e = (str(d) for d in triple)
+    config = cli.parse_args(["verify", "--da", d_a, "--db", d_b, "--de", d_e,
+                             "--samples", "2000", "--format", "json"])
+    assert cli.run(config) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["strict_bound"] == {
+        "name": "strict_bound",
+        "status": "skipped",
+        "detail": "a dimension is 1: <I> = leading order = 0",
+    }
+    assert {c["status"] for name, c in checks.items()
+            if name != "strict_bound"} == {"pass"}
 
 
 def test_verify_fault_injection_exits_4(monkeypatch, capsys):

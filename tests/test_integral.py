@@ -246,10 +246,13 @@ def test_borel_sum_matches_series_truncation():
 
 
 def test_integral_route_regime_guard():
-    with pytest.raises(RegimeError):
-        mutual_information_integral(Dimensions(3, 4, 2))
-    with pytest.raises(RegimeError):
-        bound_deficit(Dimensions(2, 2, 3))
+    # (1, 5, 3): the guard comes before the dimension-1 short-circuit
+    for triple in [(3, 4, 2), (2, 2, 3), (1, 5, 3)]:
+        dims = Dimensions(*triple)
+        with pytest.raises(RegimeError, match="requires the factorised regime"):
+            mutual_information_integral(dims)
+        with pytest.raises(RegimeError, match="requires the factorised regime"):
+            bound_deficit(dims)
 
 
 def test_integral_route_dimension_one_short_circuit():

@@ -7,7 +7,7 @@ import pytest
 from haarmi import (
     Dimensions,
     DomainError,
-    SeriesOverflowError,
+    RegimeError,
     bernoulli_term,
     expand,
     leading_order,
@@ -116,12 +116,15 @@ def test_k_max_validation():
         bernoulli_term(dims, 0)
 
 
-def test_overflow_reports_offending_term():
-    # far in the swapped regime the term factors exceed binary64 range
-    dims = Dimensions(2, 10**9, 1)
-    with pytest.raises(SeriesOverflowError) as info:
-        expand(dims, 40)
-    assert info.value.k >= 1
+def test_swapped_regime_refused():
+    # the series expands the factorised closed form only; at (3,4,2) it
+    # would otherwise return 2.483 where <I> = 1.378
+    for triple in [(2, 10**9, 1), (3, 4, 2)]:
+        dims = Dimensions(*triple)
+        with pytest.raises(RegimeError, match="requires the factorised regime"):
+            expand(dims)
+        with pytest.raises(RegimeError, match="requires the factorised regime"):
+            bernoulli_term(dims, 1)
 
 
 def test_monotone_tail_uses_last_term():
