@@ -136,7 +136,7 @@ def _default_seed() -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-14,
-                        help="quadrature tolerance (default 1e-14)")
+                        help="relative quadrature tolerance (default 1e-14)")
     common.add_argument("--kmax", dest="k_max", type=int, default=40,
                         help="number of series terms (default 40)")
     common.add_argument("--samples", dest="n_samples", type=int, default=20000,

@@ -16,6 +16,7 @@ truncation) leaves an error of the order of that term, which is what
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .dims import Dimensions, leading_order
@@ -65,6 +66,12 @@ def _check_k_max(k_max: int) -> None:
         )
 
 
+@functools.cache
+def _zeta_float(k: int) -> float:
+    """``float(zeta(1-2k))`` once per k; callers bound k (at most 60 entries)."""
+    return float(zeta_negative_odd(k))
+
+
 def bernoulli_term(dims: Dimensions, k: int) -> float:
     """Term ``t_k = zeta(1-2k) (d_a^{2k}-1)(d_b^{2k}-1) / N^{2k}``.
 
@@ -80,7 +87,7 @@ def bernoulli_term(dims: Dimensions, k: int) -> float:
     n = dims.n
     factor_a = (dims.d_a * dims.d_a / n) ** k - (1.0 / n) ** k
     factor_b = (dims.d_b * dims.d_b / n) ** k - (1.0 / n) ** k
-    return float(zeta_negative_odd(k)) * factor_a * factor_b
+    return _zeta_float(k) * factor_a * factor_b
 
 
 def expand(dims: Dimensions, k_max: int = K_MAX_DEFAULT) -> SeriesExpansion:

@@ -52,6 +52,18 @@ def _factorised_grid():
     return cases
 
 
+def _wide_environment_grid():
+    """All ordered (d_a, d_b) in [2,6]^2 with d_e = m C for m in
+    {1, 2, 4, ..., 128} and N <= 2e4; 173 dims."""
+    return [
+        Dimensions(d_a, d_b, 2**j * d_a * d_b)
+        for d_a in range(2, 7)
+        for d_b in range(2, 7)
+        for j in range(8)
+        if 2**j * (d_a * d_b) ** 2 <= 20_000
+    ]
+
+
 def _term_fraction(dims: Dimensions, k: int) -> Fraction:
     return (
         zeta_negative_odd(k)
@@ -78,16 +90,18 @@ def test_golden_mutual_information(acceptance):
 
 def test_route_equality_grid(acceptance):
     started = time.perf_counter()
+    grid = _wide_environment_grid()
     worst = 0.0
-    for dims in _factorised_grid():
-        reference = mutual_information_exact(dims).total
-        quadrature = mutual_information_integral(dims)
-        worst = max(worst, abs(reference - quadrature) / abs(reference))
+    for dims in grid:
+        reference = mutual_information_rational(dims)
+        quadrature = Fraction(mutual_information_integral(dims))
+        worst = max(worst, float(abs(quadrature - reference) / reference))
     elapsed = time.perf_counter() - started
-    ok = worst <= 1e-13 and elapsed < 10.0
+    ok = len(grid) == 173 and worst <= 1e-13 and elapsed < 10.0
     assert acceptance(
         2,
-        "digamma and integral routes agree to 1e-13 across 75 dims",
+        "rational and integral routes agree to 1e-13 across 173 dims, "
+        "d_e up to 128 C",
         ok,
         note=f"worst rel {worst:.1e}, {elapsed:.2f}s",
     )

@@ -1,6 +1,9 @@
-"""Integral route: Binet tail, kernel algebra, folding, and the strict bound."""
+"""Integral route: Bose quadrature, Binet tail, kernel algebra, the folded
+witness, and the strict bound."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from haarmi import (
     digamma,
     expand,
     folded_integrand,
+    i_diag_rational,
     kernel_R,
     leading_order,
     mutual_information_exact,
@@ -195,12 +199,41 @@ def test_compute_j_matches_binet_combination():
 
 
 def test_compute_j_guards():
-    with pytest.raises(DegeneratePoleError):
-        compute_J(Dimensions(1, 5, 9))
-    with pytest.raises(DegeneratePoleError):
-        compute_J(Dimensions(3, 1, 9))
+    # R is finite when a dimension is 1, so J is defined there; the
+    # deficit vanishes through su = 0, with no special case
+    for triple in [(1, 5, 9), (3, 1, 9)]:
+        dims = Dimensions(*triple)
+        j = compute_J(dims).value
+        assert math.isfinite(j) and j > 0.0
+        assert bound_deficit(dims) == 0.0
     # equal dimensions are not a problem for the integral itself
     assert compute_J(Dimensions(2, 2, 4)).value > 0.0
+
+
+@pytest.mark.parametrize(
+    "triple", [(3, 3, 1152), (2, 6, 1536), (6, 6, 288), (2, 3, 7)]
+)
+def test_compute_j_matches_exact_rational(triple):
+    """psi(z+1) = ln z + 1/(2z) - 2 binet_tail(z) in the four harmonic
+    numbers of i_diag leaves i_diag = (d_a-1)(d_b-1)/(2N) - 2 su J, so J is
+    known exactly; wide environments (d_e up to 128 C) included."""
+    dims = Dimensions(*triple)
+    su = casimir_counts(dims).su_product
+    exact = (
+        Fraction((dims.d_a - 1) * (dims.d_b - 1), 2 * dims.n)
+        - i_diag_rational(dims)
+    ) / (2 * su)
+    result = compute_J(dims)
+    gap = abs(Fraction(result.value) - exact)
+    assert gap <= Fraction(1e-14) * exact
+    assert gap <= Fraction(result.error_estimate)
+
+
+def test_unattainable_tolerance_fails_loudly():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError):
+            compute_J(Dimensions(2, 3, 7), tol=5e-324)
 
 
 def test_integral_route_matches_exact():
@@ -212,25 +245,20 @@ def test_integral_route_matches_exact():
 
 
 def test_folded_equals_unfolded_truncated():
-    """Integrating the raw kernel against the Bose weight on (0, U] with an
-    exponentially negligible tail agrees with the folded finite-domain J."""
-    tol = 1e-14
+    """Integrating the folded integrand on a fixed dense grid over
+    (0, sqrt(C)] agrees with J from the unfolded quadrature in t = d_e u."""
     nodes, weights = np.polynomial.legendre.leggauss(48)
     for triple in [(2, 3, 7), (2, 2, 4), (3, 4, 13)]:
         dims = Dimensions(*triple)
-        folded = compute_J(dims, tol=tol).value
-        c = dims.d_a * dims.d_b
-        upper = math.sqrt(c) + math.log(1e17) / (2.0 * math.pi * dims.d_e)
-        edges = np.linspace(0.0, upper, 201)
-        unfolded = 0.0
+        fold = math.sqrt(dims.d_a * dims.d_b)
+        edges = np.linspace(0.0, fold, 201)
+        folded = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            u = mid + half * nodes
-            vals = np.array([kernel_R(x, dims) for x in u]) / np.expm1(
-                2.0 * math.pi * dims.d_e * u
-            )
-            unfolded += half * float(vals @ weights)
-        assert abs(unfolded - folded) <= 2.0 * tol
+            vals = [folded_integrand(x, dims) for x in mid + half * nodes]
+            folded += half * float(np.dot(vals, weights))
+        j = compute_J(dims).value
+        assert abs(folded - j) <= 1e-14 * j
 
 
 def test_borel_sum_matches_series_truncation():
