@@ -371,6 +371,15 @@ def _verify_view(row, dims, config, checks):
     def record(name: str, status: str, detail: str) -> None:
         checks.append({"name": name, "status": status, "detail": detail})
 
+    # The bound is 0 when a dimension is 1; both values are then exactly 0.0.
+    rational_diff = abs(exact_value - rational_value)
+    rational_tol = 1e-13 * abs(rational_value)
+    record(
+        "rational_route",
+        "pass" if rational_diff <= rational_tol else "fail",
+        f"|exact - rational| = {rational_diff:.3e} (<= {rational_tol:.3e})",
+    )
+
     if dims.factorised_regime:
         integral_diff = abs(exact_value - row["I_integral"])
         integral_tol = max(1e-12, 10.0 * config.tol)

@@ -2,8 +2,11 @@
 
 Two independent exact routes are provided for every quantity: a binary64
 route built on the digamma function, and an exact rational route built on
-harmonic numbers (the two are related by ``psi(n+1) = H_n - gamma``, and
-gamma cancels in every combination used here).
+harmonic differences ``H_b - H_a`` (the two are related by
+``psi(n+1) = H_n - gamma``, and gamma cancels in every combination used
+here).  Each difference is summed once, with no state kept between calls.
+The binary64 diagonal part cancels the logarithms of its four digammas in
+closed form, so its O(1/N) value stays accurate in *relative* terms.
 
 Conventions: ``page_entropy(m, n)`` is the average entanglement entropy of
 the dimension-``m`` part of a random pure state on ``m x n`` (symmetric
@@ -27,7 +30,7 @@ from .errors import (
     NumericalValidityError,
     _require_int,
 )
-from .special import digamma, harmonic_rational
+from .special import _psi_remainder, digamma, harmonic_rational
 
 
 def _check_sizes(m: int, n: int) -> None:
@@ -68,11 +71,7 @@ def page_entropy_rational(m: int, n: int) -> Fraction:
     (``H_{mn} - H_hi - (lo-1)/(2 hi)``)."""
     _check_sizes(m, n)
     lo, hi = sorted((m, n))
-    return (
-        harmonic_rational(m * n)
-        - harmonic_rational(hi)
-        - Fraction(lo - 1, 2 * hi)
-    )
+    return harmonic_rational(m * n, hi) - Fraction(lo - 1, 2 * hi)
 
 
 def diagonal_entropy_avg(m: int, n: int) -> float:
@@ -84,7 +83,7 @@ def diagonal_entropy_avg(m: int, n: int) -> float:
 def diagonal_entropy_avg_rational(m: int, n: int) -> Fraction:
     """Exact rational counterpart of :func:`diagonal_entropy_avg`."""
     _check_sizes(m, n)
-    return harmonic_rational(m * n) - harmonic_rational(n)
+    return harmonic_rational(m * n, n)
 
 
 def schur_deficit(m: int, n: int) -> float:
@@ -125,25 +124,29 @@ def bloch_variance(m: int, n: int) -> Fraction:
 
 
 def _i_diag_float(dims: Dimensions) -> float:
-    n = dims.n
-    return math.fsum(
+    """``psi(N+1) - psi(d_b d_e+1) - psi(d_a d_e+1) + psi(d_e+1)`` with
+    ``psi(z+1) = ln z + 1/(2z) - r(z)``: the logs cancel exactly, since
+    ``N d_e = (d_a d_e)(d_b d_e)``, and the ``1/(2z)`` terms sum to
+    ``cartan/(2N)``."""
+    d_e = dims.d_e
+    cartan = casimir_counts(dims).cartan_product
+    return cartan / (2 * dims.n) - math.fsum(
         (
-            digamma(n + 1),
-            -digamma(dims.d_b * dims.d_e + 1),
-            -digamma(dims.d_a * dims.d_e + 1),
-            digamma(dims.d_e + 1),
+            _psi_remainder(dims.n),
+            -_psi_remainder(dims.d_b * d_e),
+            -_psi_remainder(dims.d_a * d_e),
+            _psi_remainder(d_e),
         )
     )
 
 
 def i_diag_rational(dims: Dimensions) -> Fraction:
     """Exact rational diagonal mutual information
-    ``H_N - H_{N/d_a} - H_{N/d_b} + H_{N/(d_a d_b)}``."""
+    ``(H_N - H_{N/d_a}) - (H_{N/d_b} - H_{N/(d_a d_b)})``."""
+    d_e = dims.d_e
     return (
-        harmonic_rational(dims.n)
-        - harmonic_rational(dims.d_b * dims.d_e)
-        - harmonic_rational(dims.d_a * dims.d_e)
-        + harmonic_rational(dims.d_e)
+        harmonic_rational(dims.n, dims.d_b * d_e)
+        - harmonic_rational(dims.d_a * d_e, d_e)
     )
 
 

@@ -1,9 +1,11 @@
-"""Special functions: digamma, exact harmonic numbers, Bernoulli numbers.
+"""Special functions: digamma, exact harmonic differences, Bernoulli numbers.
 
 The digamma implementation is self-contained (recurrence plus asymptotic
 series) so that the whole package carries no dependency beyond numpy, and
 so that the Bernoulli numbers feeding the asymptotic expansion are exactly
-the ones produced by :func:`bernoulli`.
+the ones produced by :func:`bernoulli`; the series has one copy,
+:func:`_psi_remainder`.  Exact harmonic differences are summed by binary
+splitting and keep no state: the only cache is the bounded Bernoulli table.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ BERNOULLI_LIMIT = 120
 
 _lock = threading.Lock()
 _bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-_harmonic_cache: list[Fraction] = [Fraction(0)]
+
+#: Longest range :func:`_range_sum` adds term by term in integers.
+_HARMONIC_LEAF = 64
 
 
 def bernoulli(m: int) -> Fraction:
@@ -60,22 +64,64 @@ def zeta_negative_odd(k: int) -> Fraction:
     return -bernoulli(2 * k) / (2 * k)
 
 
-def harmonic_rational(n: int) -> Fraction:
-    """Exact harmonic number ``H_n = 1 + 1/2 + ... + 1/n`` (``H_0 = 0``)."""
+def _range_sum(a: int, b: int) -> Fraction:
+    """``sum_{k=a+1}^{b} 1/k`` for ``0 <= a < b`` by binary splitting.
+
+    ``Fraction`` addition reduces at every merge, which keeps operands near
+    the size of the result rather than the product of all denominators.
+    """
+    if b - a <= _HARMONIC_LEAF:
+        p, q = 0, 1
+        for k in range(a + 1, b + 1):
+            p, q = p * k + q, q * k
+        return Fraction(p, q)
+    mid = (a + b) // 2
+    return _range_sum(a, mid) + _range_sum(mid, b)
+
+
+def harmonic_rational(n: int, start: int = 0) -> Fraction:
+    """Exact harmonic difference ``H_n - H_start`` (``H_0 = 0``), for any
+    two indices in either order; ``harmonic_rational(n)`` is ``H_n``.
+
+    The range is summed by binary splitting (Haible & Papanikolaou, 1998),
+    so working memory stays near the size of the result and nothing is
+    kept between calls.
+    """
     _require_int("harmonic index", n, 0)
-    with _lock:
-        while len(_harmonic_cache) <= n:
-            _harmonic_cache.append(
-                _harmonic_cache[-1] + Fraction(1, len(_harmonic_cache))
-            )
-        return _harmonic_cache[n]
+    _require_int("harmonic start", start, 0)
+    if n == start:
+        return Fraction(0)
+    if n < start:
+        return -_range_sum(n, start)
+    return _range_sum(start, n)
 
 
-# Asymptotic tail coefficients B_{2k}/(2k), k = 1..7.  With the recurrence
-# threshold at x >= 10 the first omitted term is below 2^-53 * psi(x), so
+# Stirling coefficients B_{2k}/(2k), k = 1..7.  With the recurrence
+# threshold at z >= 10 the first omitted term is below 2^-53 * psi(z), so
 # seven terms saturate binary64.
 _PSI_SHIFT = 10.0
 _PSI_COEF = [float(bernoulli(2 * k)) / (2 * k) for k in range(1, 8)]
+
+
+def _psi_remainder(z: float) -> float:
+    """``r(z) = ln z + 1/(2z) - psi(z+1)`` for real ``z > 0``; this is
+    ``2 * binet_tail(z)``, about ``1/(12 z^2)``.
+
+    For ``z >= 10`` it is the Stirling series ``sum_k B_{2k} / (2k z^{2k})``.
+    Below, the recurrence ``r(z) = r(z+1) - log1p(1/z) + 1/(2z) +
+    1/(2(z+1))`` keeps the small result accurate in *absolute* terms, which
+    the form ``ln z + 1/(2z) - psi(z+1)`` would not.
+    """
+    pieces = []
+    while z < _PSI_SHIFT:
+        pieces += (-math.log1p(1.0 / z), 0.5 / z, 0.5 / (z + 1.0))
+        z += 1.0
+    inv2 = 1.0 / (z * z)
+    power = inv2
+    for c in _PSI_COEF:
+        pieces.append(c * power)
+        power *= inv2
+    return math.fsum(pieces)
 
 
 def digamma(x: float) -> float:
@@ -83,11 +129,12 @@ def digamma(x: float) -> float:
 
     Uses the upward recurrence ``psi(x+1) = psi(x) + 1/x`` to push the
     argument to at least 10, then the asymptotic series
-    ``ln x - 1/(2x) - sum_k B_{2k} / (2k x^{2k})``.  All pieces are
-    accumulated with exact compensated summation (``math.fsum``), so the
-    absolute error stays at a few 1e-16 across the whole domain and the
-    result is correct to ~2 ulp wherever no leading-digit cancellation
-    occurs in the recurrence (in particular for all x >= 10).
+    ``ln x - 1/(2x) - r(x)`` with the Stirling series ``r`` of
+    :func:`_psi_remainder`.  All pieces are accumulated with exact
+    compensated summation (``math.fsum``), so the absolute error stays at a
+    few 1e-16 across the whole domain and the result is correct to ~2 ulp
+    wherever no leading-digit cancellation occurs in the recurrence (in
+    particular for all x >= 10).
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
@@ -96,11 +143,5 @@ def digamma(x: float) -> float:
     while x < _PSI_SHIFT:
         pieces.append(-1.0 / x)
         x += 1.0
-    pieces.append(math.log(x))
-    pieces.append(-0.5 / x)
-    inv2 = 1.0 / (x * x)
-    power = inv2
-    for c in _PSI_COEF:
-        pieces.append(-c * power)
-        power *= inv2
+    pieces += (math.log(x), -0.5 / x, -_psi_remainder(x))
     return math.fsum(pieces)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -289,6 +290,7 @@ def test_verify_passes_and_emits_checks_json():
     payload = json.loads(result.stdout)
     statuses = {c["name"]: c["status"] for c in payload["checks"]}
     assert statuses == {
+        "rational_route": "pass",
         "integral_route": "pass",
         "series_route": "pass",
         "strict_bound": "pass",
@@ -303,6 +305,7 @@ def test_verify_swapped_regime_skips_factorised_checks():
                      "--samples", "2000", "--format", "json")
     assert result.returncode == 0
     statuses = {c["name"]: c["status"] for c in json.loads(result.stdout)["checks"]}
+    assert statuses["rational_route"] == "pass"
     assert statuses["integral_route"] == "skipped"
     assert statuses["series_route"] == "skipped"
     assert statuses["strict_bound"] == "skipped"
@@ -340,6 +343,20 @@ def test_verify_fault_injection_exits_4(monkeypatch, capsys):
                              "--samples", "2000"])
     assert cli.run(config) == 4
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_verify_rational_mismatch_exits_4(monkeypatch, capsys):
+    real_rational = cli.mutual_information_rational
+
+    def off(dims):
+        return real_rational(dims) * (1 + Fraction(1, 10**10))
+
+    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
+    monkeypatch.setattr(cli, "mutual_information_rational", off)
+    config = cli.parse_args(["verify", "--da", "2", "--db", "3", "--de", "7",
+                             "--samples", "2000"])
+    assert cli.run(config) == 4
+    assert "verification failed: rational_route" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

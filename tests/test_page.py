@@ -3,6 +3,7 @@ the average mutual information into diagonal and eigenvector parts."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,36 @@ def test_float_vs_rational_across_dims():
         exact = float(mutual_information_rational(dims))
         total = mutual_information_exact(dims).total
         assert abs(total - exact) <= 1e-14 * max(1.0, abs(exact))
+
+
+def test_float_vs_rational_relative_up_to_1e5():
+    """Both the total and its diagonal part are within 1e-14 *relative* of
+    the rational route, in both regimes and out to N = 1e5, where four
+    O(ln N) digammas would cancel down to an O(1/N) result."""
+    cases = [
+        (d_a, d_b, d_e)
+        for d_a in range(1, 7) for d_b in range(1, 7) for d_e in range(1, 13)
+    ]
+    cases += [(8, 9, 60), (3, 5, 1920), (2, 2, 15000), (2, 2, 25000)]
+    for case in cases:
+        dims = Dimensions(*case)
+        b = mutual_information_exact(dims)
+        for value, exact in (
+            (b.total, float(mutual_information_rational(dims))),
+            (b.i_diag, float(i_diag_rational(dims))),
+        ):
+            assert abs(value - exact) <= 1e-14 * abs(exact), case
+
+
+def test_rational_route_leaves_no_state():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mutual_information_rational(Dimensions(2, 2, 6000))
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 100_000
 
 
 def test_exact_factorisation_when_dimension_one():

@@ -88,10 +88,26 @@ def test_harmonic_recurrence():
         assert harmonic_rational(n) - harmonic_rational(n - 1) == Fraction(1, n)
 
 
+_HARMONIC_INDICES = [0, 1, 2, 63, 64, 65, 200]
+
+
+@pytest.mark.parametrize("start", _HARMONIC_INDICES)
+@pytest.mark.parametrize("n", _HARMONIC_INDICES)
+def test_harmonic_difference_matches_naive_sum(n, start):
+    """``harmonic_rational(n, start)`` is ``H_n - H_start`` in either order,
+    across the binary-splitting leaf boundary."""
+    def naive(m):
+        return sum((Fraction(1, k) for k in range(1, m + 1)), Fraction(0))
+
+    assert harmonic_rational(n, start) == naive(n) - naive(start)
+
+
 @pytest.mark.parametrize("bad", [-1, 2.0, "3", True])
 def test_harmonic_domain(bad):
     with pytest.raises(DomainError):
         harmonic_rational(bad)
+    with pytest.raises(DomainError):
+        harmonic_rational(1, bad)
 
 
 # ---------------------------------------------------------------------------
