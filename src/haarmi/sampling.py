@@ -16,8 +16,17 @@ chunk driver: it splits the sample range into fixed chunks of
 pool of ``workers`` threads.  Each chunk writes a disjoint slice of the
 per-sample result arrays, so the worker count changes nothing about the
 final reductions (numpy's pairwise ``sum``/``mean`` over a fixed-length
-array is a fixed reduction tree).  One batched partial-trace kernel serves
-both :func:`run_oracle` and :func:`reduce_state`, which is a batch of one.
+array is a fixed reduction tree).
+
+Every reduced state is one batched Gram product ``x @ x^H`` of a reshaped
+view ``x`` of the chunk, shaped ``(z, d_a, d_b, d_e)``: ``rho_A`` keeps the
+A axis as rows, ``rho_B`` the B axis, ``rho_AB`` the merged AB axis, and
+``rho_E`` the E axis (the transpose of the AB view).  A pure state has
+``S_AB = S_E``, so :func:`run_oracle` takes ``S_AB`` from ``rho_AB`` when
+``d_a d_b <= d_e`` and from ``rho_E`` otherwise, and never diagonalises a
+matrix larger than ``max(d_a, d_b, min(d_a d_b, d_e))``.  The same kernel
+serves :func:`mutual_info_sample` and :func:`reduce_state`, each a batch
+of one, so the batched and single-sample routes agree bitwise.
 """
 
 from __future__ import annotations
@@ -194,26 +203,40 @@ def sample_state(dims: Dimensions, seed: int, index: int) -> PureState:
     return PureState(amplitudes=amplitudes, dims=dims)
 
 
-def _partial_traces(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``rho_A``, ``rho_B`` and ``rho_AB`` of a batch of states shaped
+def _gram(x: np.ndarray) -> np.ndarray:
+    """``x @ x^H`` for a batch of matrices ``x`` shaped ``(z, m, k)``: the
+    reduced state on the ``m`` row levels, with the ``k`` column levels
+    traced out."""
+    return x @ x.conj().transpose(0, 2, 1)
+
+
+#: Per target, the ``(z, m, k)`` view of a batch of states shaped
+#: ``(z, d_a, d_b, d_e)`` whose Gram product is that reduced state.  The E
+#: view is the transpose of the AB view, so its Gram product is ``rho_E``
+#: itself, not its conjugate.
+_VIEWS = {
+    "A": lambda t, a, b, e: t.reshape(-1, a, b * e),
+    "B": lambda t, a, b, e: t.transpose(0, 2, 1, 3).reshape(-1, b, a * e),
+    "AB": lambda t, a, b, e: t.reshape(-1, a * b, e),
+    "E": lambda t, a, b, e: t.reshape(-1, a * b, e).transpose(0, 2, 1),
+}
+
+
+def _reduce(t: np.ndarray, keep: str) -> np.ndarray:
+    """The reduced states on ``keep`` of a batch of states shaped
     ``(z, d_a, d_b, d_e)``."""
-    z, d_a, d_b, _ = t.shape
-    tc = t.conj()
-    rho_a = np.einsum("zabe,zcbe->zac", t, tc)
-    rho_b = np.einsum("zabe,zace->zbc", t, tc)
-    rho_ab = np.einsum("zabe,zcde->zabcd", t, tc).reshape(z, d_a * d_b, d_a * d_b)
-    return rho_a, rho_b, rho_ab
+    return _gram(_VIEWS[keep](t, *t.shape[1:]))
 
 
-def reduce_state(state: PureState, keep: Literal["A", "B", "AB"]) -> np.ndarray:
-    """Partial trace of a pure tripartite state down to A, B, or AB: the
+def reduce_state(
+    state: PureState, keep: Literal["A", "B", "AB", "E"]
+) -> np.ndarray:
+    """Partial trace of a pure tripartite state down to A, B, AB or E: the
     Hermitian, unit-trace reduced density matrix."""
-    targets = ("A", "B", "AB")
-    if keep not in targets:
-        raise DomainError(f"keep must be 'A', 'B' or 'AB', got {keep!r}")
+    if keep not in _VIEWS:
+        raise DomainError(f"keep must be 'A', 'B', 'AB' or 'E', got {keep!r}")
     d = state.dims
-    t = state.amplitudes.reshape(1, d.d_a, d.d_b, d.d_e)
-    return _partial_traces(t)[targets.index(keep)][0]
+    return _reduce(state.amplitudes.reshape(1, d.d_a, d.d_b, d.d_e), keep)[0]
 
 
 def _entropy_from_weights(weights: np.ndarray, what: str) -> np.ndarray:
@@ -242,14 +265,47 @@ def diagonal_entropy(rho: np.ndarray) -> float:
     return float(_entropy_from_weights(diag, "diagonal"))
 
 
-def mutual_info_sample(dims: Dimensions, seed: int, index: int) -> float:
-    """``S_A + S_B - S_AB`` for one reproducible sample."""
-    state = sample_state(dims, seed, index)
-    return (
-        von_neumann_entropy(reduce_state(state, "A"))
-        + von_neumann_entropy(reduce_state(state, "B"))
-        - von_neumann_entropy(reduce_state(state, "AB"))
+def _entropies(rho: np.ndarray, what: str) -> np.ndarray:
+    """Per-sample von Neumann entropy of a batch of reduced states; a
+    one-level state is pure and has entropy 0."""
+    if rho.shape[-1] == 1:
+        return np.zeros(rho.shape[0])
+    return _entropy_from_weights(
+        np.linalg.eigvalsh(rho), f"eigendecomposition of {what}"
     )
+
+
+def _sample_entropies(
+    t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``rho_A`` and the per-sample ``S_A``, ``S_B``, ``S_AB`` of a batch of
+    states shaped ``(z, d_a, d_b, d_e)``.
+
+    A pure state has ``S_AB = S_E`` (Schmidt), so ``S_AB`` comes from the
+    smaller of ``rho_AB`` and ``rho_E``.  When ``d_a = 1`` (``d_b = 1``),
+    ``rho_AB`` is ``rho_B`` (``rho_A``), and ``S_AB`` is taken from it, so
+    that the per-sample I is exactly 0."""
+    _, d_a, d_b, d_e = t.shape
+    rho_a = _reduce(t, "A")
+    s_a = _entropies(rho_a, "A")
+    s_b = _entropies(_reduce(t, "B"), "B")
+    if d_a == 1:
+        s_ab = s_b
+    elif d_b == 1:
+        s_ab = s_a
+    else:
+        side = "AB" if d_a * d_b <= d_e else "E"
+        s_ab = _entropies(_reduce(t, side), side)
+    return rho_a, s_a, s_b, s_ab
+
+
+def mutual_info_sample(dims: Dimensions, seed: int, index: int) -> float:
+    """``S_A + S_B - S_AB`` for one reproducible sample, by the oracle's
+    kernel on a batch of one."""
+    state = sample_state(dims, seed, index)
+    t = state.amplitudes.reshape(1, dims.d_a, dims.d_b, dims.d_e)
+    _, s_a, s_b, s_ab = _sample_entropies(t)
+    return float(s_a[0] + s_b[0] - s_ab[0])
 
 
 def gell_mann_basis(m: int) -> GellMannBasis:
@@ -322,16 +378,12 @@ def run_oracle(
 
     def work(start: int, stop: int) -> None:
         block = _sample_block(dims, seed, start, stop - start)
-        rho_a, rho_b, rho_ab = _partial_traces(block.reshape(-1, d_a, d_b, dims.d_e))
-        entropy_a[start:stop] = _entropy_from_weights(
-            np.linalg.eigvalsh(rho_a), "eigendecomposition of A"
+        rho_a, s_a, s_b, s_ab = _sample_entropies(
+            block.reshape(-1, d_a, d_b, dims.d_e)
         )
-        entropy_b[start:stop] = _entropy_from_weights(
-            np.linalg.eigvalsh(rho_b), "eigendecomposition of B"
-        )
-        entropy_ab[start:stop] = _entropy_from_weights(
-            np.linalg.eigvalsh(rho_ab), "eigendecomposition of AB"
-        )
+        entropy_a[start:stop] = s_a
+        entropy_b[start:stop] = s_b
+        entropy_ab[start:stop] = s_ab
         purity_a[start:stop] = np.einsum("zij,zji->z", rho_a, rho_a).real
         diag = np.diagonal(rho_a, axis1=1, axis2=2).real
         diag_entropy_a[start:stop] = _entropy_from_weights(diag, "diagonal of A")
@@ -397,7 +449,7 @@ def bloch_variances(
 
     def work(start: int, stop: int) -> None:
         block = _sample_block(dims, seed, start, stop - start)
-        rho = _partial_traces(block.reshape(-1, m, 1, n))[0]
+        rho = _gram(block.reshape(-1, m, n))
         components[start:stop] = np.einsum("gij,zji->zg", basis.matrices, rho).real
 
     _run_chunks(n_samples, workers, work)

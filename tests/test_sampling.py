@@ -26,6 +26,7 @@ from haarmi import (
     sample_state,
     von_neumann_entropy,
 )
+from haarmi import cli
 from haarmi import sampling as sampling_module
 
 DIMS = Dimensions(2, 3, 4)
@@ -99,7 +100,7 @@ def test_sample_state_validation():
 # partial traces
 
 
-@pytest.mark.parametrize("keep,dim", [("A", 2), ("B", 3), ("AB", 6)])
+@pytest.mark.parametrize("keep,dim", [("A", 2), ("B", 3), ("AB", 6), ("E", 4)])
 def test_reduce_state_is_density_matrix(keep, dim):
     state = sample_state(DIMS, seed=1, index=0)
     rho = reduce_state(state, keep)
@@ -113,7 +114,7 @@ def test_reduce_state_is_density_matrix(keep, dim):
 def test_reduce_state_bad_target():
     state = sample_state(DIMS, seed=1, index=0)
     with pytest.raises(DomainError):
-        reduce_state(state, "E")
+        reduce_state(state, "AE")
 
 
 def test_reduce_product_state():
@@ -134,6 +135,9 @@ def test_reduce_product_state():
     np.testing.assert_allclose(
         reduce_state(state, "AB"), np.outer(uv, uv.conj()), atol=1e-14
     )
+    np.testing.assert_allclose(
+        reduce_state(state, "E"), np.outer(w, w.conj()), atol=1e-14
+    )
 
 
 def test_schmidt_symmetry():
@@ -145,6 +149,18 @@ def test_schmidt_symmetry():
     eig_be = np.linalg.eigvalsh(rho_be)
     largest = np.sort(eig_be)[-2:]
     np.testing.assert_allclose(np.sort(eig_a), largest, atol=1e-12)
+
+
+@pytest.mark.parametrize("triple", [(2, 3, 4), (3, 4, 2), (4, 4, 64), (8, 8, 16)])
+def test_schmidt_identity_ab_equals_e(triple):
+    """S(rho_AB) = S(rho_E) for a pure state, whichever side is smaller."""
+    dims = Dimensions(*triple)
+    t = sampling_module._sample_block(dims, 5, 0, 256).reshape(-1, *triple)
+    s_ab, s_e = (
+        sampling_module._entropies(sampling_module._reduce(t, side), side)
+        for side in ("AB", "E")
+    )
+    assert np.max(np.abs(s_ab - s_e)) <= 1e-13
 
 
 def test_no_environment_gives_pure_joint_state():
@@ -192,7 +208,7 @@ def test_mutual_info_sample_composition():
     manual = (
         von_neumann_entropy(reduce_state(state, "A"))
         + von_neumann_entropy(reduce_state(state, "B"))
-        - von_neumann_entropy(reduce_state(state, "AB"))
+        - von_neumann_entropy(reduce_state(state, "E"))
     )
     assert mutual_info_sample(DIMS, seed=4, index=2) == manual
     assert mutual_info_sample(DIMS, seed=4, index=2) >= -1e-12
@@ -234,13 +250,16 @@ def test_gell_mann_basis_domain():
 
 
 def test_run_oracle_deterministic_across_workers():
-    reference = run_oracle(DIMS, n_samples=700, seed=9, workers=1)
-    for workers in (2, 4):
-        other = run_oracle(DIMS, n_samples=700, seed=9, workers=workers)
-        for name in reference.__dataclass_fields__:
-            if name in ("dims", "rng"):
-                continue
-            assert getattr(reference, name) == getattr(other, name), name
+    # S_AB from rho_E at (2,3,4) and (8,8,16), from rho_AB at (2,3,7)
+    for dims in (DIMS, Dimensions(2, 3, 7), Dimensions(8, 8, 16)):
+        reference = run_oracle(dims, n_samples=700, seed=9, workers=1)
+        for workers in (2, 4):
+            other = run_oracle(dims, n_samples=700, seed=9, workers=workers)
+            for name in reference.__dataclass_fields__:
+                if name in ("dims", "rng"):
+                    continue
+                assert getattr(reference, name) == getattr(other, name), (
+                    dims, name)
 
 
 def test_run_oracle_statistics_concord():
@@ -295,7 +314,9 @@ def test_key_words_must_fit_64_bits():
     assert run_oracle(DIMS, n_samples=10, seed=2**64 - 1).n_samples == 10
 
 
-@pytest.mark.parametrize("dims", [Dimensions(2, 3, 4), Dimensions(3, 4, 2)])
+@pytest.mark.parametrize(
+    "dims", [Dimensions(2, 3, 4), Dimensions(3, 4, 2), Dimensions(2, 3, 7)]
+)
 def test_oracle_mean_equals_per_sample_route(dims):
     """The batched chunk kernel and the single-sample route agree bitwise."""
     n = CHUNK_SIZE + 3
@@ -303,6 +324,36 @@ def test_oracle_mean_equals_per_sample_route(dims):
     for workers in (1, 2):
         stats = run_oracle(dims, n, 6, workers=workers)
         assert stats.mean_mutual_information == per_sample
+
+
+@pytest.mark.parametrize("triple,largest", [((8, 8, 16), 16), ((3, 4, 2), 4)])
+def test_run_oracle_diagonalises_the_smaller_side(triple, largest, monkeypatch):
+    """No eigenproblem exceeds max(d_A, d_B, min(d_A d_B, d_E))."""
+    sizes = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    run_oracle(Dimensions(*triple), n_samples=20, seed=1, workers=2)
+    assert max(sizes) == largest
+
+
+@pytest.mark.parametrize("triple", [(1, 3, 7), (3, 1, 7), (1, 8, 4), (8, 1, 4)])
+def test_trivial_subsystem_mutual_information_is_exactly_zero(triple, capsys):
+    """With d_A = 1 or d_B = 1 every sample has I = 0 bitwise, so verify's
+    3-SE band (then 0) holds against the exact 0 on every seed."""
+    dims = Dimensions(*triple)
+    da, db, de = (str(d) for d in triple)
+    for seed in (1, 2, 3):
+        stats = run_oracle(dims, n_samples=2000, seed=seed, workers=2)
+        assert stats.mean_mutual_information == 0.0
+        assert stats.stderr_mutual_information == 0.0
+        code = cli.main(["verify", "--da", da, "--db", db, "--de", de,
+                         "--samples", "2000", "--seed", str(seed)])
+        assert code == 0, capsys.readouterr()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
