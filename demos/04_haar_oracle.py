@@ -14,7 +14,6 @@ import dataclasses
 from haarmi import (
     Dimensions,
     bloch_variance,
-    bloch_variances,
     diagonal_entropy_avg,
     diagonal_second_moment,
     lubkin_purity,
@@ -56,7 +55,7 @@ for label, mean, stderr, analytic in rows:
 # same variance, whether it lives in the diagonal (Cartan) sector or not.
 print("\nBloch-sector variances of the reduced state (m levels, env n):")
 for m, n in [(2, 8), (3, 3)]:
-    b = bloch_variances(m, n, n_samples=20_000, seed=42, workers=4)
+    b = run_oracle(Dimensions(m, n, 1), n_samples=20_000, seed=42, workers=4)
     target = float(bloch_variance(m, n))
     print(f"  m = {m}, n = {n}:  cartan {b.cartan_var:.6f}"
           f" +- {b.stderr_cartan_var:.6f},  off-diag {b.offdiag_var:.6f}"

@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 
 from .dims import CasimirCounts, Dimensions, casimir_counts, leading_order
 from .errors import (
-    DegeneratePoleError,
     DomainError,
     HaarMIError,
     InvalidDimensionError,
@@ -56,7 +55,6 @@ from .series import (
 )
 from .integral import (
     EVAL_BUDGET,
-    PartialFractionForm,
     QuadratureResult,
     binet_tail,
     bound_deficit,
@@ -64,17 +62,14 @@ from .integral import (
     folded_integrand,
     kernel_R,
     mutual_information_integral,
-    partial_fractions,
 )
 from .sampling import (
     CHUNK_SIZE,
     RNG_IDENTITY,
     STATE_DIMENSION_CAP,
-    BlochVarianceStats,
     GellMannBasis,
     HaarSampleStats,
     PureState,
-    bloch_variances,
     diagonal_entropy,
     gell_mann_basis,
     mutual_info_sample,
@@ -90,8 +85,7 @@ __all__ = [
     "CasimirCounts", "Dimensions", "casimir_counts", "leading_order",
     # errors
     "HaarMIError", "InvalidDimensionError", "DomainError", "RegimeError",
-    "DegeneratePoleError", "NonConvergenceError", "NumericalValidityError",
-    "OracleWorkerError",
+    "NonConvergenceError", "NumericalValidityError", "OracleWorkerError",
     # special functions
     "BERNOULLI_LIMIT", "EULER_GAMMA", "bernoulli", "digamma",
     "harmonic_rational", "zeta_negative_odd",
@@ -104,13 +98,11 @@ __all__ = [
     # series
     "K_MAX_DEFAULT", "SeriesExpansion", "bernoulli_term", "expand",
     # integral
-    "EVAL_BUDGET", "PartialFractionForm", "QuadratureResult", "binet_tail",
-    "bound_deficit", "compute_J", "folded_integrand", "kernel_R",
-    "mutual_information_integral", "partial_fractions",
+    "EVAL_BUDGET", "QuadratureResult", "binet_tail", "bound_deficit",
+    "compute_J", "folded_integrand", "kernel_R", "mutual_information_integral",
     # sampling
     "CHUNK_SIZE", "RNG_IDENTITY", "STATE_DIMENSION_CAP",
-    "BlochVarianceStats", "GellMannBasis", "HaarSampleStats", "PureState",
-    "bloch_variances", "diagonal_entropy", "gell_mann_basis",
-    "mutual_info_sample", "reduce_state", "run_oracle", "sample_state",
-    "von_neumann_entropy",
+    "GellMannBasis", "HaarSampleStats", "PureState", "diagonal_entropy",
+    "gell_mann_basis", "mutual_info_sample", "reduce_state", "run_oracle",
+    "sample_state", "von_neumann_entropy",
 ]

@@ -2,8 +2,8 @@
 
 Every failure mode that callers are expected to handle gets its own class.
 The command-line driver maps the invalid-input classes (bad dimension,
-domain, regime, degenerate poles) to exit code 2 and every other
-:class:`HaarMIError` to exit code 3.
+domain, regime) to exit code 2 and every other :class:`HaarMIError` to
+exit code 3.
 """
 
 
@@ -26,11 +26,6 @@ class RegimeError(HaarMIError, ValueError):
     """An operation that requires the factorised regime (d_A * d_B <= d_E)
     was invoked on swapped-regime dimensions; raised only by
     ``Dimensions.require_factorised``."""
-
-
-class DegeneratePoleError(HaarMIError, ValueError):
-    """The four-pole partial-fraction form is requested for dimensions whose
-    poles coincide (d_A == d_B, or a dimension equals 1)."""
 
 
 class NonConvergenceError(HaarMIError, ArithmeticError):

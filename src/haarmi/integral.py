@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .dims import Dimensions, casimir_counts, leading_order
-from .errors import DegeneratePoleError, DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError
 
 #: Hard cap on integrand evaluations per quadrature call.
 EVAL_BUDGET = 1_000_000
@@ -74,17 +74,6 @@ class QuadratureResult:
     value: float
     error_estimate: float
     evaluations: int
-
-
-@dataclass(frozen=True)
-class PartialFractionForm:
-    """Four-pole decomposition ``R(u) = c * sum_i s_i * u / (u^2 + p_i^2)``
-    with poles ``p = (1, d_a, d_b, d_a d_b)``, signs ``s = (+1, -1, -1, +1)``
-    and common factor ``c = 1 / ((d_a^2-1)(d_b^2-1))``."""
-
-    poles: tuple[float, float, float, float]
-    signs: tuple[int, int, int, int]
-    common_factor: float
 
 
 def _bose_quad(g: Callable[[np.ndarray], np.ndarray], tol: float) -> QuadratureResult:
@@ -149,22 +138,6 @@ def kernel_R(u: float | np.ndarray, dims: Dimensions) -> float | np.ndarray:
         u
         * (c * c - u2 * u2)
         / ((u2 + 1.0) * (u2 + a2) * (u2 + b2) * (u2 + c * c))
-    )
-
-
-def partial_fractions(dims: Dimensions) -> PartialFractionForm:
-    """Pole decomposition of :func:`kernel_R`; requires the four poles
-    ``1, d_a, d_b, d_a d_b`` to be pairwise distinct."""
-    d_a, d_b = dims.d_a, dims.d_b
-    if d_a == 1 or d_b == 1 or d_a == d_b:
-        raise DegeneratePoleError(
-            f"poles (1, {d_a}, {d_b}, {d_a * d_b}) are not pairwise distinct"
-        )
-    su = casimir_counts(dims).su_product
-    return PartialFractionForm(
-        poles=(1.0, float(d_a), float(d_b), float(d_a * d_b)),
-        signs=(1, -1, -1, 1),
-        common_factor=1.0 / su,
     )
 
 

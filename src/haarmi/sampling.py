@@ -10,13 +10,12 @@ row ``index % CHUNK_SIZE`` of chunk ``index // CHUNK_SIZE``.  Every sample
 is therefore reproducible in isolation, and results are bitwise
 independent of chunking order and worker count.
 
-Both runs, :func:`run_oracle` and :func:`bloch_variances`, go through one
-chunk driver: it splits the sample range into fixed chunks of
-``CHUNK_SIZE`` states and calls the run's work function on each, on a
-pool of ``workers`` threads.  Each chunk writes a disjoint slice of the
-per-sample result arrays, so the worker count changes nothing about the
-final reductions (numpy's pairwise ``sum``/``mean`` over a fixed-length
-array is a fixed reduction tree).
+:func:`run_oracle` goes through one chunk driver: it splits the sample
+range into fixed chunks of ``CHUNK_SIZE`` states and calls the run's work
+function on each, on a pool of ``workers`` threads.  Each chunk writes a
+disjoint slice of the per-sample result arrays, so the worker count
+changes nothing about the final reductions (numpy's pairwise
+``sum``/``mean`` over a fixed-length array is a fixed reduction tree).
 
 Every reduced state is one batched Gram product ``x @ x^H`` of a reshaped
 view ``x`` of the chunk, shaped ``(z, d_a, d_b, d_e)``: ``rho_A`` keeps the
@@ -83,7 +82,8 @@ class HaarSampleStats:
     The Bloch-sector fields pool the squared components ``r_a^2`` of the
     reduced state of A over the diagonal (Cartan) generators and over the
     off-diagonal generators separately; they are None when ``d_a = 1``
-    (no generators).
+    (no generators).  The Bloch statistics of an m-level state with
+    environment n are those of ``Dimensions(m, n, 1)``.
     """
 
     dims: Dimensions
@@ -108,27 +108,6 @@ class HaarSampleStats:
     stderr_cartan_var: float | None
     offdiag_var: float | None
     stderr_offdiag_var: float | None
-
-
-@dataclass(frozen=True)
-class BlochVarianceStats:
-    """Generator-resolved second moments of the Bloch components of a
-    random reduced state on m levels (environment dimension n)."""
-
-    m: int
-    n: int
-    n_samples: int
-    seed: int
-    rng: str
-    generator_mean: np.ndarray
-    generator_stderr: np.ndarray
-    generator_second_moment: np.ndarray
-    generator_second_moment_stderr: np.ndarray
-    is_cartan: np.ndarray
-    cartan_var: float
-    stderr_cartan_var: float
-    offdiag_var: float
-    stderr_offdiag_var: float
 
 
 @dataclass(frozen=True)
@@ -435,48 +414,3 @@ def run_oracle(
         stderr_offdiag_var=se_offdiag,
     )
 
-
-def bloch_variances(
-    m: int, n: int, n_samples: int, seed: int, workers: int = 1
-) -> BlochVarianceStats:
-    """Generator-resolved Bloch statistics of the m-level reduced state of
-    a Haar-random pure state on ``m x n``."""
-    basis = gell_mann_basis(m)
-    dims = Dimensions(m, n, 1)
-    _check_run(dims, n_samples, seed)
-
-    components = np.empty((n_samples, basis.count))
-
-    def work(start: int, stop: int) -> None:
-        block = _sample_block(dims, seed, start, stop - start)
-        rho = _gram(block.reshape(-1, m, n))
-        components[start:stop] = np.einsum("gij,zji->zg", basis.matrices, rho).real
-
-    _run_chunks(n_samples, workers, work)
-
-    squares = components * components
-    gen_mean = np.mean(components, axis=0)
-    gen_stderr = np.std(components, axis=0, ddof=1) / math.sqrt(n_samples)
-    gen_second = np.mean(squares, axis=0)
-    gen_second_stderr = np.std(squares, axis=0, ddof=1) / math.sqrt(n_samples)
-    cartan_var, se_cartan = _mean_stderr(np.mean(squares[:, basis.is_cartan], axis=1))
-    offdiag_var, se_offdiag = _mean_stderr(
-        np.mean(squares[:, ~basis.is_cartan], axis=1)
-    )
-
-    return BlochVarianceStats(
-        m=m,
-        n=n,
-        n_samples=n_samples,
-        seed=seed,
-        rng=RNG_IDENTITY,
-        generator_mean=gen_mean,
-        generator_stderr=gen_stderr,
-        generator_second_moment=gen_second,
-        generator_second_moment_stderr=gen_second_stderr,
-        is_cartan=basis.is_cartan.copy(),
-        cartan_var=cartan_var,
-        stderr_cartan_var=se_cartan,
-        offdiag_var=offdiag_var,
-        stderr_offdiag_var=se_offdiag,
-    )

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +19,14 @@ CSV_HEADER = (
 )
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*args, env_extra=None):
     env = {k: v for k, v in os.environ.items() if not k.startswith("HAAR_MI_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -72,11 +79,24 @@ def test_parse_sweep_ranges():
         ["sweep", "--da", "2", "--db", "2"],  # neither --de nor --de-mult
         ["sweep", "--da", "2", "--db", "2", "--de", "2", "--de-mult", "1"],
         ["frobnicate", "--da", "2", "--db", "3", "--de", "7"],
+        # k_max = 61 needs B_122, past the Bernoulli table; checked up front
+        ["exact", "--da", "2", "--db", "3", "--de", "7", "--kmax", "61"],
+        ["sweep", "--da", "2", "--db", "3", "--de", "2..3", "--kmax", "61"],
     ],
 )
 def test_usage_errors_exit_2(argv):
     result = run_cli(*argv)
     assert result.returncode == 2
+
+
+def test_kmax_limit_is_the_series_limit():
+    assert cli.parse_args(["exact", "--da", "2", "--db", "3", "--de", "7",
+                           "--kmax", "60"]).k_max == 60
+    result = run_cli("exact", "--da", "2", "--db", "3", "--de", "7",
+                     "--kmax", "61")
+    assert ("k_max=61 needs Bernoulli numbers past the supported limit 120"
+            in result.stderr)
+    assert result.stdout == ""
 
 
 def test_seed_environment_override():
@@ -310,6 +330,41 @@ def test_verify_swapped_regime_skips_factorised_checks():
     assert statuses["series_route"] == "skipped"
     assert statuses["strict_bound"] == "skipped"
     assert statuses["oracle_3se"] == "pass"
+
+
+@pytest.mark.parametrize("triple,analytic", [
+    ((2, 3, 1000), "pass"),  # factorised, N = 6000
+    ((10, 10, 50), "skipped"),  # swapped, N = 5000
+])
+def test_verify_above_sampling_cap_skips_oracle(triple, analytic, monkeypatch,
+                                                capsys):
+    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
+    d_a, d_b, d_e = triple
+    argv = ["--da", str(d_a), "--db", str(d_b), "--de", str(d_e)]
+    assert cli.run(cli.parse_args(["verify", *argv, "--format", "json"])) == 0
+    payload = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert {name: c["status"] for name, c in checks.items()} == {
+        "rational_route": "pass",
+        "integral_route": analytic,
+        "series_route": analytic,
+        "strict_bound": analytic,
+        "oracle_3se": "skipped",
+    }
+    assert checks["oracle_3se"]["detail"] == (
+        f"N = {d_a * d_b * d_e} above the sampling cap 4096"
+    )
+    row = payload["rows"][0]
+    assert row["oracle_mean"] is None and row["oracle_stderr"] is None
+
+    assert cli.run(cli.parse_args(["verify", *argv])) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for label in ("oracle_mean", "oracle_stderr"):
+        line = next(line for line in lines if line.startswith(label + " "))
+        assert line.split(None, 1)[1] == "n/a (N > 4096)"
+    # the oracle on its own still refuses the triple
+    assert cli.run(cli.parse_args(["oracle", *argv])) == 2
+    assert "exceeds the sampling cap 4096" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("triple", [(1, 3, 7), (3, 1, 7)])

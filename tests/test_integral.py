@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from haarmi import (
-    DegeneratePoleError,
     Dimensions,
     DomainError,
     NonConvergenceError,
@@ -26,7 +25,6 @@ from haarmi import (
     leading_order,
     mutual_information_exact,
     mutual_information_integral,
-    partial_fractions,
 )
 from haarmi import integral as integral_module
 
@@ -109,29 +107,20 @@ def test_kernel_scale_inversion_antisymmetry():
             assert abs(lhs - rhs) <= 1e-13 * scale
 
 
-def test_partial_fractions_form():
-    form = partial_fractions(Dimensions(2, 3, 7))
-    assert form.poles == (1.0, 2.0, 3.0, 6.0)
-    assert form.signs == (1, -1, -1, 1)
-    assert form.common_factor == 1.0 / 24.0
-
-
-def test_partial_fractions_reconstructs_kernel():
-    dims = Dimensions(2, 5, 11)
-    form = partial_fractions(dims)
-    for u in np.linspace(0.1, 20.0, 311):
-        total = form.common_factor * sum(
-            sign * u / (u * u + pole * pole)
-            for sign, pole in zip(form.signs, form.poles)
-        )
-        direct = kernel_R(u, dims)
-        assert abs(total - direct) <= 1e-13 * max(abs(direct), 1e-6)
-
-
-@pytest.mark.parametrize("triple", [(2, 2, 4), (1, 3, 5), (3, 1, 9), (1, 1, 2)])
-def test_partial_fractions_degenerate(triple):
-    with pytest.raises(DegeneratePoleError):
-        partial_fractions(Dimensions(*triple))
+def test_kernel_partial_fraction_identity():
+    """R(u) = (1/su) * sum_i s_i u / (u^2 + p_i^2) with poles
+    (1, d_a, d_b, d_a d_b) and signs (+, -, -, +), equal dimensions included."""
+    for triple in [(2, 5, 11), (2, 2, 4), (3, 3, 9)]:
+        dims = Dimensions(*triple)
+        poles = (1.0, float(dims.d_a), float(dims.d_b), float(dims.d_a * dims.d_b))
+        factor = 1.0 / casimir_counts(dims).su_product
+        for u in np.linspace(0.1, 20.0, 311):
+            total = factor * sum(
+                sign * u / (u * u + pole * pole)
+                for sign, pole in zip((1, -1, -1, 1), poles)
+            )
+            direct = kernel_R(u, dims)
+            assert abs(total - direct) <= 1e-13 * max(abs(direct), 1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from haarmi import (
     OracleWorkerError,
     STATE_DIMENSION_CAP,
     bloch_variance,
-    bloch_variances,
     diagonal_entropy,
     gell_mann_basis,
     lubkin_purity,
@@ -370,21 +369,13 @@ def test_run_oracle_worker_failure(workers, monkeypatch):
         run_oracle(DIMS, n_samples=2 * CHUNK_SIZE, seed=0, workers=workers)
 
 
-def test_bloch_variances_structure_and_concordance():
-    m, n = 2, 4
-    stats = bloch_variances(m, n, n_samples=4000, seed=8, workers=2)
-    assert stats.generator_mean.shape == (3,)
-    assert stats.is_cartan.tolist() == [False, False, True]
-    target = float(bloch_variance(m, n))
-    assert abs(stats.cartan_var - target) < 5 * stats.stderr_cartan_var
-    assert abs(stats.offdiag_var - target) < 5 * stats.stderr_offdiag_var
-    # every generator mean is compatible with zero
-    z = np.abs(stats.generator_mean) / stats.generator_stderr
-    assert z.max() < 5.0
-
-
 def test_oracle_bloch_sector_fields():
     stats = run_oracle(Dimensions(1, 3, 3), n_samples=50, seed=1)
     assert stats.cartan_var is None and stats.offdiag_var is None
     stats2 = run_oracle(Dimensions(2, 2, 2), n_samples=50, seed=1)
     assert stats2.cartan_var is not None and stats2.offdiag_var > 0
+    # the Bloch statistics of m levels with environment n, here (2, 4)
+    stats3 = run_oracle(Dimensions(2, 4, 1), n_samples=4000, seed=8, workers=2)
+    target = float(bloch_variance(2, 4))
+    assert abs(stats3.cartan_var - target) < 5 * stats3.stderr_cartan_var
+    assert abs(stats3.offdiag_var - target) < 5 * stats3.stderr_offdiag_var
