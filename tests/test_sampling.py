@@ -374,8 +374,13 @@ def test_oracle_bloch_sector_fields():
     assert stats.cartan_var is None and stats.offdiag_var is None
     stats2 = run_oracle(Dimensions(2, 2, 2), n_samples=50, seed=1)
     assert stats2.cartan_var is not None and stats2.offdiag_var > 0
-    # the Bloch statistics of m levels with environment n, here (2, 4)
-    stats3 = run_oracle(Dimensions(2, 4, 1), n_samples=4000, seed=8, workers=2)
+
+
+def test_bloch_variances_structure_and_concordance():
+    # the Bloch statistics of m levels with environment n, here (2, 4),
+    # are the oracle's sector fields at (m, n, 1)
+    assert gell_mann_basis(2).is_cartan.tolist() == [False, False, True]
+    stats = run_oracle(Dimensions(2, 4, 1), n_samples=4000, seed=8, workers=2)
     target = float(bloch_variance(2, 4))
-    assert abs(stats3.cartan_var - target) < 5 * stats3.stderr_cartan_var
-    assert abs(stats3.offdiag_var - target) < 5 * stats3.stderr_offdiag_var
+    assert abs(stats.cartan_var - target) < 5 * stats.stderr_cartan_var
+    assert abs(stats.offdiag_var - target) < 5 * stats.stderr_offdiag_var
