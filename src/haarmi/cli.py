@@ -45,6 +45,7 @@ from .sampling import (
     RNG_IDENTITY,
     STATE_DIMENSION_CAP,
     HaarSampleStats,
+    _cap_excess,
     run_oracle,
 )
 from .series import _check_k_max, expand
@@ -422,10 +423,11 @@ def _verify_view(row, dims, config, checks):
         for name in ("integral_route", "series_route", "strict_bound"):
             record(name, "skipped", "swapped regime: factorised-only route")
 
-    if dims.n > STATE_DIMENSION_CAP:
+    excess = _cap_excess(dims)
+    if excess:
         record("oracle_3se", "skipped",
-               f"N = {dims.n} above the sampling cap {STATE_DIMENSION_CAP}")
-        oracle_mean = oracle_stderr = f"n/a (N > {STATE_DIMENSION_CAP})"
+               f"{excess} above the sampling cap {STATE_DIMENSION_CAP}")
+        oracle_mean = oracle_stderr = f"n/a ({excess} > {STATE_DIMENSION_CAP})"
     else:
         stats = _fill_oracle(row, dims, config)
         oracle_mean = stats.mean_mutual_information

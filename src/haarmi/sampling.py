@@ -1,31 +1,44 @@
 """Monte Carlo oracle: entropies of Haar-random pure states.
 
-States are drawn by normalising a vector of iid complex Gaussians, which
-is exactly Haar-distributed on the unit sphere.  The chunk of
-``CHUNK_SIZE`` samples is the unit of randomness: chunk ``c`` under
-``seed`` is one counter-based Philox stream keyed by ``(seed, c)`` (Salmon
-et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), drawn as
-one ``(CHUNK_SIZE, N)`` block of complex Gaussians, and sample ``index`` is
-row ``index % CHUNK_SIZE`` of chunk ``index // CHUNK_SIZE``.  Every sample
-is therefore reproducible in isolation, and results are bitwise
-independent of chunking order and worker count.
+A Haar-random pure state is a normalised vector of iid complex Gaussians.
+:func:`run_oracle` has one path per regime, chosen by
+``Dimensions.factorised_regime``; both yield ``rho_A``, ``rho_B`` and one
+matrix whose spectrum gives ``S_AB``, and never diagonalise a matrix
+larger than ``max(d_a, d_b, min(d_a d_b, d_e))``.
+
+* **Factorised** (``C = d_a d_b <= d_e``).  Reshaped as a ``C x d_e``
+  matrix G, the state has ``rho_AB = W / Tr W`` with ``W = G G^H`` a
+  complex Wishart matrix with ``d_e`` degrees of freedom (the induced
+  measure; Zyczkowski and Sommers, J. Phys. A 34, 7111, 2001).  By the
+  Bartlett decomposition ``W = L L^H`` with L lower triangular,
+  ``L_ij ~ CN`` below the diagonal and ``L_ii^2 = 2 Gamma(d_e - i)``
+  (Goodman, 1963), on the scale of the Gaussian parts below.  The oracle
+  draws L, normalises it, forms ``rho_AB`` as its Gram product, and takes
+  ``rho_A`` and ``rho_B`` as partial traces of ``rho_AB``: a sample costs
+  ``C(C-1)/2`` complex normals and ``C`` gammas whatever ``d_e`` is.
+* **Swapped** (``d_e < C``).  The oracle draws the state itself.  Every
+  reduced state is one batched Gram product ``x @ x^H`` of a reshaped view
+  ``x`` of the states, shaped ``(z, d_a, d_b, d_e)``: ``rho_A`` keeps the A
+  axis as rows, ``rho_B`` the B axis and ``rho_E`` the E axis.  A pure state
+  has ``S_AB = S_E`` (Schmidt), so ``S_AB`` comes from the smaller
+  ``rho_E``.
+
+The chunk of ``CHUNK_SIZE`` samples is the unit of randomness: chunk ``c``
+under ``seed`` is one counter-based Philox stream keyed by ``(seed, c)``
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), and
+sample ``index`` is row ``index % CHUNK_SIZE`` of chunk
+``index // CHUNK_SIZE``.  The swapped path draws the chunk as one
+``(rows, N)`` block of Gaussians; the factorised path draws the whole
+chunk's ``(CHUNK_SIZE, C)`` gammas first, then a ``(rows, C(C-1)/2)``
+block of complex normals.  Either way a partial last chunk is a prefix of
+a full one, so every sample is independent of ``n_samples``.
 
 :func:`run_oracle` goes through one chunk driver: it splits the sample
-range into fixed chunks of ``CHUNK_SIZE`` states and calls the run's work
+range into fixed chunks of ``CHUNK_SIZE`` samples and calls the run's work
 function on each, on a pool of ``workers`` threads.  Each chunk writes a
 disjoint slice of the per-sample result arrays, so the worker count
 changes nothing about the final reductions (numpy's pairwise
 ``sum``/``mean`` over a fixed-length array is a fixed reduction tree).
-
-Every reduced state is one batched Gram product ``x @ x^H`` of a reshaped
-view ``x`` of the chunk, shaped ``(z, d_a, d_b, d_e)``: ``rho_A`` keeps the
-A axis as rows, ``rho_B`` the B axis, ``rho_AB`` the merged AB axis, and
-``rho_E`` the E axis (the transpose of the AB view).  A pure state has
-``S_AB = S_E``, so :func:`run_oracle` takes ``S_AB`` from ``rho_AB`` when
-``d_a d_b <= d_e`` and from ``rho_E`` otherwise, and never diagonalises a
-matrix larger than ``max(d_a, d_b, min(d_a d_b, d_e))``.  The same kernel
-serves :func:`mutual_info_sample` and :func:`reduce_state`, each a batch
-of one, so the batched and single-sample routes agree bitwise.
 """
 
 from __future__ import annotations
@@ -33,7 +46,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -46,33 +58,30 @@ from .errors import (
     _require_int,
 )
 
-#: Largest total Hilbert-space dimension a state may have.
+#: Most entries of the one array the oracle forms per sample: the state
+#: (N entries) in the swapped regime, the Bartlett factor (C^2) in the
+#: factorised regime.
 STATE_DIMENSION_CAP = 4096
 
 #: Samples per work unit; fixed so results never depend on worker count.
 CHUNK_SIZE = 512
 
-#: Identity string of the random stream, recorded in every result.
+#: Identity string of the random streams, recorded in every result.
 RNG_IDENTITY = (
     f"philox4x64-10 (numpy.random.Philox), "
     f"key=(seed, sample_index // {CHUNK_SIZE}), "
-    f"sample = row sample_index % {CHUNK_SIZE}"
+    f"sample = row sample_index % {CHUNK_SIZE}; "
+    f"C <= d_e: Bartlett factor of rho_AB, the chunk's {CHUNK_SIZE} x C "
+    f"gammas Gamma(d_e - i) then C(C-1)/2 complex normals per row; "
+    f"d_e < C: the state, N complex normals per row"
 )
 
-#: Seeds and sample indices must fit one 64-bit word; the seed and the
-#: chunk index are the two words of the Philox key.
+#: Seeds must fit one 64-bit word; the seed and the chunk index are the
+#: two words of the Philox key.
 _KEY_LIMIT = 2**64
 
 _EIG_FLOOR = 1e-14
 _EIG_NEG_LIMIT = -1e-10
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Normalised state vector of length ``dims.n``."""
-
-    amplitudes: np.ndarray
-    dims: Dimensions
 
 
 @dataclass(frozen=True)
@@ -127,59 +136,67 @@ class GellMannBasis:
         return self.matrices.shape[0]
 
 
-def _check_key(name: str, value: int) -> None:
-    _require_int(name, value, 0)
-    if value >= _KEY_LIMIT:
-        raise DomainError(f"{name} must be below 2**64, got {value}")
+def _cap_excess(dims: Dimensions) -> str | None:
+    """The array the oracle forms per sample, as ``"N = 5000"`` (the state,
+    swapped regime) or ``"C^2 = 5184"`` (the Bartlett factor, factorised
+    regime), when it exceeds ``STATE_DIMENSION_CAP`` entries; else None."""
+    c = dims.d_a * dims.d_b
+    name, size = ("C^2", c * c) if dims.factorised_regime else ("N", dims.n)
+    return f"{name} = {size}" if size > STATE_DIMENSION_CAP else None
 
 
-def _check_cap(dims: Dimensions) -> None:
-    if dims.n > STATE_DIMENSION_CAP:
+def _check_run(dims: Dimensions, n_samples: int, seed: int) -> None:
+    _require_int("seed", seed, 0)
+    if seed >= _KEY_LIMIT:
+        raise DomainError(f"seed must be below 2**64, got {seed}")
+    excess = _cap_excess(dims)
+    if excess:
         raise InvalidDimensionError(
-            f"total dimension {dims.n} exceeds the sampling cap "
-            f"{STATE_DIMENSION_CAP}"
+            f"{excess} exceeds the sampling cap {STATE_DIMENSION_CAP}"
         )
+    _require_int("n_samples", n_samples, 2)
 
 
-def _sample_block(dims: Dimensions, seed: int, start: int, count: int) -> np.ndarray:
-    """Rows ``start .. start+count-1`` of the sample stream, shape (count, N).
+def _chunk_stream(seed: int, chunk: int) -> np.random.Generator:
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64))
+    )
 
-    The rows must lie in one chunk.  Its stream is drawn from the chunk's
-    first row, so rows before ``start`` are drawn and dropped."""
-    chunk, row = divmod(start, CHUNK_SIZE)
-    assert row + count <= CHUNK_SIZE, "rows span two chunks"
-    key = np.array([seed, chunk], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    block = np.empty((row + count, dims.n), dtype=np.complex128)
-    # Real and imaginary parts alternate, as in the complex128 memory layout.
-    gen.standard_normal(out=block.view(np.float64))
-    if row:
-        block = block[row:].copy()
+
+def _unit_rows(block: np.ndarray) -> np.ndarray:
+    """Scale each row of a complex ``(z, k)`` block to unit norm, in place."""
     parts = block.view(np.float64)
     # einsum forms the squared row norms without a block-sized temporary.
     parts /= np.sqrt(np.einsum("ij,ij->i", parts, parts))[:, None]
     return block
 
 
-def _check_run(dims: Dimensions, n_samples: int, seed: int) -> None:
-    _check_key("seed", seed)
-    _check_cap(dims)
-    _require_int("n_samples", n_samples, 2)
+def _sample_block(dims: Dimensions, seed: int, chunk: int, count: int) -> np.ndarray:
+    """The first ``count`` states of chunk ``chunk``, shape (count, N)."""
+    block = np.empty((count, dims.n), dtype=np.complex128)
+    # Real and imaginary parts alternate, as in the complex128 memory layout.
+    _chunk_stream(seed, chunk).standard_normal(out=block.view(np.float64))
+    return _unit_rows(block)
 
 
-def sample_state(dims: Dimensions, seed: int, index: int) -> PureState:
-    """The ``index``-th Haar-random pure state under ``seed``: row
-    ``index % CHUNK_SIZE`` of chunk ``index // CHUNK_SIZE``, identical no
-    matter which other samples are drawn.
+def _bartlett_block(
+    dims: Dimensions, seed: int, chunk: int, count: int
+) -> np.ndarray:
+    """The first ``count`` Bartlett factors L of chunk ``chunk``, shape
+    (count, C, C), each scaled to ``Tr L L^H = 1``.
 
-    The chunk's stream is drawn up to the requested row, so one call costs
-    the Gaussian draws of ``index % CHUNK_SIZE + 1`` states (up to
-    ``CHUNK_SIZE``); use :func:`run_oracle` to sample many states."""
-    _check_key("seed", seed)
-    _check_key("sample index", index)
-    _check_cap(dims)
-    amplitudes = _sample_block(dims, seed, index, 1)[0]
-    return PureState(amplitudes=amplitudes, dims=dims)
+    The whole chunk's gammas are drawn first, so the normals of a partial
+    chunk are a prefix of a full chunk's."""
+    c = dims.d_a * dims.d_b
+    gen = _chunk_stream(seed, chunk)
+    shapes = np.arange(dims.d_e, dims.d_e - c, -1, dtype=np.float64)
+    gammas = gen.standard_gamma(shapes, size=(CHUNK_SIZE, c))[:count]
+    below = np.empty((count, c * (c - 1) // 2), dtype=np.complex128)
+    gen.standard_normal(out=below.view(np.float64))
+    factor = np.zeros((count, c * c), dtype=np.complex128)
+    factor[:, np.flatnonzero(np.tri(c, k=-1))] = below
+    factor[:, :: c + 1] = np.sqrt(2.0 * gammas)
+    return _unit_rows(factor).reshape(count, c, c)
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
@@ -189,33 +206,44 @@ def _gram(x: np.ndarray) -> np.ndarray:
     return x @ x.conj().transpose(0, 2, 1)
 
 
-#: Per target, the ``(z, m, k)`` view of a batch of states shaped
-#: ``(z, d_a, d_b, d_e)`` whose Gram product is that reduced state.  The E
-#: view is the transpose of the AB view, so its Gram product is ``rho_E``
-#: itself, not its conjugate.
-_VIEWS = {
-    "A": lambda t, a, b, e: t.reshape(-1, a, b * e),
-    "B": lambda t, a, b, e: t.transpose(0, 2, 1, 3).reshape(-1, b, a * e),
-    "AB": lambda t, a, b, e: t.reshape(-1, a * b, e),
-    "E": lambda t, a, b, e: t.reshape(-1, a * b, e).transpose(0, 2, 1),
-}
+def _state_reductions(
+    t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``rho_A``, ``rho_B`` and ``rho_E`` of a batch of states shaped
+    ``(z, d_a, d_b, d_e)``, each the Gram product of a ``(z, m, k)`` view
+    with the kept levels as rows."""
+    _, a, b, e = t.shape
+    return (
+        _gram(t.reshape(-1, a, b * e)),
+        _gram(t.transpose(0, 2, 1, 3).reshape(-1, b, a * e)),
+        # The transpose of the merged AB view: its Gram product is rho_E
+        # itself, not its conjugate.
+        _gram(t.reshape(-1, a * b, e).transpose(0, 2, 1)),
+    )
 
 
-def _reduce(t: np.ndarray, keep: str) -> np.ndarray:
-    """The reduced states on ``keep`` of a batch of states shaped
-    ``(z, d_a, d_b, d_e)``."""
-    return _gram(_VIEWS[keep](t, *t.shape[1:]))
+def _partial_traces(
+    rho_ab: np.ndarray, d_a: int, d_b: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``rho_A`` and ``rho_B`` of a batch of states ``rho_AB``."""
+    r = rho_ab.reshape(-1, d_a, d_b, d_a, d_b)
+    return np.trace(r, axis1=2, axis2=4), np.trace(r, axis1=1, axis2=3)
 
 
-def reduce_state(
-    state: PureState, keep: Literal["A", "B", "AB", "E"]
-) -> np.ndarray:
-    """Partial trace of a pure tripartite state down to A, B, AB or E: the
-    Hermitian, unit-trace reduced density matrix."""
-    if keep not in _VIEWS:
-        raise DomainError(f"keep must be 'A', 'B', 'AB' or 'E', got {keep!r}")
-    d = state.dims
-    return _reduce(state.amplitudes.reshape(1, d.d_a, d.d_b, d.d_e), keep)[0]
+def _factorised_reductions(
+    dims: Dimensions, seed: int, chunk: int, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``rho_A``, ``rho_B`` and ``rho_AB`` of a chunk's Bartlett factors."""
+    rho_ab = _gram(_bartlett_block(dims, seed, chunk, count))
+    return (*_partial_traces(rho_ab, dims.d_a, dims.d_b), rho_ab)
+
+
+def _swapped_reductions(
+    dims: Dimensions, seed: int, chunk: int, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``rho_A``, ``rho_B`` and ``rho_E`` of a chunk's states."""
+    block = _sample_block(dims, seed, chunk, count)
+    return _state_reductions(block.reshape(-1, dims.d_a, dims.d_b, dims.d_e))
 
 
 def _entropy_from_weights(weights: np.ndarray, what: str) -> np.ndarray:
@@ -231,19 +259,6 @@ def _entropy_from_weights(weights: np.ndarray, what: str) -> np.ndarray:
     return np.sum(contrib, axis=-1)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """``-Tr rho ln rho`` from the eigenvalues of a Hermitian matrix."""
-    eigenvalues = np.linalg.eigvalsh(rho)
-    return float(_entropy_from_weights(eigenvalues, "eigendecomposition"))
-
-
-def diagonal_entropy(rho: np.ndarray) -> float:
-    """Shannon entropy of the diagonal of a density matrix in the
-    computational basis."""
-    diag = np.diagonal(rho).real.copy()
-    return float(_entropy_from_weights(diag, "diagonal"))
-
-
 def _entropies(rho: np.ndarray, what: str) -> np.ndarray:
     """Per-sample von Neumann entropy of a batch of reduced states; a
     one-level state is pure and has entropy 0."""
@@ -255,36 +270,19 @@ def _entropies(rho: np.ndarray, what: str) -> np.ndarray:
 
 
 def _sample_entropies(
-    t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``rho_A`` and the per-sample ``S_A``, ``S_B``, ``S_AB`` of a batch of
-    states shaped ``(z, d_a, d_b, d_e)``.
-
-    A pure state has ``S_AB = S_E`` (Schmidt), so ``S_AB`` comes from the
-    smaller of ``rho_AB`` and ``rho_E``.  When ``d_a = 1`` (``d_b = 1``),
-    ``rho_AB`` is ``rho_B`` (``rho_A``), and ``S_AB`` is taken from it, so
-    that the per-sample I is exactly 0."""
-    _, d_a, d_b, d_e = t.shape
-    rho_a = _reduce(t, "A")
+    rho_a: np.ndarray, rho_b: np.ndarray, rho_joint: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample ``S_A``, ``S_B`` and ``S_AB``, the last from the spectrum
+    of ``rho_joint`` (``rho_AB`` or ``rho_E``).  When ``d_a = 1``
+    (``d_b = 1``), ``S_AB`` is ``S_B`` (``S_A``), so that the per-sample I
+    is exactly 0."""
     s_a = _entropies(rho_a, "A")
-    s_b = _entropies(_reduce(t, "B"), "B")
-    if d_a == 1:
-        s_ab = s_b
-    elif d_b == 1:
-        s_ab = s_a
-    else:
-        side = "AB" if d_a * d_b <= d_e else "E"
-        s_ab = _entropies(_reduce(t, side), side)
-    return rho_a, s_a, s_b, s_ab
-
-
-def mutual_info_sample(dims: Dimensions, seed: int, index: int) -> float:
-    """``S_A + S_B - S_AB`` for one reproducible sample, by the oracle's
-    kernel on a batch of one."""
-    state = sample_state(dims, seed, index)
-    t = state.amplitudes.reshape(1, dims.d_a, dims.d_b, dims.d_e)
-    _, s_a, s_b, s_ab = _sample_entropies(t)
-    return float(s_a[0] + s_b[0] - s_ab[0])
+    s_b = _entropies(rho_b, "B")
+    if rho_a.shape[-1] == 1:
+        return s_a, s_b, s_b
+    if rho_b.shape[-1] == 1:
+        return s_a, s_b, s_a
+    return s_a, s_b, _entropies(rho_joint, "AB or E")
 
 
 def gell_mann_basis(m: int) -> GellMannBasis:
@@ -341,10 +339,25 @@ def run_oracle(
     dims: Dimensions, n_samples: int, seed: int, workers: int = 1
 ) -> HaarSampleStats:
     """Sample statistics of S_A, S_B, S_AB, I, purity, diagonal moments and
-    Bloch sector variances over ``n_samples`` Haar-random states."""
+    Bloch sector variances over ``n_samples`` Haar-random states.
+
+    Factorised triples are sampled through the Bartlett factor of
+    ``rho_AB``, swapped ones as states (see the module docstring); the
+    sampling cap bounds the per-sample array, so factorised triples with
+    ``C <= 64`` are accepted at any ``d_e``.
+
+    Precision: I is a difference of entropies of size ``ln C`` while I
+    itself is about ``su/(2N)`` (``su = (d_a^2 - 1)(d_b^2 - 1)``), so
+    binary64 rounding adds about ``1e-16 N/su`` to ``1e-15 N/su`` relative
+    to I (per sample, against the same matrices diagonalised in a rotated
+    basis).  That is below 1e-10 at ``N = 1.6e7``, far below the relative
+    standard error, about 1e-3 at 20 000 samples for any N."""
     _check_run(dims, n_samples, seed)
-    d_a, d_b = dims.d_a, dims.d_b
+    d_a = dims.d_a
     basis = gell_mann_basis(d_a) if d_a >= 2 else None
+    reductions = (
+        _factorised_reductions if dims.factorised_regime else _swapped_reductions
+    )
 
     entropy_a = np.empty(n_samples)
     entropy_b = np.empty(n_samples)
@@ -356,10 +369,10 @@ def run_oracle(
     offdiag_sq = np.empty(n_samples) if basis is not None else None
 
     def work(start: int, stop: int) -> None:
-        block = _sample_block(dims, seed, start, stop - start)
-        rho_a, s_a, s_b, s_ab = _sample_entropies(
-            block.reshape(-1, d_a, d_b, dims.d_e)
+        rho_a, rho_b, rho_joint = reductions(
+            dims, seed, start // CHUNK_SIZE, stop - start
         )
+        s_a, s_b, s_ab = _sample_entropies(rho_a, rho_b, rho_joint)
         entropy_a[start:stop] = s_a
         entropy_b[start:stop] = s_b
         entropy_ab[start:stop] = s_ab

@@ -333,13 +333,15 @@ def test_verify_swapped_regime_skips_factorised_checks():
 
 
 @pytest.mark.parametrize("triple,analytic", [
-    ((2, 3, 1000), "pass"),  # factorised, N = 6000
+    ((9, 8, 100), "pass"),  # factorised, C^2 = 5184
     ((10, 10, 50), "skipped"),  # swapped, N = 5000
 ])
 def test_verify_above_sampling_cap_skips_oracle(triple, analytic, monkeypatch,
                                                 capsys):
     monkeypatch.delenv("HAAR_MI_SEED", raising=False)
     d_a, d_b, d_e = triple
+    c = d_a * d_b
+    excess = f"C^2 = {c * c}" if c <= d_e else f"N = {c * d_e}"
     argv = ["--da", str(d_a), "--db", str(d_b), "--de", str(d_e)]
     assert cli.run(cli.parse_args(["verify", *argv, "--format", "json"])) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -352,7 +354,7 @@ def test_verify_above_sampling_cap_skips_oracle(triple, analytic, monkeypatch,
         "oracle_3se": "skipped",
     }
     assert checks["oracle_3se"]["detail"] == (
-        f"N = {d_a * d_b * d_e} above the sampling cap 4096"
+        f"{excess} above the sampling cap 4096"
     )
     row = payload["rows"][0]
     assert row["oracle_mean"] is None and row["oracle_stderr"] is None
@@ -361,10 +363,23 @@ def test_verify_above_sampling_cap_skips_oracle(triple, analytic, monkeypatch,
     lines = capsys.readouterr().out.splitlines()
     for label in ("oracle_mean", "oracle_stderr"):
         line = next(line for line in lines if line.startswith(label + " "))
-        assert line.split(None, 1)[1] == "n/a (N > 4096)"
+        assert line.split(None, 1)[1] == f"n/a ({excess} > 4096)"
     # the oracle on its own still refuses the triple
     assert cli.run(cli.parse_args(["oracle", *argv])) == 2
-    assert "exceeds the sampling cap 4096" in capsys.readouterr().err
+    assert f"{excess} exceeds the sampling cap 4096" in capsys.readouterr().err
+
+
+def test_verify_runs_oracle_on_factorised_triples_above_n_4096(monkeypatch,
+                                                               capsys):
+    """The factorised oracle forms a C x C factor, so N = 6000 is sampled."""
+    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
+    argv = ["--da", "2", "--db", "3", "--de", "1000", "--workers", "2"]
+    assert cli.run(cli.parse_args(["verify", *argv, "--format", "json"])) == 0
+    payload = json.loads(capsys.readouterr().out)
+    statuses = {c["name"]: c["status"] for c in payload["checks"]}
+    assert set(statuses.values()) == {"pass"}
+    assert payload["rows"][0]["oracle_stderr"] > 0
+    assert cli.run(cli.parse_args(["oracle", *argv, "--samples", "600"])) == 0
 
 
 @pytest.mark.parametrize("triple", [(1, 3, 7), (3, 1, 7)])

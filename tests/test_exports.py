@@ -28,9 +28,7 @@ PUBLIC_SURFACE = {
     "compute_J", "folded_integrand", "kernel_R", "mutual_information_integral",
     # sampling
     "CHUNK_SIZE", "RNG_IDENTITY", "STATE_DIMENSION_CAP",
-    "GellMannBasis", "HaarSampleStats", "PureState", "diagonal_entropy",
-    "gell_mann_basis", "mutual_info_sample", "reduce_state", "run_oracle",
-    "sample_state", "von_neumann_entropy",
+    "GellMannBasis", "HaarSampleStats", "gell_mann_basis", "run_oracle",
 }
 
 

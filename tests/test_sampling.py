@@ -1,5 +1,5 @@
-"""Monte Carlo machinery: reproducible states, partial traces, entropies,
-generator basis, and the parallel oracle."""
+"""Monte Carlo machinery: reproducible states and Bartlett factors, partial
+traces, entropies, generator basis, and the parallel oracle."""
 
 import math
 
@@ -13,107 +13,174 @@ from haarmi import (
     InvalidDimensionError,
     NumericalValidityError,
     OracleWorkerError,
-    STATE_DIMENSION_CAP,
     bloch_variance,
-    diagonal_entropy,
     gell_mann_basis,
     lubkin_purity,
-    mutual_info_sample,
+    mutual_information_exact,
     mutual_information_rational,
-    reduce_state,
     run_oracle,
-    sample_state,
-    von_neumann_entropy,
 )
 from haarmi import cli
 from haarmi import sampling as sampling_module
 
-DIMS = Dimensions(2, 3, 4)
+DIMS = Dimensions(2, 3, 4)  # swapped: d_e < C
+FACTORISED = Dimensions(2, 3, 7)  # factorised: C <= d_e
+
+#: Per regime, the function that draws a chunk and the name it is patched
+#: under.
+BLOCKS = ((DIMS, "_sample_block"), (FACTORISED, "_bartlett_block"))
+
+
+def _entropy(rho: np.ndarray) -> float:
+    """The kernel's von Neumann entropy of one density matrix."""
+    return float(sampling_module._entropies(rho[None], "test")[0])
+
+
+def _per_sample_mutual_information(dims: Dimensions, seed: int, n: int):
+    """I of samples 0 .. n-1, each chunk through the reduction and entropy
+    kernels on its own."""
+    reductions = (
+        sampling_module._factorised_reductions if dims.factorised_regime
+        else sampling_module._swapped_reductions
+    )
+    values = []
+    for start in range(0, n, CHUNK_SIZE):
+        count = min(CHUNK_SIZE, n - start)
+        s_a, s_b, s_ab = sampling_module._sample_entropies(
+            *reductions(dims, seed, start // CHUNK_SIZE, count)
+        )
+        values.append(s_a + s_b - s_ab)
+    return np.concatenate(values)
 
 
 # ---------------------------------------------------------------------------
-# state sampling
+# state and Bartlett-factor sampling
 
 
 def test_sample_state_normalised_and_reproducible():
-    a = sample_state(DIMS, seed=42, index=5)
-    b = sample_state(DIMS, seed=42, index=5)
-    assert np.array_equal(a.amplitudes, b.amplitudes)
-    assert abs(np.linalg.norm(a.amplitudes) - 1.0) < 1e-12
-    assert a.amplitudes.shape == (24,)
-    assert a.amplitudes.dtype == np.complex128
+    a = sampling_module._sample_block(DIMS, 42, 5, 7)
+    b = sampling_module._sample_block(DIMS, 42, 5, 7)
+    assert np.array_equal(a, b)
+    assert a.shape == (7, 24)
+    assert a.dtype == np.complex128
+    np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
+
+    factor = sampling_module._bartlett_block(FACTORISED, 42, 5, 7)
+    assert np.array_equal(
+        factor, sampling_module._bartlett_block(FACTORISED, 42, 5, 7)
+    )
+    assert factor.shape == (7, 6, 6)
+    assert factor.dtype == np.complex128
+    # lower triangular with a real positive diagonal, Tr L L^H = 1
+    assert np.all(np.triu(factor, k=1) == 0)
+    diagonal = np.diagonal(factor, axis1=1, axis2=2)
+    assert np.all(diagonal.imag == 0) and np.all(diagonal.real > 0)
+    np.testing.assert_allclose(
+        np.linalg.norm(factor, axis=(1, 2)), 1.0, atol=1e-12
+    )
 
 
 def test_sample_state_streams_differ():
-    base = sample_state(DIMS, seed=42, index=0).amplitudes
-    assert not np.array_equal(base, sample_state(DIMS, seed=42, index=1).amplitudes)
-    assert not np.array_equal(base, sample_state(DIMS, seed=43, index=0).amplitudes)
+    for dims, name in BLOCKS:
+        draw = getattr(sampling_module, name)
+        base = draw(dims, 42, 0, 4)
+        assert not np.array_equal(base, draw(dims, 42, 1, 4))
+        assert not np.array_equal(base, draw(dims, 43, 0, 4))
+        assert not np.array_equal(base[0], base[1])
 
 
 def test_sample_state_is_row_of_its_chunk(monkeypatch):
-    chunks = {}
-    for index in (0, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 2):
-        chunk, row = divmod(index, CHUNK_SIZE)
-        if chunk not in chunks:
-            chunks[chunk] = sampling_module._sample_block(
-                DIMS, 3, chunk * CHUNK_SIZE, CHUNK_SIZE
-            )
-        state = sample_state(DIMS, seed=3, index=index)
-        assert np.array_equal(state.amplitudes, chunks[chunk][row]), index
-    assert not np.array_equal(chunks[0][0], chunks[1][0])
-    # a run of CHUNK_SIZE + 3 samples draws the same first chunk as one of
-    # 2 * CHUNK_SIZE, and a prefix of its second
-    drawn = {}
-    real_block = sampling_module._sample_block
+    """On both paths a run of CHUNK_SIZE + 3 samples draws the same first
+    chunk as one of 2 * CHUNK_SIZE, and a prefix of its second: the
+    Bartlett stream draws the whole chunk's gammas before the normals of
+    its rows."""
+    for dims, name in BLOCKS:
+        real_block = getattr(sampling_module, name)
+        chunks = [real_block(dims, 3, c, CHUNK_SIZE) for c in (0, 1)]
+        runs = []
 
-    def recording(dims, seed, start, count):
-        drawn[start] = real_block(dims, seed, start, count)
-        return drawn[start]
+        def recording(dims, seed, chunk, count, real_block=real_block):
+            runs[-1][chunk] = real_block(dims, seed, chunk, count)
+            return runs[-1][chunk]
 
-    monkeypatch.setattr(sampling_module, "_sample_block", recording)
-    run_oracle(DIMS, n_samples=CHUNK_SIZE + 3, seed=3)
-    short = dict(drawn)
-    run_oracle(DIMS, n_samples=2 * CHUNK_SIZE, seed=3)
-    assert np.array_equal(short[0], chunks[0])
-    assert np.array_equal(drawn[0], chunks[0])
-    assert np.array_equal(short[CHUNK_SIZE], drawn[CHUNK_SIZE][:3])
-    assert np.array_equal(drawn[CHUNK_SIZE], chunks[1])
+        monkeypatch.setattr(sampling_module, name, recording)
+        for n_samples in (CHUNK_SIZE + 3, 2 * CHUNK_SIZE):
+            runs.append({})
+            run_oracle(dims, n_samples=n_samples, seed=3)
+        short, full = runs
+        assert len(short[1]) == 3
+        assert np.array_equal(short[0], chunks[0])
+        assert np.array_equal(full[0], chunks[0])
+        assert np.array_equal(short[1], full[1][:3])
+        assert np.array_equal(full[1], chunks[1])
+        assert not np.array_equal(chunks[0][0], chunks[1][0])
 
 
 def test_sample_state_validation():
-    with pytest.raises(DomainError):
-        sample_state(DIMS, seed=-1, index=0)
-    with pytest.raises(DomainError):
-        sample_state(DIMS, seed=42, index=-3)
-    with pytest.raises(DomainError):
-        sample_state(DIMS, seed=True, index=0)
-    with pytest.raises(DomainError):
-        sample_state(DIMS, seed=42, index=True)
-    big = Dimensions(16, 16, 17)  # N = 4352
-    assert big.n > STATE_DIMENSION_CAP
-    with pytest.raises(InvalidDimensionError):
-        sample_state(big, seed=0, index=0)
+    """The cap bounds the per-sample array: N for a state in the swapped
+    regime, C^2 for the Bartlett factor in the factorised one."""
+    swapped = Dimensions(16, 16, 17)  # N = 4352
+    with pytest.raises(InvalidDimensionError, match="N = 4352 exceeds"):
+        run_oracle(swapped, n_samples=2, seed=0)
+    wide = Dimensions(9, 8, 100)  # C^2 = 5184, N = 7200
+    with pytest.raises(InvalidDimensionError, match=r"C\^2 = 5184 exceeds"):
+        run_oracle(wide, n_samples=2, seed=0)
+    assert sampling_module._cap_excess(Dimensions(8, 8, 64)) is None
+    stats = run_oracle(Dimensions(8, 8, 1000), n_samples=2, seed=0)  # N = 64000
+    assert stats.n_samples == 2
+
+
+def test_factorised_runs_draw_no_state(monkeypatch):
+    """No (count, N) block is drawn for a factorised triple: a chunk costs
+    C(C-1)/2 complex normals per sample, whatever d_e is."""
+    normals = []
+    real_generator = np.random.Generator
+
+    class Counting:
+        def __init__(self, bit_generator):
+            self._gen = real_generator(bit_generator)
+
+        def standard_normal(self, *args, out=None, **kwargs):
+            normals.append(out.size)
+            return self._gen.standard_normal(*args, out=out, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._gen, name)
+
+    def no_state(*args):
+        raise AssertionError("a state block was drawn")
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    monkeypatch.setattr(sampling_module, "_sample_block", no_state)
+    run_oracle(Dimensions(4, 4, 64), n_samples=CHUNK_SIZE + 3, seed=1,
+               workers=2)
+    assert sorted(normals) == [3 * 120 * 2, CHUNK_SIZE * 120 * 2]
 
 
 # ---------------------------------------------------------------------------
 # partial traces
 
 
+def _reductions_by_side():
+    swapped = sampling_module._swapped_reductions(DIMS, 1, 0, 8)
+    factorised = sampling_module._factorised_reductions(FACTORISED, 1, 0, 8)
+    return {
+        "A": (swapped[0], factorised[0]),
+        "B": (swapped[1], factorised[1]),
+        "AB": (factorised[2],),
+        "E": (swapped[2],),
+    }
+
+
 @pytest.mark.parametrize("keep,dim", [("A", 2), ("B", 3), ("AB", 6), ("E", 4)])
 def test_reduce_state_is_density_matrix(keep, dim):
-    state = sample_state(DIMS, seed=1, index=0)
-    rho = reduce_state(state, keep)
-    assert rho.shape[0] == dim
-    assert rho.shape == (dim, dim)
-    assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
-    assert abs(np.trace(rho).real - 1.0) < 1e-12
-    assert np.linalg.eigvalsh(rho).min() > -1e-10
-
-
-def test_reduce_state_bad_target():
-    state = sample_state(DIMS, seed=1, index=0)
-    with pytest.raises(DomainError):
-        reduce_state(state, "AE")
+    for rho in _reductions_by_side()[keep]:
+        assert rho.shape == (8, dim, dim)
+        assert np.max(np.abs(rho - rho.conj().transpose(0, 2, 1))) < 1e-12
+        np.testing.assert_allclose(
+            np.trace(rho, axis1=1, axis2=2).real, 1.0, atol=1e-12
+        )
+        assert np.linalg.eigvalsh(rho).min() > -1e-10
 
 
 def test_reduce_product_state():
@@ -121,30 +188,41 @@ def test_reduce_product_state():
     u = np.array([1.0, 1.0j]) / math.sqrt(2)
     v = np.array([1.0, 0.0, 0.0])
     w = np.array([0.6, 0.8, 0.0, 0.0])
-    dims = Dimensions(2, 3, 4)
-    psi = np.einsum("a,b,e->abe", u, v, w).reshape(-1)
-    state = sampling_module.PureState(amplitudes=psi, dims=dims)
-    np.testing.assert_allclose(
-        reduce_state(state, "A"), np.outer(u, u.conj()), atol=1e-14
-    )
-    np.testing.assert_allclose(
-        reduce_state(state, "B"), np.outer(v, v.conj()), atol=1e-14
-    )
+    t = np.einsum("a,b,e->abe", u, v, w)[None]
+    rho_a, rho_b, rho_e = sampling_module._state_reductions(t)
+    np.testing.assert_allclose(rho_a[0], np.outer(u, u.conj()), atol=1e-14)
+    np.testing.assert_allclose(rho_b[0], np.outer(v, v.conj()), atol=1e-14)
+    np.testing.assert_allclose(rho_e[0], np.outer(w, w.conj()), atol=1e-14)
     uv = np.kron(u, v)
-    np.testing.assert_allclose(
-        reduce_state(state, "AB"), np.outer(uv, uv.conj()), atol=1e-14
+    rho_a, rho_b = sampling_module._partial_traces(
+        np.outer(uv, uv.conj())[None], 2, 3
     )
-    np.testing.assert_allclose(
-        reduce_state(state, "E"), np.outer(w, w.conj()), atol=1e-14
+    np.testing.assert_allclose(rho_a[0], np.outer(u, u.conj()), atol=1e-14)
+    np.testing.assert_allclose(rho_b[0], np.outer(v, v.conj()), atol=1e-14)
+
+
+@pytest.mark.parametrize("triple", [(2, 3, 7), (4, 4, 64), (3, 2, 6)])
+def test_partial_traces_match_state_reductions(triple):
+    """rho_A and rho_B as partial traces of rho_AB (the factorised path)
+    equal the Gram products of the state's A and B views (the swapped
+    path)."""
+    d_a, d_b, d_e = triple
+    t = sampling_module._sample_block(Dimensions(*triple), 2, 0, 64).reshape(
+        -1, d_a, d_b, d_e
     )
+    rho_ab = sampling_module._gram(t.reshape(-1, d_a * d_b, d_e))
+    rho_a, rho_b = sampling_module._partial_traces(rho_ab, d_a, d_b)
+    state_a, state_b, _ = sampling_module._state_reductions(t)
+    assert np.max(np.abs(rho_a - state_a)) < 1e-15
+    assert np.max(np.abs(rho_b - state_b)) < 1e-15
 
 
 def test_schmidt_symmetry():
     """Nonzero spectrum of rho_A equals that of the complementary reduction."""
-    state = sample_state(Dimensions(2, 3, 4), seed=3, index=7)
-    t = state.amplitudes.reshape(2, 12)
-    rho_be = np.einsum("ax,ay->xy", t.conj(), t)  # complement of A
-    eig_a = np.linalg.eigvalsh(reduce_state(state, "A"))
+    t = sampling_module._sample_block(DIMS, 3, 0, 8).reshape(-1, 2, 3, 4)
+    flat = t[7].reshape(2, 12)
+    rho_be = np.einsum("ax,ay->xy", flat.conj(), flat)  # complement of A
+    eig_a = np.linalg.eigvalsh(sampling_module._state_reductions(t)[0][7])
     eig_be = np.linalg.eigvalsh(rho_be)
     largest = np.sort(eig_be)[-2:]
     np.testing.assert_allclose(np.sort(eig_a), largest, atol=1e-12)
@@ -153,18 +231,19 @@ def test_schmidt_symmetry():
 @pytest.mark.parametrize("triple", [(2, 3, 4), (3, 4, 2), (4, 4, 64), (8, 8, 16)])
 def test_schmidt_identity_ab_equals_e(triple):
     """S(rho_AB) = S(rho_E) for a pure state, whichever side is smaller."""
-    dims = Dimensions(*triple)
-    t = sampling_module._sample_block(dims, 5, 0, 256).reshape(-1, *triple)
-    s_ab, s_e = (
-        sampling_module._entropies(sampling_module._reduce(t, side), side)
-        for side in ("AB", "E")
-    )
+    d_a, d_b, d_e = triple
+    t = sampling_module._sample_block(Dimensions(*triple), 5, 0, 256)
+    rho_ab = sampling_module._gram(t.reshape(-1, d_a * d_b, d_e))
+    rho_e = sampling_module._state_reductions(t.reshape(-1, *triple))[2]
+    s_ab = sampling_module._entropies(rho_ab, "AB")
+    s_e = sampling_module._entropies(rho_e, "E")
     assert np.max(np.abs(s_ab - s_e)) <= 1e-13
 
 
 def test_no_environment_gives_pure_joint_state():
-    state = sample_state(Dimensions(2, 3, 1), seed=0, index=0)
-    assert von_neumann_entropy(reduce_state(state, "AB")) < 1e-12
+    stats = run_oracle(Dimensions(2, 3, 1), n_samples=50, seed=0)
+    assert stats.mean_entropy_ab == 0.0
+    assert stats.stderr_entropy_ab == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -172,45 +251,48 @@ def test_no_environment_gives_pure_joint_state():
 
 
 def test_von_neumann_entropy_known():
-    rho = np.diag([0.75, 0.25])
-    assert von_neumann_entropy(rho) == pytest.approx(
+    assert _entropy(np.diag([0.75, 0.25])) == pytest.approx(
         0.5623351446188083, abs=1e-15, rel=0
     )
     pure = np.outer([1, 0, 0], [1, 0, 0]).astype(float)
-    assert von_neumann_entropy(pure) == 0.0
+    assert _entropy(pure) == 0.0
 
 
 def test_entropy_eigenvalue_policy():
     # tiny negatives are clamped, real negatives are an error
-    assert von_neumann_entropy(np.diag([1.0, -5e-11])) == 0.0
+    assert _entropy(np.diag([1.0, -5e-11])) == 0.0
     with pytest.raises(NumericalValidityError):
-        von_neumann_entropy(np.diag([1.5, -0.5]))
+        _entropy(np.diag([1.5, -0.5]))
     with pytest.raises(NumericalValidityError):
-        diagonal_entropy(np.diag([1.5, -0.5]))
+        sampling_module._entropy_from_weights(np.array([1.5, -0.5]), "diagonal")
 
 
 def test_diagonal_vs_eigenvalue_entropy():
     plus = 0.5 * np.ones((2, 2))  # |+><+|
-    assert diagonal_entropy(plus) == pytest.approx(math.log(2.0), abs=1e-15, rel=0)
-    assert von_neumann_entropy(plus) < 1e-12
+    diagonal = sampling_module._entropy_from_weights(np.diagonal(plus), "diagonal")
+    assert diagonal == pytest.approx(math.log(2.0), abs=1e-15, rel=0)
+    assert _entropy(plus) < 1e-12
 
 
 def test_per_sample_schur_inequality():
-    for index in range(20):
-        state = sample_state(DIMS, seed=11, index=index)
-        rho = reduce_state(state, "A")
-        assert diagonal_entropy(rho) >= von_neumann_entropy(rho) - 1e-12
+    for rho_a in _reductions_by_side()["A"]:
+        diag = np.diagonal(rho_a, axis1=1, axis2=2).real
+        diagonal = sampling_module._entropy_from_weights(diag, "diagonal")
+        assert np.all(diagonal >= sampling_module._entropies(rho_a, "A") - 1e-12)
 
 
 def test_mutual_info_sample_composition():
-    state = sample_state(DIMS, seed=4, index=2)
-    manual = (
-        von_neumann_entropy(reduce_state(state, "A"))
-        + von_neumann_entropy(reduce_state(state, "B"))
-        - von_neumann_entropy(reduce_state(state, "E"))
-    )
-    assert mutual_info_sample(DIMS, seed=4, index=2) == manual
-    assert mutual_info_sample(DIMS, seed=4, index=2) >= -1e-12
+    """Per sample, I = S_A + S_B - S_AB with S_AB from the joint side, and
+    I >= 0 (subadditivity)."""
+    for dims in (DIMS, FACTORISED):
+        values = _per_sample_mutual_information(dims, 4, 40)
+        assert values.shape == (40,)
+        assert values.min() >= -1e-12
+    rho_a, rho_b, rho_e = sampling_module._swapped_reductions(DIMS, 4, 0, 40)
+    s_a, s_b, s_ab = sampling_module._sample_entropies(rho_a, rho_b, rho_e)
+    assert np.array_equal(s_ab, sampling_module._entropies(rho_e, "E"))
+    assert np.array_equal(s_a, sampling_module._entropies(rho_a, "A"))
+    assert np.array_equal(s_b, sampling_module._entropies(rho_b, "B"))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +331,8 @@ def test_gell_mann_basis_domain():
 
 
 def test_run_oracle_deterministic_across_workers():
-    # S_AB from rho_E at (2,3,4) and (8,8,16), from rho_AB at (2,3,7)
-    for dims in (DIMS, Dimensions(2, 3, 7), Dimensions(8, 8, 16)):
+    # states at (2,3,4) and (8,8,16), Bartlett factors at (2,3,7) and (4,4,64)
+    for dims in (DIMS, FACTORISED, Dimensions(8, 8, 16), Dimensions(4, 4, 64)):
         reference = run_oracle(dims, n_samples=700, seed=9, workers=1)
         for workers in (2, 4):
             other = run_oracle(dims, n_samples=700, seed=9, workers=workers)
@@ -282,13 +364,15 @@ def test_run_oracle_statistics_concord():
 
 def test_run_oracle_chunking_boundaries():
     # sample counts straddling the chunk size agree field by field across
-    # worker counts
-    for n_samples in (CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 3):
-        one = run_oracle(DIMS, n_samples=n_samples, seed=2, workers=1)
-        two = run_oracle(DIMS, n_samples=n_samples, seed=2, workers=2)
-        assert one.n_samples == n_samples
-        for name in one.__dataclass_fields__:
-            assert getattr(one, name) == getattr(two, name), (n_samples, name)
+    # worker counts, on both paths
+    for dims, _ in BLOCKS:
+        for n_samples in (CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 3):
+            one = run_oracle(dims, n_samples=n_samples, seed=2, workers=1)
+            two = run_oracle(dims, n_samples=n_samples, seed=2, workers=2)
+            assert one.n_samples == n_samples
+            for name in one.__dataclass_fields__:
+                assert getattr(one, name) == getattr(two, name), (
+                    dims, n_samples, name)
 
 
 def test_run_oracle_validation():
@@ -301,31 +385,27 @@ def test_run_oracle_validation():
 
 
 def test_key_words_must_fit_64_bits():
-    for workers in (1, 2):
-        with pytest.raises(DomainError):
-            run_oracle(DIMS, n_samples=10, seed=2**64, workers=workers)
-    with pytest.raises(DomainError):
-        sample_state(DIMS, seed=0, index=2**64)
-    with pytest.raises(DomainError):
-        sample_state(DIMS, seed=2**64, index=0)
-    state = sample_state(DIMS, seed=2**64 - 1, index=2**64 - 1)
-    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
-    assert run_oracle(DIMS, n_samples=10, seed=2**64 - 1).n_samples == 10
+    for dims, _ in BLOCKS:
+        for workers in (1, 2):
+            with pytest.raises(DomainError):
+                run_oracle(dims, n_samples=10, seed=2**64, workers=workers)
+        assert run_oracle(dims, n_samples=10, seed=2**64 - 1).n_samples == 10
 
 
-@pytest.mark.parametrize(
-    "dims", [Dimensions(2, 3, 4), Dimensions(3, 4, 2), Dimensions(2, 3, 7)]
-)
+@pytest.mark.parametrize("dims", [DIMS, Dimensions(3, 4, 2), FACTORISED])
 def test_oracle_mean_equals_per_sample_route(dims):
-    """The batched chunk kernel and the single-sample route agree bitwise."""
+    """The oracle's mean I is the mean of the per-sample I of the kernel,
+    chunk by chunk, for any worker count."""
     n = CHUNK_SIZE + 3
-    per_sample = np.mean([mutual_info_sample(dims, 6, i) for i in range(n)])
+    per_sample = np.mean(_per_sample_mutual_information(dims, 6, n))
     for workers in (1, 2):
         stats = run_oracle(dims, n, 6, workers=workers)
         assert stats.mean_mutual_information == per_sample
 
 
-@pytest.mark.parametrize("triple,largest", [((8, 8, 16), 16), ((3, 4, 2), 4)])
+@pytest.mark.parametrize(
+    "triple,largest", [((8, 8, 16), 16), ((3, 4, 2), 4), ((4, 4, 64), 16)]
+)
 def test_run_oracle_diagonalises_the_smaller_side(triple, largest, monkeypatch):
     """No eigenproblem exceeds max(d_A, d_B, min(d_A d_B, d_E))."""
     sizes = []
@@ -357,16 +437,17 @@ def test_trivial_subsystem_mutual_information_is_exactly_zero(triple, capsys):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_oracle_worker_failure(workers, monkeypatch):
-    real_block = sampling_module._sample_block
+    for dims, name in BLOCKS:
+        real_block = getattr(sampling_module, name)
 
-    def flaky(dims, seed, start, count):
-        if start >= CHUNK_SIZE:
-            raise RuntimeError("injected failure")
-        return real_block(dims, seed, start, count)
+        def flaky(dims, seed, chunk, count, real_block=real_block):
+            if chunk >= 1:
+                raise RuntimeError("injected failure")
+            return real_block(dims, seed, chunk, count)
 
-    monkeypatch.setattr(sampling_module, "_sample_block", flaky)
-    with pytest.raises(OracleWorkerError):
-        run_oracle(DIMS, n_samples=2 * CHUNK_SIZE, seed=0, workers=workers)
+        monkeypatch.setattr(sampling_module, name, flaky)
+        with pytest.raises(OracleWorkerError):
+            run_oracle(dims, n_samples=2 * CHUNK_SIZE, seed=0, workers=workers)
 
 
 def test_oracle_bloch_sector_fields():
@@ -384,3 +465,14 @@ def test_bloch_variances_structure_and_concordance():
     target = float(bloch_variance(2, 4))
     assert abs(stats.cartan_var - target) < 5 * stats.stderr_cartan_var
     assert abs(stats.offdiag_var - target) < 5 * stats.stderr_offdiag_var
+
+
+def test_run_oracle_reaches_a_million_dimensions():
+    """(4,4,62500) has N = 1e6, far above the cap on a state, but its
+    Bartlett factor has C^2 = 256 entries; I ~ 1e-4 is matched to 4 SE."""
+    dims = Dimensions(4, 4, 62500)
+    stats = run_oracle(dims, n_samples=20_000, seed=42, workers=2)
+    exact = mutual_information_exact(dims).total
+    assert abs(stats.mean_mutual_information - exact) < (
+        4 * stats.stderr_mutual_information
+    )
