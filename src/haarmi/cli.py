@@ -9,7 +9,8 @@ Commands
     sweep     tabulate routes over dimension ranges
 
 Exit codes: 0 success, 2 invalid input (including ``series`` or
-``integral`` on a swapped triple, d_A d_B > d_E), 3 numerical failure
+``integral`` on a swapped triple, d_A d_B > d_E, and any triple with
+N >= 2**1024), 3 numerical failure
 (quadrature non-convergence, validity violation, worker failure),
 4 verification failure, 5 output I/O error.
 
@@ -496,6 +497,8 @@ def _run_sweep(config: RunConfig) -> RunResult:
                 row = _empty_row(dims)
                 _fill_analytic(row, dims, config)
                 rows.append(row)
+    if config.output_format != "table":
+        return RunResult(rows=rows)
 
     header = CSV_COLUMNS
     body = [

@@ -16,6 +16,10 @@ from typing import NamedTuple
 from .errors import InvalidDimensionError, RegimeError, _require_int
 
 
+#: Exclusive bound on ``N``: ``float(N)`` and ``1.0 / N`` overflow from here.
+_N_LIMIT = 2**1024
+
+
 class CasimirCounts(NamedTuple):
     """Generator counts entering the leading term and its correction.
 
@@ -33,7 +37,8 @@ class Dimensions:
     """Validated subsystem dimensions ``(d_a, d_b, d_e)``.
 
     All three must be positive integers; ``d_e = 1`` (no environment,
-    globally pure AB) is allowed.
+    globally pure AB) is allowed.  ``N = d_a d_b d_e`` must be below
+    ``2**1024``, the binary64 range every float route divides by.
     """
 
     d_a: int
@@ -43,6 +48,11 @@ class Dimensions:
     def __post_init__(self):
         for name in ("d_a", "d_b", "d_e"):
             _require_int(name, getattr(self, name), 1, InvalidDimensionError)
+        if self.n >= _N_LIMIT:
+            raise InvalidDimensionError(
+                f"N = d_a*d_b*d_e has {self.n.bit_length()} bits; "
+                f"the routes need N < 2**1024"
+            )
 
     @property
     def n(self) -> int:

@@ -16,8 +16,9 @@ truncation) leaves an error of the order of that term, which is what
 
 from __future__ import annotations
 
-import functools
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .dims import Dimensions, leading_order
 from .errors import DomainError, _require_int
@@ -66,10 +67,21 @@ def _check_k_max(k_max: int) -> None:
         )
 
 
-@functools.cache
-def _zeta_float(k: int) -> float:
-    """``float(zeta(1-2k))`` once per k; callers bound k (at most 60 entries)."""
-    return float(zeta_negative_odd(k))
+#: ``float(zeta(1-2k))`` at index ``k - 1``, for every ``k`` that
+#: :func:`_check_k_max` admits.
+_ZETA = tuple(
+    float(zeta_negative_odd(k)) for k in range(1, BERNOULLI_LIMIT // 2 + 1)
+)
+
+
+def _terms(dims: Dimensions, ks: Iterable[int]) -> list[float]:
+    """``t_k`` for each ``k`` in ``ks``, unchecked: the one kernel behind
+    :func:`bernoulli_term` and :func:`expand`."""
+    n = dims.n
+    a_sq, b_sq, inv_n = dims.d_a * dims.d_a / n, dims.d_b * dims.d_b / n, 1.0 / n
+    return [
+        _ZETA[k - 1] * (a_sq**k - inv_n**k) * (b_sq**k - inv_n**k) for k in ks
+    ]
 
 
 def bernoulli_term(dims: Dimensions, k: int) -> float:
@@ -84,21 +96,18 @@ def bernoulli_term(dims: Dimensions, k: int) -> float:
     """
     _check_k_max(k)
     dims.require_factorised("series")
-    n = dims.n
-    factor_a = (dims.d_a * dims.d_a / n) ** k - (1.0 / n) ** k
-    factor_b = (dims.d_b * dims.d_b / n) ** k - (1.0 / n) ** k
-    return _zeta_float(k) * factor_a * factor_b
+    return _terms(dims, (k,))[0]
 
 
 def expand(dims: Dimensions, k_max: int = K_MAX_DEFAULT) -> SeriesExpansion:
     """Evaluate the first ``k_max`` terms together with their partial sums
-    and the superasymptotic truncation bookkeeping; factorised regime only."""
+    and the superasymptotic truncation bookkeeping; factorised regime only.
+    ``terms[k-1]`` equals ``bernoulli_term(dims, k)`` bitwise."""
     _check_k_max(k_max)
+    dims.require_factorised("series")
     lead = leading_order(dims)
-    terms = [bernoulli_term(dims, k) for k in range(1, k_max + 1)]
-    partial_sums = [lead]
-    for t in terms:
-        partial_sums.append(partial_sums[-1] + t)
+    terms = _terms(dims, range(1, k_max + 1))
+    partial_sums = list(accumulate(terms, initial=lead))
 
     # One scan: a tie stops the descent (optimal_k), only strict growth
     # marks divergence, and strict growth can come no earlier than a tie.

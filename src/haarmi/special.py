@@ -5,13 +5,13 @@ series) so that the whole package carries no dependency beyond numpy, and
 so that the Bernoulli numbers feeding the asymptotic expansion are exactly
 the ones produced by :func:`bernoulli`; the series has one copy,
 :func:`_psi_remainder`.  Exact harmonic differences are summed by binary
-splitting and keep no state: the only cache is the bounded Bernoulli table.
+splitting.  Nothing is cached at run time: the only table, ``B_0`` to
+``B_120``, is built once at import from the integer tangent numbers.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 from .errors import DomainError, _require_int
@@ -21,11 +21,34 @@ EULER_GAMMA = 0.5772156649015328606065
 
 #: Largest Bernoulli index served by :func:`bernoulli`.  The asymptotic
 #: expansion never needs more (terms diverge long before), and the exact
-#: integer recurrence gets slow and useless past this point.
+#: numerators grow without bound past this point.
 BERNOULLI_LIMIT = 120
 
-_lock = threading.Lock()
-_bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+
+def _bernoulli_table(limit: int) -> tuple[Fraction, ...]:
+    """``B_0 .. B_limit`` (``limit`` even) from the tangent numbers ``T_k``
+    (``tan x = sum_k T_k x^(2k-1) / (2k-1)!``), which an in-place integer
+    recurrence builds in O(limit^2) multiply-adds (Brent & Harvey,
+    "Fast computation of Bernoulli, tangent and secant numbers", 2011).
+    Then ``B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))`` and the odd numbers
+    past ``B_1`` vanish.
+    """
+    n = limit // 2
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    table = [Fraction(1), Fraction(-1, 2)]
+    for k in range(1, n + 1):
+        four_k = 4**k
+        b = Fraction(2 * k * t[k], four_k * (four_k - 1))
+        table += (b if k % 2 else -b, Fraction(0))
+    return tuple(table[: limit + 1])
+
+
+_BERNOULLI = _bernoulli_table(BERNOULLI_LIMIT)
 
 #: Longest range :func:`_range_sum` adds term by term in integers.
 _HARMONIC_LEAF = 64
@@ -34,24 +57,17 @@ _HARMONIC_LEAF = 64
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number ``B_m`` as an exact rational (``B_1 = -1/2``).
 
-    Computed once by the defining recurrence
-    ``sum_j C(m+1, j) B_j = 0`` and cached.  Indices above
-    ``BERNOULLI_LIMIT`` are refused: they are never meaningful here and
-    their exact numerators grow without bound.
+    Read from the table built at import from the tangent numbers; the
+    values satisfy the defining recurrence ``sum_j C(m+1, j) B_j = 0``.
+    Indices above ``BERNOULLI_LIMIT`` are refused: they are never
+    meaningful here and their exact numerators grow without bound.
     """
     _require_int("Bernoulli index", m, 0)
     if m > BERNOULLI_LIMIT:
         raise DomainError(
             f"Bernoulli index {m} exceeds the supported limit {BERNOULLI_LIMIT}"
         )
-    with _lock:
-        while len(_bernoulli_cache) <= m:
-            k = len(_bernoulli_cache)
-            acc = Fraction(0)
-            for j, b in enumerate(_bernoulli_cache):
-                acc += math.comb(k + 1, j) * b
-            _bernoulli_cache.append(-acc / (k + 1))
-        return _bernoulli_cache[m]
+    return _BERNOULLI[m]
 
 
 def zeta_negative_odd(k: int) -> Fraction:
@@ -110,8 +126,11 @@ def _psi_remainder(z: float) -> float:
     For ``z >= 10`` it is the Stirling series ``sum_k B_{2k} / (2k z^{2k})``.
     Below, the recurrence ``r(z) = r(z+1) - log1p(1/z) + 1/(2z) +
     1/(2(z+1))`` keeps the small result accurate in *absolute* terms, which
-    the form ``ln z + 1/(2z) - psi(z+1)`` would not.
+    the form ``ln z + 1/(2z) - psi(z+1)`` would not.  ``z`` is made a
+    float first: a huge int ``z`` then squares to infinity, a zero series
+    term, instead of overflowing its conversion.
     """
+    z = float(z)
     pieces = []
     while z < _PSI_SHIFT:
         pieces += (-math.log1p(1.0 / z), 0.5 / z, 0.5 / (z + 1.0))
@@ -134,9 +153,15 @@ def digamma(x: float) -> float:
     compensated summation (``math.fsum``), so the absolute error stays at a
     few 1e-16 across the whole domain and the result is correct to ~2 ulp
     wherever no leading-digit cancellation occurs in the recurrence (in
-    particular for all x >= 10).
+    particular for all x >= 10).  A number too large for binary64 raises
+    :class:`DomainError` like any other non-finite argument.
     """
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:
+        raise DomainError(
+            "digamma requires finite x > 0, got a value beyond binary64"
+        ) from None
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"digamma requires finite x > 0, got {x!r}")
     pieces = []

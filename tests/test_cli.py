@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from haarmi import NonConvergenceError, compute_J, Dimensions
+from haarmi import NonConvergenceError, compute_J, Dimensions, leading_order
 from haarmi import cli
 
 CSV_HEADER = (
@@ -181,6 +182,31 @@ def test_sweep_csv_factorised_and_swapped_rows():
         assert fields[5] != ""  # exact always present
         for idx in (9, 10, 11, 12, 13):  # series/integral family empty
             assert fields[idx] == ""
+
+
+def test_sweep_table_aligned_rows_and_footer(capsys):
+    argv = ["sweep", "--da", "1..3", "--db", "2", "--de", "3..4"]
+    assert cli.run(cli.parse_args(argv)) == 0
+    lines = capsys.readouterr().out.split("\n")
+    json_config = cli.parse_args([*argv, "--format", "json"])
+    swept = cli._run_sweep(json_config)
+    assert swept.table_lines == []  # only the table format builds them
+    rows = swept.rows
+    assert len(rows) == 6
+
+    header = lines[0]
+    assert header.split() == cli.CSV_COLUMNS
+    starts = [match.start() for match in re.finditer(r"\S+", header)]
+    ends = [*starts[1:], None]
+    for line, row in zip(lines[1:1 + len(rows)], rows):
+        assert len(line) == len(header)
+        assert all(line[start - 2:start] == "  " for start in starts[1:])
+        cells = [line[start:end].strip() for start, end in zip(starts, ends)]
+        assert cells == [cli._format_number(row[name], cli._TABLE_DIGITS)
+                         for name in cli.CSV_COLUMNS]
+    assert lines[1 + len(rows):] == [
+        "", f"version {cli.__version__}  seed 42  tol 1e-14", ""
+    ]
 
 
 def test_sweep_de_mult_always_factorised():
@@ -492,6 +518,27 @@ def test_run_exact_exit_0(capsys):
     assert cli.run(config) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith(CSV_HEADER)
+
+
+def test_exact_beyond_squared_float_range():
+    """N**2 overflows binary64 at d_E = 10**160; the closed form still
+    returns the leading order, its value at this N."""
+    d_e = 10**160
+    result = run_cli("exact", "--da", "2", "--db", "3", "--de", str(d_e),
+                     "--format", "json")
+    assert result.returncode == 0, result.stderr
+    row = json.loads(result.stdout)["rows"][0]
+    lead = leading_order(Dimensions(2, 3, d_e))
+    assert row["I_exact"] == pytest.approx(lead, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("command", ["exact", "series", "integral"])
+def test_n_beyond_binary64_exits_2(command):
+    result = run_cli(command, "--da", "2", "--db", "2", "--de", str(10**320))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "invalid input" in result.stderr and "2**1024" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_table_footer_metadata():

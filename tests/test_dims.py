@@ -26,6 +26,13 @@ def test_rejects_non_integers(bad):
         Dimensions(bad, 3, 5)
 
 
+def test_rejects_n_beyond_binary64():
+    Dimensions(2, 2, 2**1022 - 1)  # N = 2**1024 - 4 is fine
+    for triple in ((2, 2, 2**1022), (1, 1, 2**1024), (3, 5, 10**320)):
+        with pytest.raises(InvalidDimensionError, match="2\\*\\*1024"):
+            Dimensions(*triple)
+
+
 def test_total_dimension_and_regime():
     d = Dimensions(2, 3, 7)
     assert d.n == 42

@@ -39,6 +39,26 @@ def test_term_matches_rational_and_alternates(k):
     assert (term > 0) == (k % 2 == 0)
 
 
+@pytest.mark.parametrize(
+    "triple", [(2, 3, 7), (1, 5, 9), (4, 1, 4), (2, 2, 4), (3, 5, 200),
+               (6, 6, 36), (2, 3, 10**18)]
+)
+def test_expand_terms_are_bernoulli_terms_bitwise(triple):
+    """``expand`` and ``bernoulli_term`` give the same bits for every k, and
+    both keep the expression ``zeta * ((a^2/N)^k - (1/N)^k) * ((b^2/N)^k -
+    (1/N)^k)`` evaluated in that order."""
+    dims = Dimensions(*triple)
+    n = dims.n
+    terms = expand(dims, 60).terms
+    for k in range(1, 61):
+        reference = (
+            float(zeta_negative_odd(k))
+            * ((dims.d_a * dims.d_a / n) ** k - (1.0 / n) ** k)
+            * ((dims.d_b * dims.d_b / n) ** k - (1.0 / n) ** k)
+        )
+        assert terms[k - 1].hex() == bernoulli_term(dims, k).hex() == reference.hex()
+
+
 def test_terms_vanish_when_dimension_one():
     dims = Dimensions(1, 5, 9)
     e = expand(dims)

@@ -26,6 +26,12 @@ def test_digamma_domain(bad):
         digamma(bad)
 
 
+def test_digamma_beyond_binary64():
+    assert math.isfinite(digamma(2**1023))
+    with pytest.raises(DomainError):
+        digamma(10**400)
+
+
 def test_digamma_known_points():
     # psi(1) = -gamma, psi(2) = 1 - gamma, psi(1/2) = -gamma - 2 ln 2
     assert abs(digamma(1.0) + EULER_GAMMA) < 3e-16
@@ -131,6 +137,15 @@ def test_bernoulli_small_values():
     }
     for m, value in expected.items():
         assert bernoulli(m) == value
+
+
+def test_bernoulli_satisfies_defining_recurrence():
+    """The tangent-number table against ``sum_{j<=m} C(m+1, j) B_j = 0``,
+    for every m up to the limit."""
+    table = [bernoulli(m) for m in range(BERNOULLI_LIMIT + 1)]
+    assert table[0] == 1
+    for m in range(1, BERNOULLI_LIMIT + 1):
+        assert sum(math.comb(m + 1, j) * table[j] for j in range(m + 1)) == 0, m
 
 
 def test_bernoulli_odd_vanish():
