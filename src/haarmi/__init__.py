@@ -67,9 +67,7 @@ from .sampling import (
     CHUNK_SIZE,
     RNG_IDENTITY,
     STATE_DIMENSION_CAP,
-    GellMannBasis,
     HaarSampleStats,
-    gell_mann_basis,
     run_oracle,
 )
 
@@ -96,5 +94,5 @@ __all__ = [
     "compute_J", "folded_integrand", "kernel_R", "mutual_information_integral",
     # sampling
     "CHUNK_SIZE", "RNG_IDENTITY", "STATE_DIMENSION_CAP",
-    "GellMannBasis", "HaarSampleStats", "gell_mann_basis", "run_oracle",
+    "HaarSampleStats", "run_oracle",
 ]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -210,8 +209,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     if not 0 <= args.seed < _KEY_LIMIT:
         parser.error(f"seed must be in 0 .. 2**64 - 1 (--seed or {SEED_ENV}), "
                      f"got {args.seed}")
-    if not (args.tol > 0.0) or not math.isfinite(args.tol):
-        parser.error("--tol must be a positive finite real")
+    if not 0.0 < args.tol < 1.0:
+        parser.error("--tol must be in (0, 1)")
     try:
         _check_k_max(args.k_max)
     except DomainError as exc:

@@ -82,9 +82,10 @@ def _bose_quad(g: Callable[[np.ndarray], np.ndarray], tol: float) -> QuadratureR
     ``T = ln(1000/tol)/(2 pi)`` (clamped so ``e^{2 pi T}`` stays finite).
     Panels double until two refinements differ by less than ``tol``
     relative (a tolerance that underflows to 0 is never met), within
-    ``EVAL_BUDGET`` integrand evaluations."""
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise DomainError(f"tolerance must be a positive finite real, got {tol!r}")
+    ``EVAL_BUDGET`` integrand evaluations.  ``tol`` must lie in (0, 1): a
+    relative tolerance of 1 accepts any value, and past 1000 T is negative."""
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tolerance must be in (0, 1), got {tol!r}")
     upper = min(math.log(1000.0 / tol), _EXP_CUT) / (2.0 * math.pi)
     previous = None
     panels = 2
@@ -164,13 +165,15 @@ def folded_integrand(u: float, dims: Dimensions) -> float:
 
 def compute_J(dims: Dimensions, tol: float = 1e-14) -> QuadratureResult:
     """The positive integral ``J``: the quadrature in ``t = d_e u`` with
-    value and error divided by ``d_e``; ``tol`` is relative.  Defined for
-    every triple (R is finite when a dimension is 1)."""
+    value and error divided by ``d_e``, the error floored at 8 ulp of the
+    returned value, so a J that underflows still carries an honest error;
+    ``tol`` is relative.  Defined for every triple (R is finite when a
+    dimension is 1)."""
     d_e = float(dims.d_e)
     t_form = _bose_quad(lambda t: kernel_R(t / d_e, dims), tol)
-    return QuadratureResult(
-        t_form.value / d_e, t_form.error_estimate / d_e, t_form.evaluations
-    )
+    value = t_form.value / d_e
+    error = max(t_form.error_estimate / d_e, 8.0 * math.ulp(value))
+    return QuadratureResult(value, error, t_form.evaluations)
 
 
 def mutual_information_integral(dims: Dimensions, tol: float = 1e-14) -> float:

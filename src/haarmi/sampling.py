@@ -4,7 +4,11 @@ A Haar-random pure state is a normalised vector of iid complex Gaussians.
 :func:`run_oracle` has one path per regime, chosen by
 ``Dimensions.factorised_regime``; both yield ``rho_A``, ``rho_B`` and one
 matrix whose spectrum gives ``S_AB``, and never diagonalise a matrix
-larger than ``max(d_a, d_b, min(d_a d_b, d_e))``.
+larger than ``max(d_a, d_b, min(d_a d_b, d_e))``.  The Bloch sectors need
+no generator basis: with ``Tr(g_a g_b) = 2 delta_ab``, the Cartan
+components of ``rho_A`` square-sum to ``2 sum_i (rho_ii - Tr rho/d_a)^2``
+and each off-diagonal pair ``i < j`` to ``4 |rho_ij|^2``; unlike
+``sum_i rho_ii^2 - 1/d_a`` or ``purity - sum_i rho_ii^2``, neither cancels.
 
 * **Factorised** (``C = d_a d_b <= d_e``).  Reshaped as a ``C x d_e``
   matrix G, the state has ``rho_AB = W / Tr W`` with ``W = G G^H`` a
@@ -90,9 +94,10 @@ class HaarSampleStats:
 
     The Bloch-sector fields pool the squared components ``r_a^2`` of the
     reduced state of A over the diagonal (Cartan) generators and over the
-    off-diagonal generators separately; they are None when ``d_a = 1``
-    (no generators).  The Bloch statistics of an m-level state with
-    environment n are those of ``Dimensions(m, n, 1)``.
+    off-diagonal generators separately, from the centred diagonal and the
+    upper triangle of ``rho_A``; they are None when ``d_a = 1``.  The Bloch
+    statistics of an m-level state with environment n are those of
+    ``Dimensions(m, n, 1)``.
     """
 
     dims: Dimensions
@@ -117,23 +122,6 @@ class HaarSampleStats:
     stderr_cartan_var: float | None
     offdiag_var: float | None
     stderr_offdiag_var: float | None
-
-
-@dataclass(frozen=True)
-class GellMannBasis:
-    """Traceless Hermitian generators normalised to Tr(g_a g_b) = 2 delta_ab.
-
-    Ordering: for each index pair i < j the symmetric then the
-    antisymmetric generator, followed by the m-1 diagonal (Cartan)
-    generators.
-    """
-
-    matrices: np.ndarray
-    is_cartan: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.matrices.shape[0]
 
 
 def _cap_excess(dims: Dimensions) -> str | None:
@@ -285,30 +273,6 @@ def _sample_entropies(
     return s_a, s_b, _entropies(rho_joint, "AB or E")
 
 
-def gell_mann_basis(m: int) -> GellMannBasis:
-    """The ``m^2 - 1`` generalised Gell-Mann matrices for su(m)."""
-    _require_int("m", m, 2)
-    matrices = np.zeros((m * m - 1, m, m), dtype=np.complex128)
-    flags = np.zeros(m * m - 1, dtype=bool)
-    idx = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            matrices[idx, i, j] = 1.0
-            matrices[idx, j, i] = 1.0
-            idx += 1
-            matrices[idx, i, j] = -1.0j
-            matrices[idx, j, i] = 1.0j
-            idx += 1
-    for level in range(1, m):
-        scale = math.sqrt(2.0 / (level * (level + 1)))
-        for i in range(level):
-            matrices[idx, i, i] = scale
-        matrices[idx, level, level] = -level * scale
-        flags[idx] = True
-        idx += 1
-    return GellMannBasis(matrices=matrices, is_cartan=flags)
-
-
 def _run_chunks(n_samples: int, workers: int, work) -> None:
     """Call ``work(start, stop)`` on each ``CHUNK_SIZE`` slice of
     ``range(n_samples)`` on a pool of ``workers`` threads; any failure in a
@@ -339,7 +303,8 @@ def run_oracle(
     dims: Dimensions, n_samples: int, seed: int, workers: int = 1
 ) -> HaarSampleStats:
     """Sample statistics of S_A, S_B, S_AB, I, purity, diagonal moments and
-    Bloch sector variances over ``n_samples`` Haar-random states.
+    Bloch sector variances over ``n_samples`` Haar-random states; the sector
+    variances come from the diagonal and upper triangle of each ``rho_A``.
 
     Factorised triples are sampled through the Bartlett factor of
     ``rho_AB``, swapped ones as states (see the module docstring); the
@@ -354,7 +319,8 @@ def run_oracle(
     standard error, about 1e-3 at 20 000 samples for any N."""
     _check_run(dims, n_samples, seed)
     d_a = dims.d_a
-    basis = gell_mann_basis(d_a) if d_a >= 2 else None
+    sectors = d_a >= 2
+    rows, cols = np.triu_indices(d_a, k=1)
     reductions = (
         _factorised_reductions if dims.factorised_regime else _swapped_reductions
     )
@@ -365,8 +331,8 @@ def run_oracle(
     purity_a = np.empty(n_samples)
     diag_entropy_a = np.empty(n_samples)
     diag_second_a = np.empty(n_samples)
-    cartan_sq = np.empty(n_samples) if basis is not None else None
-    offdiag_sq = np.empty(n_samples) if basis is not None else None
+    cartan_sq = np.empty(n_samples) if sectors else None
+    offdiag_sq = np.empty(n_samples) if sectors else None
 
     def work(start: int, stop: int) -> None:
         rho_a, rho_b, rho_joint = reductions(
@@ -380,11 +346,12 @@ def run_oracle(
         diag = np.diagonal(rho_a, axis1=1, axis2=2).real
         diag_entropy_a[start:stop] = _entropy_from_weights(diag, "diagonal of A")
         diag_second_a[start:stop] = np.sum(diag * diag, axis=-1)
-        if basis is not None:
-            bloch = np.einsum("gij,zji->zg", basis.matrices, rho_a).real
-            squares = bloch * bloch
-            cartan_sq[start:stop] = np.mean(squares[:, basis.is_cartan], axis=1)
-            offdiag_sq[start:stop] = np.mean(squares[:, ~basis.is_cartan], axis=1)
+        if sectors:
+            centred = diag - np.mean(diag, axis=-1, keepdims=True)
+            cartan_sq[start:stop] = 2.0 * np.sum(centred**2, axis=-1) / (d_a - 1)
+            upper = rho_a[:, rows, cols]
+            pairs = np.sum(upper.real**2 + upper.imag**2, axis=-1)
+            offdiag_sq[start:stop] = 4.0 * pairs / (d_a * (d_a - 1))
 
     _run_chunks(n_samples, workers, work)
 
@@ -396,11 +363,8 @@ def run_oracle(
     mean_pur, se_pur = _mean_stderr(purity_a)
     mean_de, se_de = _mean_stderr(diag_entropy_a)
     mean_d2, se_d2 = _mean_stderr(diag_second_a)
-    if basis is not None:
-        cartan_var, se_cartan = _mean_stderr(cartan_sq)
-        offdiag_var, se_offdiag = _mean_stderr(offdiag_sq)
-    else:
-        cartan_var = se_cartan = offdiag_var = se_offdiag = None
+    cartan_var, se_cartan = _mean_stderr(cartan_sq) if sectors else (None, None)
+    offdiag_var, se_offdiag = _mean_stderr(offdiag_sq) if sectors else (None, None)
 
     return HaarSampleStats(
         dims=dims,

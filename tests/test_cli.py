@@ -83,6 +83,9 @@ def test_parse_sweep_ranges():
         # k_max = 61 needs B_122, past the Bernoulli table; checked up front
         ["exact", "--da", "2", "--db", "3", "--de", "7", "--kmax", "61"],
         ["sweep", "--da", "2", "--db", "3", "--de", "2..3", "--kmax", "61"],
+        # a relative tolerance must lie in (0, 1)
+        ["integral", "--da", "2", "--db", "2", "--de", "4", "--tol", "2000"],
+        ["exact", "--da", "2", "--db", "3", "--de", "7", "--tol", "1"],
     ],
 )
 def test_usage_errors_exit_2(argv):

@@ -30,7 +30,7 @@ PUBLIC_SURFACE = {
     "compute_J", "folded_integrand", "kernel_R", "mutual_information_integral",
     # sampling
     "CHUNK_SIZE", "RNG_IDENTITY", "STATE_DIMENSION_CAP",
-    "GellMannBasis", "HaarSampleStats", "gell_mann_basis", "run_oracle",
+    "HaarSampleStats", "run_oracle",
 }
 
 

@@ -74,6 +74,12 @@ def test_tolerance_validation():
         binet_tail(1.0, tol=0.0)
     with pytest.raises(DomainError):
         compute_J(Dimensions(2, 3, 7), tol=-1e-10)
+    # a relative tolerance of 1 accepts anything; past 1000 the range is < 0
+    for tol in (1.0, 2000.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            binet_tail(6.0, tol=tol)
+        with pytest.raises(DomainError):
+            compute_J(Dimensions(2, 2, 4), tol=tol)
 
 
 def test_evaluation_budget_enforced(monkeypatch):
@@ -197,6 +203,16 @@ def test_compute_j_guards():
         assert bound_deficit(dims) == 0.0
     # equal dimensions are not a problem for the integral itself
     assert compute_J(Dimensions(2, 2, 4)).value > 0.0
+
+
+def test_compute_j_underflow_carries_error():
+    """Past d_e ~ 1e160 J is subnormal or zero; its error stays honest.  The
+    leading term 1/(24 C^2 d_e^2) is exact to relative O(d_e^-2)."""
+    d_e = 10**160
+    result = compute_J(Dimensions(2, 3, d_e))
+    leading = Fraction(1, 24 * 36 * d_e * d_e)
+    assert Fraction(result.error_estimate) >= abs(Fraction(result.value) - leading)
+    assert compute_J(Dimensions(2, 3, 10**300)).error_estimate > 0.0
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 """Monte Carlo machinery: reproducible states and Bartlett factors, partial
-traces, entropies, generator basis, and the parallel oracle."""
+traces, entropies, Bloch sectors, and the parallel oracle."""
 
 import math
 
@@ -14,7 +14,6 @@ from haarmi import (
     NumericalValidityError,
     OracleWorkerError,
     bloch_variance,
-    gell_mann_basis,
     lubkin_purity,
     mutual_information_exact,
     mutual_information_rational,
@@ -36,13 +35,18 @@ def _entropy(rho: np.ndarray) -> float:
     return float(sampling_module._entropies(rho[None], "test")[0])
 
 
-def _per_sample_mutual_information(dims: Dimensions, seed: int, n: int):
-    """I of samples 0 .. n-1, each chunk through the reduction and entropy
-    kernels on its own."""
-    reductions = (
+def _chunk_reductions(dims: Dimensions):
+    """The oracle's chunk reduction for the regime of ``dims``."""
+    return (
         sampling_module._factorised_reductions if dims.factorised_regime
         else sampling_module._swapped_reductions
     )
+
+
+def _per_sample_mutual_information(dims: Dimensions, seed: int, n: int):
+    """I of samples 0 .. n-1, each chunk through the reduction and entropy
+    kernels on its own."""
+    reductions = _chunk_reductions(dims)
     values = []
     for start in range(0, n, CHUNK_SIZE):
         count = min(CHUNK_SIZE, n - start)
@@ -296,37 +300,6 @@ def test_mutual_info_sample_composition():
 
 
 # ---------------------------------------------------------------------------
-# generator basis
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_gell_mann_basis_orthonormal(m):
-    basis = gell_mann_basis(m)
-    assert basis.count == m * m - 1
-    assert int(basis.is_cartan.sum()) == m - 1
-    for g in basis.matrices:
-        np.testing.assert_allclose(g, g.conj().T, atol=1e-15)
-        assert abs(np.trace(g)) < 1e-14
-    gram = np.einsum("aij,bji->ab", basis.matrices, basis.matrices).real
-    np.testing.assert_allclose(gram, 2.0 * np.eye(m * m - 1), atol=1e-13)
-
-
-def test_gell_mann_basis_m2_is_pauli():
-    basis = gell_mann_basis(2)
-    np.testing.assert_allclose(basis.matrices[0], [[0, 1], [1, 0]], atol=0)
-    np.testing.assert_allclose(basis.matrices[1], [[0, -1j], [1j, 0]], atol=0)
-    np.testing.assert_allclose(basis.matrices[2], [[1, 0], [0, -1]], atol=1e-15)
-    assert list(basis.is_cartan) == [False, False, True]
-
-
-def test_gell_mann_basis_domain():
-    with pytest.raises(DomainError):
-        gell_mann_basis(1)
-    with pytest.raises(DomainError):
-        gell_mann_basis(True)
-
-
-# ---------------------------------------------------------------------------
 # oracle runs
 
 
@@ -460,11 +433,52 @@ def test_oracle_bloch_sector_fields():
 def test_bloch_variances_structure_and_concordance():
     # the Bloch statistics of m levels with environment n, here (2, 4),
     # are the oracle's sector fields at (m, n, 1)
-    assert gell_mann_basis(2).is_cartan.tolist() == [False, False, True]
     stats = run_oracle(Dimensions(2, 4, 1), n_samples=4000, seed=8, workers=2)
     target = float(bloch_variance(2, 4))
     assert abs(stats.cartan_var - target) < 5 * stats.stderr_cartan_var
     assert abs(stats.offdiag_var - target) < 5 * stats.stderr_offdiag_var
+
+
+def _componentwise_sector_squares(dims: Dimensions, seed: int, n: int):
+    """Per-sample mean squared Bloch component of ``rho_A`` over the Cartan
+    and over the off-diagonal Gell-Mann generators (``Tr(g_a g_b) = 2
+    delta_ab``), each component ``Tr(g rho)`` evaluated on its own."""
+    reductions = _chunk_reductions(dims)
+    m = dims.d_a
+    cartan, offdiag = [], []
+    for start in range(0, n, CHUNK_SIZE):
+        count = min(CHUNK_SIZE, n - start)
+        rho = reductions(dims, seed, start // CHUNK_SIZE, count)[0]
+        pairs = []
+        for i in range(m):
+            for j in range(i + 1, m):
+                pairs.append(2.0 * rho[:, i, j].real)  # symmetric generator
+                pairs.append(-2.0 * rho[:, i, j].imag)  # antisymmetric one
+        diagonal = []
+        for level in range(1, m):
+            scale = math.sqrt(2.0 / (level * (level + 1)))
+            above = np.sum(rho[:, range(level), range(level)].real, axis=1)
+            diagonal.append(scale * (above - level * rho[:, level, level].real))
+        offdiag.append(np.mean(np.square(pairs), axis=0))
+        cartan.append(np.mean(np.square(diagonal), axis=0))
+    return np.concatenate(cartan), np.concatenate(offdiag)
+
+
+@pytest.mark.parametrize("triple", [(2, 3, 7), (3, 4, 2), (4, 4, 64), (8, 8, 16)])
+def test_oracle_bloch_sectors_match_componentwise_generators(triple):
+    """The closed-form sector sums over the diagonal and upper triangle of
+    rho_A equal the generator-by-generator sums, in both regimes and across
+    a chunk boundary."""
+    dims = Dimensions(*triple)
+    n = CHUNK_SIZE + 88
+    stats = run_oracle(dims, n_samples=n, seed=3, workers=2)
+    cartan, offdiag = _componentwise_sector_squares(dims, seed=3, n=n)
+    for field, squares in (("cartan_var", cartan), ("offdiag_var", offdiag)):
+        mean = float(np.mean(squares))
+        stderr = float(np.std(squares, ddof=1) / math.sqrt(n))
+        assert getattr(stats, field) == pytest.approx(mean, rel=1e-13, abs=0)
+        assert getattr(stats, "stderr_" + field) == pytest.approx(
+            stderr, rel=1e-13, abs=0)
 
 
 def test_run_oracle_reaches_a_million_dimensions():
