@@ -4,7 +4,8 @@ Two independent exact routes are provided for every quantity: a binary64
 route built on the digamma function, and an exact rational route built on
 harmonic differences ``H_b - H_a`` (the two are related by
 ``psi(n+1) = H_n - gamma``, and gamma cancels in every combination used
-here).  Each difference is summed once, with no state kept between calls.
+here).  Each difference is summed once, with no state kept between calls;
+``<I>`` telescopes the ``H_N`` its three Page entropies share.
 The binary64 diagonal part cancels the logarithms of its four digammas in
 closed form, so its O(1/N) value stays accurate in *relative* terms.
 
@@ -66,12 +67,18 @@ def page_entropy(m: int, n: int) -> float:
     return digamma(m * n + 1) - digamma(hi + 1) - (lo - 1) / (2 * hi)
 
 
+def _page_hi_correction(m: int, n: int) -> tuple[int, Fraction]:
+    """``hi`` and the correction ``(lo-1)/(2 hi)`` of Page's formula."""
+    lo, hi = sorted((m, n))
+    return hi, Fraction(lo - 1, 2 * hi)
+
+
 def page_entropy_rational(m: int, n: int) -> Fraction:
     """Exact rational counterpart of :func:`page_entropy`
     (``H_{mn} - H_hi - (lo-1)/(2 hi)``)."""
     _check_sizes(m, n)
-    lo, hi = sorted((m, n))
-    return harmonic_rational(m * n, hi) - Fraction(lo - 1, 2 * hi)
+    hi, correction = _page_hi_correction(m, n)
+    return harmonic_rational(m * n, hi) - correction
 
 
 def diagonal_entropy_avg(m: int, n: int) -> float:
@@ -151,12 +158,15 @@ def i_diag_rational(dims: Dimensions) -> Fraction:
 
 
 def mutual_information_rational(dims: Dimensions) -> Fraction:
-    """Exact rational ``<I(A:B)> = <S_A> + <S_B> - <S_AB>`` (both regimes)."""
-    return (
-        page_entropy_rational(dims.d_a, dims.d_b * dims.d_e)
-        + page_entropy_rational(dims.d_b, dims.d_a * dims.d_e)
-        - page_entropy_rational(dims.d_a * dims.d_b, dims.d_e)
-    )
+    """Exact rational ``<I(A:B)> = <S_A> + <S_B> - <S_AB>`` (both regimes)
+    with the shared ``H_N`` cancelled: ``(H_N - H_a) - (H_b - H_c)
+    - (lo_a-1)/(2a) - (lo_b-1)/(2b) + (lo_c-1)/(2c)``, ``a, b, c`` the ``hi``
+    of ``S_A, S_B, S_AB``: ``(N-a) + |b-c|`` terms, not three ranges."""
+    a, corr_a = _page_hi_correction(dims.d_a, dims.d_b * dims.d_e)
+    b, corr_b = _page_hi_correction(dims.d_b, dims.d_a * dims.d_e)
+    c, corr_c = _page_hi_correction(dims.d_a * dims.d_b, dims.d_e)
+    tail = harmonic_rational(b, c) + corr_a + corr_b - corr_c
+    return harmonic_rational(dims.n, a) - tail
 
 
 def forced_factorised_value(dims: Dimensions) -> float:

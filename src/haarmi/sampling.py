@@ -236,22 +236,22 @@ def _swapped_reductions(
 
 def _entropy_from_weights(weights: np.ndarray, what: str) -> np.ndarray:
     """Shannon entropy along the last axis with the eigenvalue policy:
-    weights below -1e-10 are an error, tiny/negative ones contribute 0."""
+    weights below -1e-10 are an error, tiny/negative ones contribute 0,
+    and a single weight (a one-level state) has entropy exactly 0."""
     if np.any(weights < _EIG_NEG_LIMIT):
         raise NumericalValidityError(
             f"{what} produced a weight below {_EIG_NEG_LIMIT:g}: "
             f"{float(weights.min()):.3e}"
         )
+    if weights.shape[-1] == 1:
+        return np.zeros(weights.shape[:-1])
     safe = np.maximum(weights, _EIG_FLOOR)
     contrib = np.where(weights > _EIG_FLOOR, -safe * np.log(safe), 0.0)
     return np.sum(contrib, axis=-1)
 
 
 def _entropies(rho: np.ndarray, what: str) -> np.ndarray:
-    """Per-sample von Neumann entropy of a batch of reduced states; a
-    one-level state is pure and has entropy 0."""
-    if rho.shape[-1] == 1:
-        return np.zeros(rho.shape[0])
+    """Per-sample von Neumann entropy of a batch of reduced states."""
     return _entropy_from_weights(
         np.linalg.eigvalsh(rho), f"eigendecomposition of {what}"
     )

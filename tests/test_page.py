@@ -27,6 +27,7 @@ from haarmi import (
     page_entropy_rational,
     schur_deficit,
 )
+from haarmi import page as page_module
 
 # ---------------------------------------------------------------------------
 # entropy formulas
@@ -205,6 +206,54 @@ def test_float_vs_rational_relative_up_to_1e5():
             (b.i_diag, float(i_diag_rational(dims))),
         ):
             assert abs(value - exact) <= 1e-14 * abs(exact), case
+
+
+def test_rational_route_identities_on_grid():
+    """The telescoped route equals the sum of its three Page entropies, is
+    symmetric under A <-> B and, in the factorised regime, equals the
+    diagonal part plus ``(su - cartan)/(2N)``, which sums other ranges."""
+    grid = [
+        Dimensions(d_a, d_b, d_e)
+        for d_a in range(1, 7) for d_b in range(1, 7) for d_e in range(1, 40)
+    ]
+    factorised = 0
+    for dims in grid:
+        value = mutual_information_rational(dims)
+        d_a, d_b, d_e = dims.d_a, dims.d_b, dims.d_e
+        assert value == (
+            page_entropy_rational(d_a, d_b * d_e)
+            + page_entropy_rational(d_b, d_a * d_e)
+            - page_entropy_rational(d_a * d_b, d_e)
+        ), dims
+        assert value == mutual_information_rational(Dimensions(d_b, d_a, d_e))
+        if dims.factorised_regime:
+            factorised += 1
+            counts = casimir_counts(dims)
+            delta_ev = Fraction(
+                counts.su_product - counts.cartan_product, 2 * dims.n
+            )
+            assert value == i_diag_rational(dims) + delta_ev, dims
+    assert (factorised, len(grid) - factorised) == (999, 405)
+
+
+def test_rational_route_sums_two_ranges(monkeypatch):
+    """Two harmonic ranges per triple, ``(N - a) + |b - c|`` terms in all,
+    with ``a``, ``b``, ``c`` the larger factor of S_A, S_B, S_AB: both
+    regimes, ``c > b`` at (4,4,2) and ``b == c`` at (2,3,3)."""
+    lengths = []
+    real = page_module.harmonic_rational
+
+    def counting(n, start=0):
+        lengths.append(abs(n - start))
+        return real(n, start)
+
+    monkeypatch.setattr(page_module, "harmonic_rational", counting)
+    for triple, terms in [
+        ((4, 5, 1000), 18_000), ((4, 4, 2), 32), ((2, 3, 3), 9), ((3, 4, 2), 22)
+    ]:
+        lengths.clear()
+        mutual_information_rational(Dimensions(*triple))
+        assert len(lengths) == 2 and sum(lengths) == terms, triple
 
 
 def test_rational_route_leaves_no_state():

@@ -269,6 +269,10 @@ def test_entropy_eigenvalue_policy():
         _entropy(np.diag([1.5, -0.5]))
     with pytest.raises(NumericalValidityError):
         sampling_module._entropy_from_weights(np.array([1.5, -0.5]), "diagonal")
+    # a single weight 1 +- ulp is a one-level state: entropy exactly 0
+    one_level = np.array([[1.0 + 2.0**-52], [1.0 - 2.0**-53]])
+    entropy = sampling_module._entropy_from_weights(one_level, "diagonal")
+    assert np.array_equal(entropy, np.zeros(2))
 
 
 def test_diagonal_vs_eigenvalue_entropy():
@@ -406,6 +410,16 @@ def test_trivial_subsystem_mutual_information_is_exactly_zero(triple, capsys):
         code = cli.main(["verify", "--da", da, "--db", db, "--de", de,
                          "--samples", "2000", "--seed", str(seed)])
         assert code == 0, capsys.readouterr()
+
+
+@pytest.mark.parametrize("triple", [(1, 3, 5), (1, 2, 9), (1, 2, 1), (1, 8, 4)])
+def test_one_level_diagonal_entropy_is_exactly_zero(triple):
+    """With d_A = 1 the diagonal of rho_A is one weight 1 +- ulp; its
+    entropy is exactly 0, like S_A, in both regimes."""
+    stats = run_oracle(Dimensions(*triple), n_samples=600, seed=4, workers=2)
+    assert stats.mean_diagonal_entropy_a == 0.0
+    assert stats.stderr_diagonal_entropy_a == 0.0
+    assert stats.mean_entropy_a == 0.0
 
 
 @pytest.mark.parametrize("workers", [1, 2])
