@@ -444,6 +444,44 @@ def test_verify_fault_injection_exits_4(monkeypatch, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("route", ["integral_route", "series_route"])
+def test_verify_bands_are_relative(route, monkeypatch, capsys):
+    """At (2,2,5000), where I = 2.25e-4, a shift that an absolute band
+    (1e-12 for the integral route, 1e-15 + 4e-16 |I| for the series route)
+    would pass is over 1e-12 relative to I, and verify fails it."""
+    shift = 5e-13 if route == "integral_route" else 5e-16
+    if route == "integral_route":
+        real_compute_J = cli.compute_J
+        su = 9  # (d_A^2 - 1)(d_B^2 - 1); I_integral = lead - 2 su J
+
+        def shifted(dims, tol):
+            result = real_compute_J(dims, tol)
+            value = result.value - shift / (2 * su)
+            return dataclasses.replace(result, value=value)
+
+        monkeypatch.setattr(cli, "compute_J", shifted)
+    else:
+        real_expand = cli.expand
+
+        def shifted(dims, k_max):
+            result = real_expand(dims, k_max)
+            sums = [value + shift for value in result.partial_sums]
+            return dataclasses.replace(result, partial_sums=sums)
+
+        monkeypatch.setattr(cli, "expand", shifted)
+    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
+    config = cli.parse_args(["verify", "--da", "2", "--db", "2", "--de", "5000",
+                             "--samples", "2000"])
+    assert cli.run(config) == 4
+    out, err = capsys.readouterr()
+    assert f"verification failed: {route}" in err
+    difference = float(re.search(rf"{route}: \|[^|]*\| = (\S+)", out).group(1))
+    absolute_band = (
+        1e-12 if route == "integral_route" else 1e-15 + 4e-16 * 2.25e-4
+    )
+    assert 0.5 * shift < difference <= absolute_band
+
+
 def test_verify_rational_mismatch_exits_4(monkeypatch, capsys):
     real_rational = cli.mutual_information_rational
 

@@ -35,6 +35,20 @@ def _entropy(rho: np.ndarray) -> float:
     return float(sampling_module._entropies(rho[None], "test")[0])
 
 
+def _record_eigvalsh_sizes(monkeypatch) -> list[int]:
+    """Patch ``np.linalg.eigvalsh`` to append the size of each batch it
+    diagonalises to the returned list."""
+    sizes = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return sizes
+
+
 def _chunk_reductions(dims: Dimensions):
     """The oracle's chunk reduction for the regime of ``dims``."""
     return (
@@ -273,6 +287,78 @@ def test_entropy_eigenvalue_policy():
     one_level = np.array([[1.0 + 2.0**-52], [1.0 - 2.0**-53]])
     entropy = sampling_module._entropy_from_weights(one_level, "diagonal")
     assert np.array_equal(entropy, np.zeros(2))
+    # a non-finite weight is an error, never an entropy
+    for weights in ([[np.nan, 1.0]], [[np.inf, 0.5]]):
+        with pytest.raises(NumericalValidityError):
+            sampling_module._entropy_from_weights(np.array(weights), "diagonal")
+    for diagonal in ([np.nan, 1.0], [np.nan, 0.5, 0.5]):
+        with pytest.raises(NumericalValidityError):
+            _entropy(np.diag(diagonal))
+
+
+#: Triples whose reduced states include two- or three-level ones; the last
+#: three have rank-deficient ones.
+CLOSED_FORM_TRIPLES = [
+    (2, 3, 7), (3, 4, 2), (3, 2, 7), (2, 2, 4), (3, 3, 9),
+    (3, 1, 2), (3, 3, 1), (2, 2, 1),
+]
+
+
+@pytest.mark.parametrize("triple", CLOSED_FORM_TRIPLES)
+def test_closed_form_entropies_match_lapack(triple):
+    """Per sample, the two- and three-level closed forms give the entropy
+    of LAPACK's spectrum to 1e-14, over 20 chunks."""
+    dims = Dimensions(*triple)
+    reductions = _chunk_reductions(dims)
+    checked = 0
+    for chunk in range(20):
+        for rho in reductions(dims, 1, chunk, CHUNK_SIZE):
+            if rho.shape[-1] in (2, 3):
+                reference = sampling_module._entropy_from_weights(
+                    np.linalg.eigvalsh(rho), "LAPACK"
+                )
+                difference = sampling_module._entropies(rho, "test") - reference
+                assert np.max(np.abs(difference)) <= 1e-14
+                checked += 1
+    assert checked >= 20
+
+
+def _unitary(m: int, seed: int) -> np.ndarray:
+    """A Haar-random m x m unitary: QR of a complex Gaussian matrix, with
+    the phases of R's diagonal moved into Q."""
+    gen = np.random.default_rng(seed)
+    q, r = np.linalg.qr(gen.standard_normal((m, 2 * m)).view(complex))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+#: Edge states: the weights of their spectra, and whether the three-level
+#: form hands them to LAPACK (None: either way, by rounding).
+EDGE_STATES = {
+    "pure": ([1.0, 0.0, 0.0], True),
+    "rank_two": ([0.5, 0.5, 0.0], True),
+    "maximally_mixed_3": ([1 / 3, 1 / 3, 1 / 3], None),
+    "maximally_mixed_2": ([0.5, 0.5], False),
+    "near_degenerate": ([0.5, 0.25 + 1e-9, 0.25 - 1e-9], True),
+}
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("name", EDGE_STATES)
+def test_closed_form_edge_states(name, rotated, monkeypatch):
+    """Coinciding eigenvalues, zero eigenvalues and multiples of the
+    identity, in their eigenbasis and in a random one: the entropy is that
+    of the weights to 1e-14, and rows where two roots of the cubic nearly
+    coincide go to LAPACK."""
+    weights, guarded = EDGE_STATES[name]
+    rho = np.diag(weights).astype(complex)
+    if rotated:
+        u = _unitary(len(weights), 7)
+        rho = u @ rho @ u.conj().T
+    sizes = _record_eigvalsh_sizes(monkeypatch)
+    expected = sampling_module._entropy_from_weights(np.array(weights), "test")
+    assert abs(_entropy(rho) - expected) <= 1e-14
+    if guarded is not None:
+        assert (sizes == [3]) is guarded
 
 
 def test_diagonal_vs_eigenvalue_entropy():
@@ -380,21 +466,28 @@ def test_oracle_mean_equals_per_sample_route(dims):
         assert stats.mean_mutual_information == per_sample
 
 
+def _eigvalsh_sizes(triple, monkeypatch) -> list[int]:
+    """The sizes of the matrices a 20-sample oracle run passes to LAPACK."""
+    sizes = _record_eigvalsh_sizes(monkeypatch)
+    run_oracle(Dimensions(*triple), n_samples=20, seed=1, workers=2)
+    return sizes
+
+
 @pytest.mark.parametrize(
     "triple,largest", [((8, 8, 16), 16), ((3, 4, 2), 4), ((4, 4, 64), 16)]
 )
 def test_run_oracle_diagonalises_the_smaller_side(triple, largest, monkeypatch):
     """No eigenproblem exceeds max(d_A, d_B, min(d_A d_B, d_E))."""
-    sizes = []
-    real_eigvalsh = np.linalg.eigvalsh
+    assert max(_eigvalsh_sizes(triple, monkeypatch)) == largest
 
-    def recording(a, *args, **kwargs):
-        sizes.append(a.shape[-1])
-        return real_eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    run_oracle(Dimensions(*triple), n_samples=20, seed=1, workers=2)
-    assert max(sizes) == largest
+@pytest.mark.parametrize("triple,sizes", [((2, 3, 7), {6}), ((3, 4, 2), {4})])
+def test_run_oracle_solves_two_and_three_levels_in_closed_form(
+    triple, sizes, monkeypatch
+):
+    """Only reduced states of four levels and up reach LAPACK: the 6x6
+    rho_AB at (2,3,7) and the 4x4 rho_B at (3,4,2)."""
+    assert set(_eigvalsh_sizes(triple, monkeypatch)) == sizes
 
 
 @pytest.mark.parametrize("triple", [(1, 3, 7), (3, 1, 7), (1, 8, 4), (8, 1, 4)])
