@@ -14,6 +14,9 @@ Bose-Einstein kernel and yields, in the factorised regime
 with ``C = d_a d_b``.  In ``t = d_e u`` each partial fraction of R is a
 Binet tail (:func:`binet_tail` at ``z = p d_e``) and the weight has unit
 width for every ``d_e``, so ``J`` and ``binet_tail`` share one quadrature.
+Its nodes and Bose denominators depend on the tolerance alone: each
+refinement level is tabulated on first use, in a bounded cache, and the
+first pair of levels (2 and 4 panels) is one integrand call on 192 nodes.
 
 Since ``J > 0``, the leading order ``su/(2N)`` is a strict upper bound.  The
 witness: ``R(C/u) * C/u^2 = -R(u)``, so folding at ``u = sqrt(C)`` gives an
@@ -24,6 +27,7 @@ everywhere non-negative integrand, ``f(x) = 1/(e^{2 pi d_e x} - 1)``:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -40,15 +44,28 @@ EVAL_BUDGET = 1_000_000
 #: Bose-Einstein factors below exp(-_EXP_CUT) are flushed to zero.
 _EXP_CUT = 700.0
 
+#: Levels of up to this many panels (8192 nodes, 128 KiB of tables) are
+#: cached by :func:`_nodes`; deeper ones are built per call.
+_CACHED_PANELS = 256
+
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre rule, correctly rounded: Newton on the Legendre
-    recurrence in 34-digit decimals from numpy's nodes, then weights
-    ``2(1-x^2)/(n P_{n-1}(x))^2`` (numpy's are 6e-14 off near the ends)."""
+    """n-point Gauss-Legendre rule, correctly rounded: float Newton on the
+    Legendre recurrence from ``cos(pi (i - 1/4) / (n + 1/2))``, then two
+    Newton passes in 34-digit decimals, then weights
+    ``2(1-x^2)/(n P_{n-1}(x))^2``."""
+    roots = np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    step = np.ones(n)
+    while np.max(np.abs(step)) > 1e-15:
+        p0, p1 = np.ones(n), roots
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * roots * p1 - (j - 1) * p0) / j
+        step = p1 * (1 - roots * roots) / (n * (p0 - roots * p1))
+        roots = roots - step
     nodes, weights = [], []
     with localcontext() as ctx:
         ctx.prec = 34
-        for guess in np.polynomial.legendre.leggauss(n)[0]:
+        for guess in np.sort(roots):
             x = Decimal(float(guess))
             for _ in range(2):  # the second pass re-evaluates P at the root
                 p0, p1 = Decimal(1), x
@@ -76,6 +93,27 @@ class QuadratureResult:
     evaluations: int
 
 
+@functools.lru_cache(maxsize=16)
+def _nodes(
+    upper: float, *levels: int
+) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """Panel half-widths, nodes ``t`` and Bose denominators ``expm1(2 pi t)``
+    of the composite rules with the given panel counts on ``(0, upper]``,
+    joined level after level (panel k of a level is ``[2k, 2k+2] * half``).
+    The arrays are read-only: every call with the same tolerance shares
+    them.  Cached levels have at most ``_CACHED_PANELS`` panels, so the 16
+    entries hold at most 2 MiB."""
+    halves = tuple(0.5 * upper / panels for panels in levels)
+    parts = [
+        (half * (2.0 * np.arange(panels)[:, None] + 1.0 + _GL_NODES)).ravel()
+        for half, panels in zip(halves, levels)
+    ]
+    t = np.concatenate(parts)
+    bose = np.concatenate([np.expm1(2.0 * math.pi * part) for part in parts])
+    t.flags.writeable = bose.flags.writeable = False
+    return halves, t, bose
+
+
 def _bose_quad(g: Callable[[np.ndarray], np.ndarray], tol: float) -> QuadratureResult:
     """``integral_0^inf g(t) / (e^{2 pi t} - 1) dt`` for g analytic near the
     real axis, by composite Gauss-Legendre on ``(0, T]``,
@@ -83,31 +121,40 @@ def _bose_quad(g: Callable[[np.ndarray], np.ndarray], tol: float) -> QuadratureR
     Panels double until two refinements differ by less than ``tol``
     relative (a tolerance that underflows to 0 is never met), within
     ``EVAL_BUDGET`` integrand evaluations.  ``tol`` must lie in (0, 1): a
-    relative tolerance of 1 accepts any value, and past 1000 T is negative."""
+    relative tolerance of 1 accepts any value, and past 1000 T is negative.
+
+    The nodes and Bose denominators depend on ``tol`` alone, so each level
+    is tabulated on first use (:func:`_nodes`).  The first refinement pair,
+    2 and 4 panels, is tabulated and evaluated together: one call of ``g``
+    on 192 nodes, with the budget checked for all of them before it."""
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tolerance must be in (0, 1), got {tol!r}")
     upper = min(math.log(1000.0 / tol), _EXP_CUT) / (2.0 * math.pi)
     previous = None
-    panels = 2
+    levels = (2, 4)
     evaluations = 0
     while True:
-        if evaluations + panels * _GL_ORDER > EVAL_BUDGET:
+        count = sum(levels) * _GL_ORDER
+        if evaluations + count > EVAL_BUDGET:
             raise NonConvergenceError(
                 f"quadrature exceeded {EVAL_BUDGET} evaluations without two "
                 f"refinements agreeing to {tol:g} relative"
             )
-        half = 0.5 * upper / panels  # panel k is [2k, 2k+2] * half
-        t = (half * (2.0 * np.arange(panels)[:, None] + 1.0 + _GL_NODES)).ravel()
-        values = (g(t) / np.expm1(2.0 * math.pi * t)).reshape(panels, _GL_ORDER)
-        evaluations += t.size
-        total = half * float(np.sum(values @ _GL_WEIGHTS))
-        if previous is not None:
-            drift = abs(total - previous)
-            if drift < tol * abs(total):
-                error = max(drift, 8.0 * math.ulp(total))
-                return QuadratureResult(total, error, evaluations)
-        previous = total
-        panels *= 2
+        tabulate = _nodes if levels[-1] <= _CACHED_PANELS else _nodes.__wrapped__
+        halves, t, bose = tabulate(upper, *levels)
+        rows = (g(t) / bose).reshape(-1, _GL_ORDER)
+        evaluations += count
+        start = 0
+        for half, panels in zip(halves, levels):
+            total = half * float((rows[start:start + panels] @ _GL_WEIGHTS).sum())
+            start += panels
+            if previous is not None:
+                drift = abs(total - previous)
+                if drift < tol * abs(total):
+                    error = max(drift, 8.0 * math.ulp(total))
+                    return QuadratureResult(total, error, evaluations)
+            previous = total
+        levels = (2 * levels[-1],)
 
 
 def binet_tail(z: float, tol: float = 1e-14) -> QuadratureResult:

@@ -250,8 +250,9 @@ def _spectrum(rho: np.ndarray) -> np.ndarray:
     trigonometric root of the characteristic cubic for three (Smith, CACM
     4, 168, 1961; Kopp, Int. J. Mod. Phys. C 19, 523, 2008), and LAPACK for
     one level, for four and up, and for the three-level rows the cubic
-    cannot resolve.  The batch must have a positive trace, as density
-    matrices do."""
+    cannot resolve (:func:`_lapack_spectrum`, which gives NaN for a row
+    with a non-finite diagonal).  The batch must have a positive trace, as
+    density matrices do."""
     m = rho.shape[-1]
     if m == 2:
         a, d = rho[:, 0, 0].real, rho[:, 1, 1].real
@@ -261,7 +262,7 @@ def _spectrum(rho: np.ndarray) -> np.ndarray:
         # det / high, not trace - high, which cancels for a nearly pure state.
         return np.stack([(a * d - off) / high, high], axis=-1)
     if m != 3:
-        return np.linalg.eigvalsh(rho)
+        return _lapack_spectrum(rho)
     diag = np.diagonal(rho, axis1=1, axis2=2).real
     trace = np.sum(diag, axis=-1)
     q = trace / 3.0
@@ -285,7 +286,19 @@ def _spectrum(rho: np.ndarray) -> np.ndarray:
     # Near |r| = 1 two roots nearly coincide, and arccos loses sqrt(eps).
     guard = np.abs(r) > 1.0 - _CUBIC_MARGIN
     if np.any(guard):
-        values[guard] = np.linalg.eigvalsh(rho[guard])
+        values[guard] = _lapack_spectrum(rho[guard])
+    return values
+
+
+def _lapack_spectrum(rho: np.ndarray) -> np.ndarray:
+    """LAPACK's ``eigvalsh`` of the rows with a finite diagonal, and NaN
+    weights for the others: LAPACK can return a finite spectrum for a NaN
+    on the diagonal (``diag(nan, 1, 1, 1)`` gives ``[0, -0, 1, 1]``)."""
+    finite = np.isfinite(np.diagonal(rho, axis1=1, axis2=2)).all(axis=-1)
+    if finite.all():
+        return np.linalg.eigvalsh(rho)
+    values = np.full(rho.shape[:-1], np.nan)
+    values[finite] = np.linalg.eigvalsh(rho[finite])
     return values
 
 

@@ -2,8 +2,12 @@
 witness, and the strict bound."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +90,73 @@ def test_evaluation_budget_enforced(monkeypatch):
     monkeypatch.setattr(integral_module, "EVAL_BUDGET", 64)
     with pytest.raises(NonConvergenceError):
         binet_tail(1.0, tol=1e-18)
+
+
+def test_budget_covers_the_first_refinement_pair(monkeypatch):
+    """The 2- and 4-panel levels are evaluated together (192 nodes): a
+    budget one short of them raises, as it would between the two levels."""
+    dims = Dimensions(2, 3, 7)
+    monkeypatch.setattr(integral_module, "EVAL_BUDGET", 191)
+    with pytest.raises(NonConvergenceError):
+        compute_J(dims)
+    monkeypatch.setattr(integral_module, "EVAL_BUDGET", 192)
+    assert compute_J(dims).evaluations == 192
+
+
+#: Results recorded before the levels were tabulated, at refinement depths
+#: from the first pair (192 evaluations) to 256 panels (16 320).
+QUADRATURE_PINS = [
+    (lambda: compute_J(Dimensions(2, 3, 7)),
+     "0x1.8b2ce11351eabp-16", "0x1.2492492492492p-65", 192),
+    (lambda: compute_J(Dimensions(1, 1, 5), 1e-16),
+     "0x1.ae3212012f4cep-10", "0x1.999999999999ap-59", 448),
+    (lambda: compute_J(Dimensions(1, 1, 2), 1e-16),
+     "0x1.39b362da21638p-7", "0x1.0000000000000p-56", 1984),
+    (lambda: binet_tail(0.1),
+     "0x1.8f827e59f56f3p+0", "0x1.9800000000000p-47", 960),
+    (lambda: binet_tail(0.01),
+     "0x1.6fa54e0c681e8p+4", "0x1.0000000000000p-45", 16320),
+]
+
+
+@pytest.mark.parametrize("run, value, error, evaluations", QUADRATURE_PINS)
+def test_quadrature_is_bitwise_pinned(run, value, error, evaluations):
+    for _ in range(2):  # building the tables, then reading them
+        result = run()
+        assert result.value.hex() == value
+        assert result.error_estimate.hex() == error
+        assert result.evaluations == evaluations
+
+
+def test_node_tables_are_bounded_and_read_only():
+    binet_tail(0.01)  # tabulates levels up to 256 panels
+    cache = integral_module._nodes.cache_info()
+    assert cache.maxsize is not None and cache.currsize <= cache.maxsize
+    upper = math.log(1000.0 / 1e-14) / (2.0 * math.pi)
+    for levels in [(2, 4), (8,), (integral_module._CACHED_PANELS,)]:
+        halves, t, bose = integral_module._nodes(upper, *levels)
+        assert len(halves) == len(levels)
+        assert t.size == bose.size == sum(levels) * integral_module._GL_ORDER
+        for table in (t, bose):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
+
+def test_import_leaves_numpy_polynomial_out():
+    """The Gauss-Legendre rule is seeded without ``numpy.polynomial``, so
+    importing the CLI loads it only if numpy itself does (numpy < 2)."""
+    src = Path(integral_module.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import sys, numpy; print('numpy.polynomial' in sys.modules); "
+        "import haarmi.cli; print('numpy.polynomial' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=env, check=True)
+    with_numpy, with_cli = result.stdout.split()
+    assert with_cli == with_numpy
 
 
 # ---------------------------------------------------------------------------

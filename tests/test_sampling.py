@@ -291,9 +291,13 @@ def test_entropy_eigenvalue_policy():
     for weights in ([[np.nan, 1.0]], [[np.inf, 0.5]]):
         with pytest.raises(NumericalValidityError):
             sampling_module._entropy_from_weights(np.array(weights), "diagonal")
-    for diagonal in ([np.nan, 1.0], [np.nan, 0.5, 0.5]):
+    for diagonal in ([np.nan, 1.0], [np.nan, 0.5, 0.5], [np.nan, 1.0, 1.0, 1.0]):
         with pytest.raises(NumericalValidityError):
             _entropy(np.diag(diagonal))
+    # LAPACK returns [0, -0, 1, 1] for the last one, also beside a finite row
+    batch = np.stack([np.eye(4) / 4.0, np.diag([np.nan, 1.0, 1.0, 1.0])])
+    with pytest.raises(NumericalValidityError):
+        sampling_module._entropies(batch, "test")
 
 
 #: Triples whose reduced states include two- or three-level ones; the last
