@@ -35,8 +35,7 @@ class NonConvergenceError(HaarMIError, ArithmeticError):
 
 class NumericalValidityError(HaarMIError, ArithmeticError):
     """A numerical sanity invariant was violated (e.g. a reduced density
-    matrix produced an eigenvalue below -1e-10, or two supposedly identical
-    evaluation routes drifted apart)."""
+    matrix produced an eigenvalue below -1e-10 or a non-finite weight)."""
 
 
 class OracleWorkerError(HaarMIError, RuntimeError):

@@ -1,13 +1,13 @@
 """Closed-form ensemble averages for Haar-random bipartite pure states.
 
-Two independent exact routes are provided for every quantity: a binary64
-route built on the digamma function, and an exact rational route built on
-harmonic differences ``H_b - H_a`` (the two are related by
-``psi(n+1) = H_n - gamma``, and gamma cancels in every combination used
-here).  Each difference is summed once, with no state kept between calls;
-``<I>`` telescopes the ``H_N`` its three Page entropies share.
-The binary64 diagonal part cancels the logarithms of its four digammas in
-closed form, so its O(1/N) value stays accurate in *relative* terms.
+Two independent exact routes are provided for every quantity.  The
+binary64 route reads one set of poles: a bipartition ``lo x hi`` of
+``N = lo hi`` (``lo <= hi``) has ``<S> = ln lo + (1 - lo^2)/(2N) - r(N) +
+r(hi)``, with ``r(z) = ln z + 1/(2z) - psi(z+1)`` the Binet remainder, so
+no ``ln N``-sized terms cancel and the O(1/N) values of ``<I>`` and its
+diagonal part stay accurate in *relative* terms.  The rational route sums
+harmonic differences ``H_b - H_a``, each once, with no state kept between
+calls; ``<I>`` telescopes the ``H_N`` its three Page entropies share.
 
 Conventions: ``page_entropy(m, n)`` is the average entanglement entropy of
 the dimension-``m`` part of a random pure state on ``m x n`` (symmetric
@@ -24,13 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dims import Dimensions, casimir_counts
-from .errors import (
-    DomainError,
-    InvalidDimensionError,
-    NumericalValidityError,
-    _require_int,
-)
+from .dims import _N_LIMIT, Dimensions, casimir_counts
+from .errors import DomainError, InvalidDimensionError, _require_int
 from .special import _psi_remainder, digamma, harmonic_rational
 
 
@@ -61,24 +56,24 @@ class MutualInformationBreakdown:
 
 def page_entropy(m: int, n: int) -> float:
     """Average entanglement entropy ``psi(mn+1) - psi(hi+1) - (lo-1)/(2 hi)``
-    where ``lo, hi = sorted((m, n))``."""
+    where ``lo, hi = sorted((m, n))``, evaluated as ``ln lo + (1 - lo^2)/(2mn)
+    - r(mn) + r(hi)``; ``m n`` must be below ``2**1024``."""
     _check_sizes(m, n)
+    size = m * n
+    if size >= _N_LIMIT:
+        raise DomainError(f"page_entropy requires m*n < 2**1024, got "
+                          f"{size.bit_length()} bits")
     lo, hi = sorted((m, n))
-    return digamma(m * n + 1) - digamma(hi + 1) - (lo - 1) / (2 * hi)
-
-
-def _page_hi_correction(m: int, n: int) -> tuple[int, Fraction]:
-    """``hi`` and the correction ``(lo-1)/(2 hi)`` of Page's formula."""
-    lo, hi = sorted((m, n))
-    return hi, Fraction(lo - 1, 2 * hi)
+    return math.fsum((math.log(lo), (1 - lo * lo) / (2 * size),
+                      -_psi_remainder(size), _psi_remainder(hi)))
 
 
 def page_entropy_rational(m: int, n: int) -> Fraction:
     """Exact rational counterpart of :func:`page_entropy`
     (``H_{mn} - H_hi - (lo-1)/(2 hi)``)."""
     _check_sizes(m, n)
-    hi, correction = _page_hi_correction(m, n)
-    return harmonic_rational(m * n, hi) - correction
+    lo, hi = sorted((m, n))
+    return harmonic_rational(m * n, hi) - Fraction(lo - 1, 2 * hi)
 
 
 def diagonal_entropy_avg(m: int, n: int) -> float:
@@ -137,14 +132,10 @@ def _i_diag_float(dims: Dimensions) -> float:
     ``cartan/(2N)``."""
     d_e = dims.d_e
     cartan = casimir_counts(dims).cartan_product
-    return cartan / (2 * dims.n) - math.fsum(
-        (
-            _psi_remainder(dims.n),
-            -_psi_remainder(dims.d_b * d_e),
-            -_psi_remainder(dims.d_a * d_e),
-            _psi_remainder(d_e),
-        )
-    )
+    return cartan / (2 * dims.n) - math.fsum((
+        _psi_remainder(dims.n), -_psi_remainder(dims.d_b * d_e),
+        -_psi_remainder(dims.d_a * d_e), _psi_remainder(d_e),
+    ))
 
 
 def i_diag_rational(dims: Dimensions) -> Fraction:
@@ -157,16 +148,42 @@ def i_diag_rational(dims: Dimensions) -> Fraction:
     )
 
 
+def _bipartitions(dims: Dimensions) -> tuple[tuple[int, int], ...]:
+    """``(lo, hi)`` of ``S_A``, ``S_B`` and ``S_AB``: the sorted factor pairs
+    ``(d_a, d_b d_e)``, ``(d_b, d_a d_e)`` and ``(d_a d_b, d_e)``; every
+    pair has ``lo * hi = N``, and ``a, b, c`` below name the three ``hi``."""
+    d_a, d_b, d_e = dims.d_a, dims.d_b, dims.d_e
+    pairs = ((d_a, d_b * d_e), (d_b, d_a * d_e), (d_a * d_b, d_e))
+    return tuple((min(pair), max(pair)) for pair in pairs)
+
+
+def _binet_total(dims: Dimensions) -> float:
+    """``<I> = ln(lo_a lo_b / lo_c) + (1 - lo_a^2 - lo_b^2 + lo_c^2)/(2N)
+    - r(N) + r(a) + r(b) - r(c)``: ``S_A + S_B - S_AB`` in the form of
+    :func:`page_entropy`, with the log and the rational each rounded once."""
+    (lo_a, a), (lo_b, b), (lo_c, c) = _bipartitions(dims)
+    return math.fsum((
+        math.log(lo_a * lo_b / lo_c),
+        (1 - lo_a * lo_a - lo_b * lo_b + lo_c * lo_c) / (2 * dims.n),
+        -_psi_remainder(dims.n), _psi_remainder(a), _psi_remainder(b),
+        -_psi_remainder(c),
+    ))
+
+
 def mutual_information_rational(dims: Dimensions) -> Fraction:
     """Exact rational ``<I(A:B)> = <S_A> + <S_B> - <S_AB>`` (both regimes)
-    with the shared ``H_N`` cancelled: ``(H_N - H_a) - (H_b - H_c)
-    - (lo_a-1)/(2a) - (lo_b-1)/(2b) + (lo_c-1)/(2c)``, ``a, b, c`` the ``hi``
-    of ``S_A, S_B, S_AB``: ``(N-a) + |b-c|`` terms, not three ranges."""
-    a, corr_a = _page_hi_correction(dims.d_a, dims.d_b * dims.d_e)
-    b, corr_b = _page_hi_correction(dims.d_b, dims.d_a * dims.d_e)
-    c, corr_c = _page_hi_correction(dims.d_a * dims.d_b, dims.d_e)
-    tail = harmonic_rational(b, c) + corr_a + corr_b - corr_c
+    with the shared ``H_N`` cancelled: ``(H_N - H_a) - (H_b - H_c) - (lo_a-1)
+    /(2a) - (lo_b-1)/(2b) + (lo_c-1)/(2c)``, ``(N-a) + |b-c|`` terms."""
+    (lo_a, a), (lo_b, b), (lo_c, c) = _bipartitions(dims)
+    tail = (harmonic_rational(b, c) + Fraction(lo_a - 1, 2 * a)
+            + Fraction(lo_b - 1, 2 * b) - Fraction(lo_c - 1, 2 * c))
     return harmonic_rational(dims.n, a) - tail
+
+
+def _factorised_delta_ev(dims: Dimensions) -> float:
+    """The factorised regime's eigenvector part ``(su - cartan)/(2N)``."""
+    counts = casimir_counts(dims)
+    return (counts.su_product - counts.cartan_product) / (2 * dims.n)
 
 
 def forced_factorised_value(dims: Dimensions) -> float:
@@ -176,42 +193,25 @@ def forced_factorised_value(dims: Dimensions) -> float:
     In the swapped regime this is *not* the mutual information; it is
     exposed so the size of the regime discontinuity can be quantified.
     """
-    counts = casimir_counts(dims)
-    delta_ev = (counts.su_product - counts.cartan_product) / (2 * dims.n)
-    return _i_diag_float(dims) + delta_ev
+    return _i_diag_float(dims) + _factorised_delta_ev(dims)
 
 
 def mutual_information_exact(dims: Dimensions) -> MutualInformationBreakdown:
     """Average mutual information with its diagonal/eigenvector split.
 
     In the factorised regime ``delta_ev`` has the closed form
-    ``((d_a^2-1)(d_b^2-1) - (d_a-1)(d_b-1)) / (2N)`` and the result is
-    cross-checked against the entropy route; in the swapped regime
-    ``delta_ev`` is defined by difference from the entropy route.
+    ``((d_a^2-1)(d_b^2-1) - (d_a-1)(d_b-1)) / (2N)``; in the swapped regime
+    it is the one-``fsum`` total of the three bipartitions minus ``i_diag``.
+    No second route is run here: ``haarmi verify`` checks the rational one.
     """
     i_diag = _i_diag_float(dims)
-    total_entropy_route = (
-        page_entropy(dims.d_a, dims.d_b * dims.d_e)
-        + page_entropy(dims.d_b, dims.d_a * dims.d_e)
-        - page_entropy(dims.d_a * dims.d_b, dims.d_e)
-    )
     if dims.factorised_regime:
-        counts = casimir_counts(dims)
-        delta_ev = (counts.su_product - counts.cartan_product) / (2 * dims.n)
-        total = i_diag + delta_ev
-        drift = abs(total_entropy_route - total)
-        if drift > 1e-12 * max(1.0, math.log(dims.n)):
-            raise NumericalValidityError(
-                f"entropy route and diagonal+correction route disagree by "
-                f"{drift:.3e} for {dims}"
-            )
-        g_value = (
-            total / counts.su_product if counts.su_product > 0 else None
-        )
+        delta_ev = _factorised_delta_ev(dims)
     else:
-        delta_ev = total_entropy_route - i_diag
-        total = i_diag + delta_ev
-        g_value = None
+        delta_ev = _binet_total(dims) - i_diag
+    total = i_diag + delta_ev
+    su = casimir_counts(dims).su_product
+    g_value = total / su if dims.factorised_regime and su else None
     return MutualInformationBreakdown(
         dims=dims, total=total, i_diag=i_diag, delta_ev=delta_ev, g_value=g_value
     )

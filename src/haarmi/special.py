@@ -128,9 +128,13 @@ def _psi_remainder(z: float) -> float:
     1/(2(z+1))`` keeps the small result accurate in *absolute* terms, which
     the form ``ln z + 1/(2z) - psi(z+1)`` would not.  ``z`` is made a
     float first: a huge int ``z`` then squares to infinity, a zero series
-    term, instead of overflowing its conversion.
+    term, instead of overflowing its conversion; an int too large for
+    binary64 (from ``2**1024 - 2**970`` on) gives 0.0, as ``r(z)`` does there.
     """
-    z = float(z)
+    try:
+        z = float(z)
+    except OverflowError:
+        return 0.0
     pieces = []
     while z < _PSI_SHIFT:
         pieces += (-math.log1p(1.0 / z), 0.5 / z, 0.5 / (z + 1.0))

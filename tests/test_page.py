@@ -4,6 +4,7 @@ the average mutual information into diagonal and eigenvector parts."""
 import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from haarmi import (
     Dimensions,
     DomainError,
     InvalidDimensionError,
+    bernoulli,
     bloch_variance,
     casimir_counts,
     diagonal_entropy_avg,
@@ -19,6 +21,7 @@ from haarmi import (
     diagonal_second_moment,
     forced_factorised_value,
     i_diag_rational,
+    kernel_R,
     leading_order,
     lubkin_purity,
     mutual_information_exact,
@@ -26,6 +29,7 @@ from haarmi import (
     page_entropy,
     page_entropy_rational,
     schur_deficit,
+    zeta_negative_odd,
 )
 from haarmi import page as page_module
 
@@ -46,6 +50,11 @@ def test_page_entropy_symmetric_and_trivial():
         assert page_entropy_rational(m, n) == page_entropy_rational(n, m)
     assert page_entropy(1, 9) == 0.0
     assert page_entropy_rational(1, 9) == 0
+    # m n must stay below 2**1024; just below it the remainders vanish
+    for n in (2**1023, 2**1024):
+        with pytest.raises(DomainError):
+            page_entropy(2, n)
+    assert page_entropy(2, 2**1023 - 1) == math.log(2.0)
 
 
 def test_page_entropy_routes_agree():
@@ -208,6 +217,166 @@ def test_float_vs_rational_relative_up_to_1e5():
             assert abs(value - exact) <= 1e-14 * abs(exact), case
 
 
+def test_float_total_within_5e16_of_rational_on_grid():
+    """Every triple with d_a, d_b <= 8 and d_e < 80, both regimes, including
+    triples where one side outweighs the rest, such as (8, 2, 3), whose log
+    term is not ``ln(C / d_e)``; the swapped regime reached 6.7e-15 at
+    (8, 8, 63) when the total subtracted three ln N-sized entropies."""
+    swapped = 0
+    for d_a in range(1, 9):
+        for d_b in range(1, 9):
+            for d_e in range(1, 80):
+                dims = Dimensions(d_a, d_b, d_e)
+                exact = float(mutual_information_rational(dims))
+                total = mutual_information_exact(dims).total
+                assert abs(total - exact) <= 5e-16 * abs(exact), dims
+                swapped += not dims.factorised_regime
+    assert swapped == 1232
+
+
+def _psi_decimal(x: int) -> Decimal:
+    """``psi(x)`` for an integer ``x >= 1`` at the current Decimal precision:
+    the upward recurrence to ``x >= 64``, then 30 Stirling terms, the last
+    below 1e-75 at ``x = 64``."""
+    value = Decimal(0)
+    while x < 64:
+        value -= 1 / Decimal(x)
+        x += 1
+    z = Decimal(x)
+    value += z.ln() - 1 / (2 * z)
+    inv2 = 1 / (z * z)
+    power = inv2
+    for k in range(1, 31):
+        b = bernoulli(2 * k)
+        value -= Decimal(b.numerator) / (Decimal(b.denominator) * 2 * k) * power
+        power *= inv2
+    return value
+
+
+def _page_decimal(m: int, n: int) -> Decimal:
+    """Page's formula ``psi(mn+1) - psi(hi+1) - (lo-1)/(2 hi)``, term by
+    term in Decimal."""
+    lo, hi = sorted((m, n))
+    return (
+        _psi_decimal(m * n + 1) - _psi_decimal(hi + 1)
+        - Decimal(lo - 1) / (2 * Decimal(hi))
+    )
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        (10**6, 10**6, 10**12 - 1),
+        (9, 54 * 10**12, 33 * 10**13),
+        (64, 64, 8),
+        (64, 2, 3),
+        (2**300, 2**300, 2**400 - 1),  # N near 2**1000
+    ],
+)
+def test_large_n_against_decimal_reference(triple):
+    """The total and its three Page entropies within 5e-16 relative of a
+    60-digit reference; subtracting three ``ln N``-sized entropies lost up
+    to 2.7e-14 at (10^6, 10^6, 10^12 - 1)."""
+    d_a, d_b, d_e = triple
+    with localcontext() as ctx:
+        ctx.prec = 60
+        entropies = [
+            (page_entropy(m, n), _page_decimal(m, n))
+            for m, n in ((d_a, d_b * d_e), (d_b, d_a * d_e), (d_a * d_b, d_e))
+        ]
+        (_, s_a), (_, s_b), (_, s_ab) = entropies
+        total = mutual_information_exact(Dimensions(*triple)).total
+        for value, reference in entropies + [(total, s_a + s_b - s_ab)]:
+            assert abs(Decimal(value) - reference) <= Decimal(5e-16) * abs(
+                reference
+            ), (value, reference)
+
+
+def test_factorised_poles_are_the_paper_closed_form():
+    """In the factorised regime the bipartitions are ``d_a x d_b d_e``,
+    ``d_b x d_a d_e`` and ``C x d_e``: the log ratio vanishes, the
+    rational's numerator is ``su``, and the pole total, which the breakdown
+    reads only in the swapped regime, is as accurate here."""
+    for d_a in range(1, 6):
+        for d_b in range(1, 6):
+            c = d_a * d_b
+            for d_e in (c, c + 1, 3 * c + 2):
+                dims = Dimensions(d_a, d_b, d_e)
+                poles = page_module._bipartitions(dims)
+                assert poles == ((d_a, d_b * d_e), (d_b, d_a * d_e), (c, d_e))
+                (lo_a, _), (lo_b, _), (lo_c, _) = poles
+                assert math.log(lo_a * lo_b / lo_c) == 0.0
+                assert (
+                    1 - lo_a**2 - lo_b**2 + lo_c**2
+                    == casimir_counts(dims).su_product
+                )
+                exact = float(mutual_information_rational(dims))
+                total = page_module._binet_total(dims)
+                assert abs(total - exact) <= 5e-16 * abs(exact), dims
+
+
+def _poles(dims):
+    """``(N, a, b, c)``: ``N`` and the ``hi`` of ``S_A``, ``S_B``, ``S_AB``."""
+    return (dims.n,) + tuple(hi for _, hi in page_module._bipartitions(dims))
+
+
+def test_poles_give_the_bernoulli_terms():
+    """The Stirling series of the four signed remainders is the paper's
+    series: ``sum_i s_i B_2k / (2k z_i^2k) = zeta(1-2k) (d_a^2k - 1)
+    (d_b^2k - 1) / N^2k``, exactly, with ``s = (-1, +1, +1, -1)``."""
+    for d_a, d_b, d_e in [(2, 3, 7), (2, 2, 4), (3, 3, 9), (1, 4, 5), (2, 5, 12)]:
+        dims = Dimensions(d_a, d_b, d_e)
+        poles = _poles(dims)
+        for k in range(1, 11):
+            coef = bernoulli(2 * k) / (2 * k)
+            series = sum(
+                sign * coef / Fraction(z) ** (2 * k)
+                for sign, z in zip((-1, 1, 1, -1), poles)
+            )
+            assert series == zeta_negative_odd(k) * (d_a ** (2 * k) - 1) * (
+                d_b ** (2 * k) - 1
+            ) / Fraction(dims.n) ** (2 * k), (dims, k)
+
+
+def test_poles_give_the_bose_kernel():
+    """``sum_i s_i t / (t^2 + z_i^2) = su kernel_R(t / d_e) / d_e`` with
+    ``s = (+1, -1, -1, +1)``, equal dimensions included; the band scales
+    with the sum of magnitudes because the kernel changes sign at
+    ``t = d_e sqrt(C)``."""
+    for triple in [(2, 3, 7), (3, 4, 20), (2, 2, 4), (3, 3, 9)]:
+        dims = Dimensions(*triple)
+        poles = [float(z) for z in _poles(dims)]
+        su = casimir_counts(dims).su_product
+        for t in [0.05 * 1.5**j for j in range(24)]:
+            parts = [
+                sign * t / (t * t + z * z)
+                for sign, z in zip((1, -1, -1, 1), poles)
+            ]
+            kernel = su * kernel_R(t / dims.d_e, dims) / dims.d_e
+            assert abs(math.fsum(parts) - kernel) <= 1e-14 * sum(
+                abs(p) for p in parts
+            ), (triple, t)
+
+
+@pytest.mark.parametrize(
+    "triple, total, i_diag, delta_ev",
+    [
+        ((2, 3, 7), "0x1.2369e77bc3cbbp-2", "0x1.739246f93089ep-6",
+         "0x1.0c30c30c30c31p-2"),
+        ((3, 5, 960), "0x1.b4e6cfe7a83a2p-8", "0x1.2330b11c1420dp-12",
+         "0x1.a2b3c4d5e6f81p-8"),
+        ((20, 20, 400), "0x1.fd7152c6f8b95p-2", "0x1.279868c379d25p-10",
+         "0x1.fc49ba5e353f8p-2"),
+        ((1, 4, 9), "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    ],
+)
+def test_factorised_breakdown_is_bitwise_pinned(triple, total, i_diag, delta_ev):
+    b = mutual_information_exact(Dimensions(*triple))
+    assert (b.total.hex(), b.i_diag.hex(), b.delta_ev.hex()) == (
+        total, i_diag, delta_ev
+    )
+
+
 def test_rational_route_identities_on_grid():
     """The telescoped route equals the sum of its three Page entropies, is
     symmetric under A <-> B and, in the factorised regime, equals the
@@ -273,6 +442,8 @@ def test_exact_factorisation_when_dimension_one():
             assert mutual_information_exact(Dimensions(1, d_b, d_e)).total == 0.0
             assert mutual_information_exact(Dimensions(d_b, 1, d_e)).total == 0.0
             assert mutual_information_rational(Dimensions(1, d_b, d_e)) == 0
+    # N within 2**970 of 2**1024 converts to no float; the remainders vanish
+    assert mutual_information_exact(Dimensions(1, 1, 2**1024 - 1)).total == 0.0
 
 
 def test_swapped_regime_break():
