@@ -1,10 +1,16 @@
 """Monte Carlo oracle: entropies of Haar-random pure states.
 
 A Haar-random pure state is a normalised vector of iid complex Gaussians.
-:func:`run_oracle` has one path per regime, chosen by
-``Dimensions.factorised_regime``; both yield ``rho_A``, ``rho_B`` and one
-matrix whose spectrum gives ``S_AB``, and never diagonalise a matrix
-larger than ``max(d_a, d_b, min(d_a d_b, d_e))``.  The Bloch sectors need
+:func:`run_oracle` draws each sample as one purification: a unit vector on
+``A x B x E'`` with ``e = min(C, d_e)`` levels on ``E'`` (``C = d_a d_b``),
+whose reduced state on AB has the law of the Haar state's.  What it draws
+depends on the regime, chosen by ``Dimensions.factorised_regime``; how it
+reduces does not.  Every reduced state is one batched Gram product
+``x @ x^H`` of a reshaped view ``x`` of the purifications, shaped
+``(z, d_a, d_b, e)``: ``rho_A`` keeps the A axis as rows, ``rho_B`` the B
+axis and ``rho_E'`` the E' axis.  A pure state has ``S_AB = S_E'``
+(Schmidt), so ``S_AB`` comes from ``rho_E'``, and no matrix larger than
+``max(d_a, d_b, min(C, d_e))`` is diagonalised.  The Bloch sectors need
 no generator basis: with ``Tr(g_a g_b) = 2 delta_ab``, the Cartan
 components of ``rho_A`` square-sum to ``2 sum_i (rho_ii - Tr rho/d_a)^2``
 and each off-diagonal pair ``i < j`` to ``4 |rho_ij|^2``; unlike
@@ -14,22 +20,19 @@ form, three by the trigonometric root of the characteristic cubic, and
 four and up by LAPACK's ``eigvalsh``, which also takes the three-level
 states with two nearly coinciding eigenvalues.
 
-* **Factorised** (``C = d_a d_b <= d_e``).  Reshaped as a ``C x d_e``
+* **Factorised** (``C <= d_e``, ``e = C``).  Reshaped as a ``C x d_e``
   matrix G, the state has ``rho_AB = W / Tr W`` with ``W = G G^H`` a
   complex Wishart matrix with ``d_e`` degrees of freedom (the induced
   measure; Zyczkowski and Sommers, J. Phys. A 34, 7111, 2001).  By the
   Bartlett decomposition ``W = L L^H`` with L lower triangular,
   ``L_ij ~ CN`` below the diagonal and ``L_ii^2 = 2 Gamma(d_e - i)``
   (Goodman, 1963), on the scale of the Gaussian parts below.  The oracle
-  draws L, normalises it, forms ``rho_AB`` as its Gram product, and takes
-  ``rho_A`` and ``rho_B`` as partial traces of ``rho_AB``: a sample costs
-  ``C(C-1)/2`` complex normals and ``C`` gammas whatever ``d_e`` is.
-* **Swapped** (``d_e < C``).  The oracle draws the state itself.  Every
-  reduced state is one batched Gram product ``x @ x^H`` of a reshaped view
-  ``x`` of the states, shaped ``(z, d_a, d_b, d_e)``: ``rho_A`` keeps the A
-  axis as rows, ``rho_B`` the B axis and ``rho_E`` the E axis.  A pure state
-  has ``S_AB = S_E`` (Schmidt), so ``S_AB`` comes from the smaller
-  ``rho_E``.
+  draws L and normalises it; read as a ``C x C`` matrix from AB to E', it
+  is a purification of ``rho_AB = L L^H``, and ``rho_E' = L^T conj(L)`` has
+  the same spectrum.  A sample costs ``C(C-1)/2`` complex normals and ``C``
+  gammas whatever ``d_e`` is.
+* **Swapped** (``d_e < C``, ``e = d_e``).  The oracle draws the state
+  itself, and E' is E.
 
 The chunk of ``CHUNK_SIZE`` samples is the unit of randomness: chunk ``c``
 under ``seed`` is one counter-based Philox stream keyed by ``(seed, c)``
@@ -135,9 +138,10 @@ class HaarSampleStats:
 
 
 def _cap_excess(dims: Dimensions) -> str | None:
-    """The array the oracle forms per sample, as ``"N = 5000"`` (the state,
-    swapped regime) or ``"C^2 = 5184"`` (the Bartlett factor, factorised
-    regime), when it exceeds ``STATE_DIMENSION_CAP`` entries; else None."""
+    """The size of the purification the oracle draws per sample, ``C e``
+    entries on ``A x B x E'``: ``"N = 5000"`` (the state, swapped regime) or
+    ``"C^2 = 5184"`` (the Bartlett factor, factorised regime), when it
+    exceeds ``STATE_DIMENSION_CAP`` entries; else None."""
     c = dims.d_a * dims.d_b
     name, size = ("C^2", c * c) if dims.factorised_regime else ("N", dims.n)
     return f"{name} = {size}" if size > STATE_DIMENSION_CAP else None
@@ -207,41 +211,28 @@ def _gram(x: np.ndarray) -> np.ndarray:
 def _state_reductions(
     t: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``rho_A``, ``rho_B`` and ``rho_E`` of a batch of states shaped
-    ``(z, d_a, d_b, d_e)``, each the Gram product of a ``(z, m, k)`` view
+    """``rho_A``, ``rho_B`` and ``rho_E'`` of a batch of pure states shaped
+    ``(z, d_a, d_b, e)``, each the Gram product of a ``(z, m, k)`` view
     with the kept levels as rows."""
     _, a, b, e = t.shape
     return (
         _gram(t.reshape(-1, a, b * e)),
         _gram(t.transpose(0, 2, 1, 3).reshape(-1, b, a * e)),
-        # The transpose of the merged AB view: its Gram product is rho_E
+        # The transpose of the merged AB view: its Gram product is rho_E'
         # itself, not its conjugate.
         _gram(t.reshape(-1, a * b, e).transpose(0, 2, 1)),
     )
 
 
-def _partial_traces(
-    rho_ab: np.ndarray, d_a: int, d_b: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``rho_A`` and ``rho_B`` of a batch of states ``rho_AB``."""
-    r = rho_ab.reshape(-1, d_a, d_b, d_a, d_b)
-    return np.trace(r, axis1=2, axis2=4), np.trace(r, axis1=1, axis2=3)
-
-
-def _factorised_reductions(
+def _purification(
     dims: Dimensions, seed: int, chunk: int, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``rho_A``, ``rho_B`` and ``rho_AB`` of a chunk's Bartlett factors."""
-    rho_ab = _gram(_bartlett_block(dims, seed, chunk, count))
-    return (*_partial_traces(rho_ab, dims.d_a, dims.d_b), rho_ab)
-
-
-def _swapped_reductions(
-    dims: Dimensions, seed: int, chunk: int, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``rho_A``, ``rho_B`` and ``rho_E`` of a chunk's states."""
-    block = _sample_block(dims, seed, chunk, count)
-    return _state_reductions(block.reshape(-1, dims.d_a, dims.d_b, dims.d_e))
+) -> np.ndarray:
+    """A chunk's samples as unit vectors on A x B x E', shaped
+    ``(count, d_a, d_b, e)`` with ``e = min(C, d_e)``: the normalised
+    Bartlett factors in the factorised regime, the states in the swapped
+    one."""
+    draw = _bartlett_block if dims.factorised_regime else _sample_block
+    return draw(dims, seed, chunk, count).reshape(count, dims.d_a, dims.d_b, -1)
 
 
 def _spectrum(rho: np.ndarray) -> np.ndarray:
@@ -327,19 +318,19 @@ def _entropies(rho: np.ndarray, what: str) -> np.ndarray:
 
 
 def _sample_entropies(
-    rho_a: np.ndarray, rho_b: np.ndarray, rho_joint: np.ndarray
+    rho_a: np.ndarray, rho_b: np.ndarray, rho_e: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sample ``S_A``, ``S_B`` and ``S_AB``, the last from the spectrum
-    of ``rho_joint`` (``rho_AB`` or ``rho_E``).  When ``d_a = 1``
-    (``d_b = 1``), ``S_AB`` is ``S_B`` (``S_A``), so that the per-sample I
-    is exactly 0."""
+    """Per-sample ``S_A``, ``S_B`` and ``S_AB`` of a batch of purifications
+    on ``A x B x E'``, the last from the spectrum of ``rho_E'``.  When
+    ``d_a = 1`` (``d_b = 1``), ``S_AB`` is ``S_B`` (``S_A``), so that the
+    per-sample I is exactly 0."""
     s_a = _entropies(rho_a, "A")
     s_b = _entropies(rho_b, "B")
     if rho_a.shape[-1] == 1:
         return s_a, s_b, s_b
     if rho_b.shape[-1] == 1:
         return s_a, s_b, s_a
-    return s_a, s_b, _entropies(rho_joint, "AB or E")
+    return s_a, s_b, _entropies(rho_e, "E'")
 
 
 def _run_chunks(n_samples: int, workers: int, work) -> None:
@@ -375,9 +366,11 @@ def run_oracle(
     Bloch sector variances over ``n_samples`` Haar-random states; the sector
     variances come from the diagonal and upper triangle of each ``rho_A``.
 
-    Factorised triples are sampled through the Bartlett factor of
-    ``rho_AB``, swapped ones as states (see the module docstring); the
-    sampling cap bounds the per-sample array, so factorised triples with
+    Each sample is one purification on ``A x B x E'`` with ``e = min(C,
+    d_e)`` levels on E': the normalised Bartlett factor of ``rho_AB`` on
+    factorised triples, the state on swapped ones (see the module
+    docstring); every chunk is reduced by the same Gram products.  The
+    sampling cap bounds the purification, so factorised triples with
     ``C <= 64`` are accepted at any ``d_e``.
 
     Precision: I is a difference of entropies of size ``ln C`` while I
@@ -394,9 +387,6 @@ def run_oracle(
     d_a = dims.d_a
     sectors = d_a >= 2
     rows, cols = np.triu_indices(d_a, k=1)
-    reductions = (
-        _factorised_reductions if dims.factorised_regime else _swapped_reductions
-    )
 
     entropy_a = np.empty(n_samples)
     entropy_b = np.empty(n_samples)
@@ -408,10 +398,10 @@ def run_oracle(
     offdiag_sq = np.empty(n_samples) if sectors else None
 
     def work(start: int, stop: int) -> None:
-        rho_a, rho_b, rho_joint = reductions(
-            dims, seed, start // CHUNK_SIZE, stop - start
+        rho_a, rho_b, rho_e = _state_reductions(
+            _purification(dims, seed, start // CHUNK_SIZE, stop - start)
         )
-        s_a, s_b, s_ab = _sample_entropies(rho_a, rho_b, rho_joint)
+        s_a, s_b, s_ab = _sample_entropies(rho_a, rho_b, rho_e)
         entropy_a[start:stop] = s_a
         entropy_b[start:stop] = s_b
         entropy_ab[start:stop] = s_ab

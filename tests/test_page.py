@@ -76,6 +76,11 @@ def test_diagonal_entropy_avg():
         Fraction(2436559, 720720) - Fraction(25, 12)
     )
     assert diagonal_entropy_avg(1, 5) == 0.0
+    # m n must stay below 2**1024; just below it the remainders vanish
+    for n in (2**1023, 2**1024):
+        with pytest.raises(DomainError):
+            diagonal_entropy_avg(2, n)
+    assert diagonal_entropy_avg(2, 2**1023 - 1) == math.log(2.0)
 
 
 def test_schur_deficit_closed_form():
@@ -271,22 +276,31 @@ def _page_decimal(m: int, n: int) -> Decimal:
         (64, 64, 8),
         (64, 2, 3),
         (2**300, 2**300, 2**400 - 1),  # N near 2**1000
+        (2, 2**500, 2**500),
+        (2, 2**30, 2**30),
+        (3, 10**6, 10**6),
     ],
 )
 def test_large_n_against_decimal_reference(triple):
-    """The total and its three Page entropies within 5e-16 relative of a
-    60-digit reference; subtracting three ``ln N``-sized entropies lost up
-    to 2.7e-14 at (10^6, 10^6, 10^12 - 1)."""
+    """The total, its three Page entropies and the diagonal entropies of
+    the same three bipartitions within 5e-16 relative of a 60-digit
+    reference.  Subtracting three ``ln N``-sized entropies lost up to
+    2.7e-14 at (10^6, 10^6, 10^12 - 1), and the digamma difference
+    ``psi(mn+1) - psi(n+1)`` lost 7.9e-14 at the diagonal (2, 2^1000)."""
     d_a, d_b, d_e = triple
+    pairs = ((d_a, d_b * d_e), (d_b, d_a * d_e), (d_a * d_b, d_e))
     with localcontext() as ctx:
         ctx.prec = 60
-        entropies = [
-            (page_entropy(m, n), _page_decimal(m, n))
-            for m, n in ((d_a, d_b * d_e), (d_b, d_a * d_e), (d_a * d_b, d_e))
+        entropies = [(page_entropy(m, n), _page_decimal(m, n)) for m, n in pairs]
+        diagonal = [
+            (diagonal_entropy_avg(m, n),
+             _psi_decimal(m * n + 1) - _psi_decimal(n + 1))
+            for m, n in pairs
         ]
         (_, s_a), (_, s_b), (_, s_ab) = entropies
         total = mutual_information_exact(Dimensions(*triple)).total
-        for value, reference in entropies + [(total, s_a + s_b - s_ab)]:
+        checks = entropies + diagonal + [(total, s_a + s_b - s_ab)]
+        for value, reference in checks:
             assert abs(Decimal(value) - reference) <= Decimal(5e-16) * abs(
                 reference
             ), (value, reference)

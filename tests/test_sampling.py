@@ -1,5 +1,6 @@
-"""Monte Carlo machinery: reproducible states and Bartlett factors, partial
-traces, entropies, Bloch sectors, and the parallel oracle."""
+"""Monte Carlo machinery: reproducible states and Bartlett factors, their
+reductions as purifications, entropies, Bloch sectors, and the parallel
+oracle."""
 
 import math
 
@@ -49,23 +50,22 @@ def _record_eigvalsh_sizes(monkeypatch) -> list[int]:
     return sizes
 
 
-def _chunk_reductions(dims: Dimensions):
-    """The oracle's chunk reduction for the regime of ``dims``."""
-    return (
-        sampling_module._factorised_reductions if dims.factorised_regime
-        else sampling_module._swapped_reductions
+def _chunk_reductions(dims: Dimensions, seed: int, chunk: int, count: int):
+    """``rho_A``, ``rho_B`` and ``rho_E'`` of a chunk, as the oracle reduces
+    it in either regime."""
+    return sampling_module._state_reductions(
+        sampling_module._purification(dims, seed, chunk, count)
     )
 
 
 def _per_sample_mutual_information(dims: Dimensions, seed: int, n: int):
     """I of samples 0 .. n-1, each chunk through the reduction and entropy
     kernels on its own."""
-    reductions = _chunk_reductions(dims)
     values = []
     for start in range(0, n, CHUNK_SIZE):
         count = min(CHUNK_SIZE, n - start)
         s_a, s_b, s_ab = sampling_module._sample_entropies(
-            *reductions(dims, seed, start // CHUNK_SIZE, count)
+            *_chunk_reductions(dims, seed, start // CHUNK_SIZE, count)
         )
         values.append(s_a + s_b - s_ab)
     return np.concatenate(values)
@@ -136,7 +136,8 @@ def test_sample_state_is_row_of_its_chunk(monkeypatch):
 
 def test_sample_state_validation():
     """The cap bounds the per-sample array: N for a state in the swapped
-    regime, C^2 for the Bartlett factor in the factorised one."""
+    regime, C^2 for the Bartlett factor in the factorised one; either
+    reaches it exactly."""
     swapped = Dimensions(16, 16, 17)  # N = 4352
     with pytest.raises(InvalidDimensionError, match="N = 4352 exceeds"):
         run_oracle(swapped, n_samples=2, seed=0)
@@ -144,6 +145,9 @@ def test_sample_state_validation():
     with pytest.raises(InvalidDimensionError, match=r"C\^2 = 5184 exceeds"):
         run_oracle(wide, n_samples=2, seed=0)
     assert sampling_module._cap_excess(Dimensions(8, 8, 64)) is None
+    assert sampling_module._cap_excess(Dimensions(16, 16, 16)) is None
+    stats = run_oracle(Dimensions(16, 16, 16), n_samples=2, seed=0)  # N = 4096
+    assert stats.n_samples == 2
     stats = run_oracle(Dimensions(8, 8, 1000), n_samples=2, seed=0)  # N = 64000
     assert stats.n_samples == 2
 
@@ -176,12 +180,14 @@ def test_factorised_runs_draw_no_state(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# partial traces
+# reductions
 
 
 def _reductions_by_side():
-    swapped = sampling_module._swapped_reductions(DIMS, 1, 0, 8)
-    factorised = sampling_module._factorised_reductions(FACTORISED, 1, 0, 8)
+    """Eight samples' reductions per side; "AB" is the C-level rho_E' of the
+    Bartlett factor, "E" the environment of the state."""
+    swapped = _chunk_reductions(DIMS, 1, 0, 8)
+    factorised = _chunk_reductions(FACTORISED, 1, 0, 8)
     return {
         "A": (swapped[0], factorised[0]),
         "B": (swapped[1], factorised[1]),
@@ -211,28 +217,25 @@ def test_reduce_product_state():
     np.testing.assert_allclose(rho_a[0], np.outer(u, u.conj()), atol=1e-14)
     np.testing.assert_allclose(rho_b[0], np.outer(v, v.conj()), atol=1e-14)
     np.testing.assert_allclose(rho_e[0], np.outer(w, w.conj()), atol=1e-14)
-    uv = np.kron(u, v)
-    rho_a, rho_b = sampling_module._partial_traces(
-        np.outer(uv, uv.conj())[None], 2, 3
-    )
-    np.testing.assert_allclose(rho_a[0], np.outer(u, u.conj()), atol=1e-14)
-    np.testing.assert_allclose(rho_b[0], np.outer(v, v.conj()), atol=1e-14)
 
 
 @pytest.mark.parametrize("triple", [(2, 3, 7), (4, 4, 64), (3, 2, 6)])
-def test_partial_traces_match_state_reductions(triple):
-    """rho_A and rho_B as partial traces of rho_AB (the factorised path)
-    equal the Gram products of the state's A and B views (the swapped
-    path)."""
-    d_a, d_b, d_e = triple
-    t = sampling_module._sample_block(Dimensions(*triple), 2, 0, 64).reshape(
-        -1, d_a, d_b, d_e
+def test_bartlett_factor_is_a_purification(triple):
+    """Read as a vector on A x B x E', the Bartlett factor L purifies
+    rho_AB = L L^H: its A and B reductions are the partial traces of
+    L L^H, and rho_E' has the spectrum of L L^H."""
+    dims = Dimensions(*triple)
+    d_a, d_b, c = dims.d_a, dims.d_b, dims.d_a * dims.d_b
+    factor = sampling_module._bartlett_block(dims, 2, 0, 64)
+    rho_ab = np.einsum("zij,zkj->zik", factor, factor.conj())
+    blocks = rho_ab.reshape(-1, d_a, d_b, d_a, d_b)
+    rho_a, rho_b, rho_e = sampling_module._state_reductions(
+        factor.reshape(-1, d_a, d_b, c)
     )
-    rho_ab = sampling_module._gram(t.reshape(-1, d_a * d_b, d_e))
-    rho_a, rho_b = sampling_module._partial_traces(rho_ab, d_a, d_b)
-    state_a, state_b, _ = sampling_module._state_reductions(t)
-    assert np.max(np.abs(rho_a - state_a)) < 1e-15
-    assert np.max(np.abs(rho_b - state_b)) < 1e-15
+    assert np.max(np.abs(rho_a - np.einsum("zibjb->zij", blocks))) < 1e-15
+    assert np.max(np.abs(rho_b - np.einsum("zaiaj->zij", blocks))) < 1e-15
+    spectrum = np.linalg.eigvalsh(rho_e)
+    assert np.max(np.abs(spectrum - np.linalg.eigvalsh(rho_ab))) < 1e-15
 
 
 def test_schmidt_symmetry():
@@ -313,10 +316,9 @@ def test_closed_form_entropies_match_lapack(triple):
     """Per sample, the two- and three-level closed forms give the entropy
     of LAPACK's spectrum to 1e-14, over 20 chunks."""
     dims = Dimensions(*triple)
-    reductions = _chunk_reductions(dims)
     checked = 0
     for chunk in range(20):
-        for rho in reductions(dims, 1, chunk, CHUNK_SIZE):
+        for rho in _chunk_reductions(dims, 1, chunk, CHUNK_SIZE):
             if rho.shape[-1] in (2, 3):
                 reference = sampling_module._entropy_from_weights(
                     np.linalg.eigvalsh(rho), "LAPACK"
@@ -386,7 +388,7 @@ def test_mutual_info_sample_composition():
         values = _per_sample_mutual_information(dims, 4, 40)
         assert values.shape == (40,)
         assert values.min() >= -1e-12
-    rho_a, rho_b, rho_e = sampling_module._swapped_reductions(DIMS, 4, 0, 40)
+    rho_a, rho_b, rho_e = _chunk_reductions(DIMS, 4, 0, 40)
     s_a, s_b, s_ab = sampling_module._sample_entropies(rho_a, rho_b, rho_e)
     assert np.array_equal(s_ab, sampling_module._entropies(rho_e, "E"))
     assert np.array_equal(s_a, sampling_module._entropies(rho_a, "A"))
@@ -490,7 +492,7 @@ def test_run_oracle_solves_two_and_three_levels_in_closed_form(
     triple, sizes, monkeypatch
 ):
     """Only reduced states of four levels and up reach LAPACK: the 6x6
-    rho_AB at (2,3,7) and the 4x4 rho_B at (3,4,2)."""
+    rho_E' at (2,3,7) and the 4x4 rho_B at (3,4,2)."""
     assert set(_eigvalsh_sizes(triple, monkeypatch)) == sizes
 
 
@@ -554,12 +556,11 @@ def _componentwise_sector_squares(dims: Dimensions, seed: int, n: int):
     """Per-sample mean squared Bloch component of ``rho_A`` over the Cartan
     and over the off-diagonal Gell-Mann generators (``Tr(g_a g_b) = 2
     delta_ab``), each component ``Tr(g rho)`` evaluated on its own."""
-    reductions = _chunk_reductions(dims)
     m = dims.d_a
     cartan, offdiag = [], []
     for start in range(0, n, CHUNK_SIZE):
         count = min(CHUNK_SIZE, n - start)
-        rho = reductions(dims, seed, start // CHUNK_SIZE, count)[0]
+        rho = _chunk_reductions(dims, seed, start // CHUNK_SIZE, count)[0]
         pairs = []
         for i in range(m):
             for j in range(i + 1, m):
