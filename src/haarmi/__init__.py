@@ -10,11 +10,23 @@ information <I(A:B)> is computed by four independent routes:
 * a convergent Bose-Einstein integral that resums that expansion and
   proves the strict leading-order bound -- :mod:`haarmi.integral`;
 * a Haar Monte Carlo oracle -- :mod:`haarmi.sampling`.
+
+Only the quadrature and the oracle need numpy.  The oracle's names are
+resolved on first use (PEP 562), so ``import haarmi`` loads no numpy, and
+the quadrature imports it on its first call.
 """
 
 __version__ = "0.1.0"
 
-from .dims import CasimirCounts, Dimensions, casimir_counts, leading_order
+from .dims import (
+    CHUNK_SIZE,
+    RNG_IDENTITY,
+    STATE_DIMENSION_CAP,
+    CasimirCounts,
+    Dimensions,
+    casimir_counts,
+    leading_order,
+)
 from .errors import (
     DomainError,
     HaarMIError,
@@ -63,13 +75,6 @@ from .integral import (
     kernel_R,
     mutual_information_integral,
 )
-from .sampling import (
-    CHUNK_SIZE,
-    RNG_IDENTITY,
-    STATE_DIMENSION_CAP,
-    HaarSampleStats,
-    run_oracle,
-)
 
 __all__ = [
     "__version__",
@@ -96,3 +101,18 @@ __all__ = [
     "CHUNK_SIZE", "RNG_IDENTITY", "STATE_DIMENSION_CAP",
     "HaarSampleStats", "run_oracle",
 ]
+
+#: Public names of :mod:`haarmi.sampling`, which imports numpy at load.
+_SAMPLING_NAMES = frozenset({"HaarSampleStats", "run_oracle"})
+
+
+def __getattr__(name: str):
+    if name in _SAMPLING_NAMES:
+        from . import sampling
+
+        return getattr(sampling, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SAMPLING_NAMES)

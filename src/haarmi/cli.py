@@ -25,9 +25,18 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .dims import Dimensions, casimir_counts, leading_order
+from .dims import (
+    _KEY_LIMIT,
+    RNG_IDENTITY,
+    STATE_DIMENSION_CAP,
+    Dimensions,
+    _cap_excess,
+    casimir_counts,
+    leading_order,
+)
 from .errors import (
     DomainError,
     HaarMIError,
@@ -40,15 +49,10 @@ from .page import (
     mutual_information_exact,
     mutual_information_rational,
 )
-from .sampling import (
-    _KEY_LIMIT,
-    RNG_IDENTITY,
-    STATE_DIMENSION_CAP,
-    HaarSampleStats,
-    _cap_excess,
-    run_oracle,
-)
 from .series import _check_k_max, expand
+
+if TYPE_CHECKING:
+    from .sampling import HaarSampleStats
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -292,6 +296,17 @@ def _fill_analytic(
         _fill_series(row, dims, config.k_max)
         _fill_integral(row, dims, config.tol)
     return breakdown
+
+
+def run_oracle(
+    dims: Dimensions, n_samples: int, seed: int, workers: int = 1
+) -> HaarSampleStats:
+    """:func:`haarmi.sampling.run_oracle`, imported (with numpy) on the first
+    call, so the commands that do not sample never load it.  A module-level
+    name only because perfbench's tracer wraps ``haarmi.cli.run_oracle``."""
+    from .sampling import run_oracle as sample
+
+    return sample(dims, n_samples, seed, workers)
 
 
 def _fill_oracle(row: dict, dims: Dimensions, config: RunConfig) -> HaarSampleStats:

@@ -6,6 +6,12 @@ information is studied; E is the traced-over environment.  Everything
 downstream branches on a single regime flag: the *factorised* regime
 ``d_a * d_b <= d_e`` (environment at least as large as the joint system)
 versus the *swapped* regime (environment smaller).
+
+It also holds the oracle's contract, which needs no numpy: the sampling
+cap (:func:`_cap_excess`), the chunk size, the seed range and the identity
+string of the random streams.  ``haarmi.sampling`` draws by it and the CLI
+checks and reports it, so every command can validate its seed and the
+``verify`` skip rule without loading the sampler.
 """
 
 from __future__ import annotations
@@ -18,6 +24,28 @@ from .errors import InvalidDimensionError, RegimeError, _require_int
 
 #: Exclusive bound on ``N``: ``float(N)`` and ``1.0 / N`` overflow from here.
 _N_LIMIT = 2**1024
+
+#: Most entries of the one array the oracle forms per sample: the state
+#: (N entries) in the swapped regime, the Bartlett factor (C^2) in the
+#: factorised regime.
+STATE_DIMENSION_CAP = 4096
+
+#: Samples per work unit; fixed so results never depend on worker count.
+CHUNK_SIZE = 512
+
+#: Identity string of the random streams, recorded in every result.
+RNG_IDENTITY = (
+    f"philox4x64-10 (numpy.random.Philox), "
+    f"key=(seed, sample_index // {CHUNK_SIZE}), "
+    f"sample = row sample_index % {CHUNK_SIZE}; "
+    f"C <= d_e: Bartlett factor of rho_AB, the chunk's {CHUNK_SIZE} x C "
+    f"gammas Gamma(d_e - i) then C(C-1)/2 complex normals per row; "
+    f"d_e < C: the state, N complex normals per row"
+)
+
+#: Seeds must fit one 64-bit word; the seed and the chunk index are the
+#: two words of the Philox key.
+_KEY_LIMIT = 2**64
 
 
 class CasimirCounts(NamedTuple):
@@ -94,3 +122,13 @@ def leading_order(dims: Dimensions) -> float:
     """
     counts = casimir_counts(dims)
     return counts.su_product / (2 * dims.n)
+
+
+def _cap_excess(dims: Dimensions) -> str | None:
+    """The size of the purification the oracle draws per sample, ``C e``
+    entries on ``A x B x E'``: ``"N = 5000"`` (the state, swapped regime) or
+    ``"C^2 = 5184"`` (the Bartlett factor, factorised regime), when it
+    exceeds ``STATE_DIMENSION_CAP`` entries; else None."""
+    c = dims.d_a * dims.d_b
+    name, size = ("C^2", c * c) if dims.factorised_regime else ("N", dims.n)
+    return f"{name} = {size}" if size > STATE_DIMENSION_CAP else None

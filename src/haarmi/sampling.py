@@ -42,7 +42,10 @@ sample ``index`` is row ``index % CHUNK_SIZE`` of chunk
 ``(rows, N)`` block of Gaussians; the factorised path draws the whole
 chunk's ``(CHUNK_SIZE, C)`` gammas first, then a ``(rows, C(C-1)/2)``
 block of complex normals.  Either way a partial last chunk is a prefix of
-a full one, so every sample is independent of ``n_samples``.
+a full one, so every sample is independent of ``n_samples``.  That
+contract (``CHUNK_SIZE``, the seed range, ``RNG_IDENTITY`` and the sampling
+cap) lives in :mod:`haarmi.dims`, which needs no numpy, and is imported
+from there.
 
 :func:`run_oracle` goes through one chunk driver: it splits the sample
 range into fixed chunks of ``CHUNK_SIZE`` samples and calls the run's work
@@ -60,7 +63,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import Dimensions
+from .dims import (
+    _KEY_LIMIT,
+    CHUNK_SIZE,
+    RNG_IDENTITY,
+    STATE_DIMENSION_CAP,
+    Dimensions,
+    _cap_excess,
+)
 from .errors import (
     DomainError,
     InvalidDimensionError,
@@ -68,28 +78,6 @@ from .errors import (
     OracleWorkerError,
     _require_int,
 )
-
-#: Most entries of the one array the oracle forms per sample: the state
-#: (N entries) in the swapped regime, the Bartlett factor (C^2) in the
-#: factorised regime.
-STATE_DIMENSION_CAP = 4096
-
-#: Samples per work unit; fixed so results never depend on worker count.
-CHUNK_SIZE = 512
-
-#: Identity string of the random streams, recorded in every result.
-RNG_IDENTITY = (
-    f"philox4x64-10 (numpy.random.Philox), "
-    f"key=(seed, sample_index // {CHUNK_SIZE}), "
-    f"sample = row sample_index % {CHUNK_SIZE}; "
-    f"C <= d_e: Bartlett factor of rho_AB, the chunk's {CHUNK_SIZE} x C "
-    f"gammas Gamma(d_e - i) then C(C-1)/2 complex normals per row; "
-    f"d_e < C: the state, N complex normals per row"
-)
-
-#: Seeds must fit one 64-bit word; the seed and the chunk index are the
-#: two words of the Philox key.
-_KEY_LIMIT = 2**64
 
 _EIG_FLOOR = 1e-14
 _EIG_NEG_LIMIT = -1e-10
@@ -135,16 +123,6 @@ class HaarSampleStats:
     stderr_cartan_var: float | None
     offdiag_var: float | None
     stderr_offdiag_var: float | None
-
-
-def _cap_excess(dims: Dimensions) -> str | None:
-    """The size of the purification the oracle draws per sample, ``C e``
-    entries on ``A x B x E'``: ``"N = 5000"`` (the state, swapped regime) or
-    ``"C^2 = 5184"`` (the Bartlett factor, factorised regime), when it
-    exceeds ``STATE_DIMENSION_CAP`` entries; else None."""
-    c = dims.d_a * dims.d_b
-    name, size = ("C^2", c * c) if dims.factorised_regime else ("N", dims.n)
-    return f"{name} = {size}" if size > STATE_DIMENSION_CAP else None
 
 
 def _check_run(dims: Dimensions, n_samples: int, seed: int) -> None:

@@ -42,11 +42,13 @@ def test_every_exported_name_resolves():
 
 def test_exports_are_the_public_surface():
     # a deleted name cannot linger: the surface is pinned, and the package
-    # namespace holds nothing public beyond __all__ and its submodules
+    # namespace holds nothing public beyond __all__ and its submodules;
+    # dir() also lists the names the package resolves on first use
     assert set(haarmi.__all__) == PUBLIC_SURFACE
     public = {
-        name for name, value in vars(haarmi).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
+        name for name in dir(haarmi)
+        if not name.startswith("_")
+        and not inspect.ismodule(getattr(haarmi, name))
     }
     assert public == PUBLIC_SURFACE - {"__version__"}
 

@@ -67,6 +67,18 @@ def test_binet_tail_domain(bad):
         binet_tail(bad)
 
 
+def test_binet_tail_bound_on_z_squared():
+    """Up to the bound ``z*z`` stays finite and the tail is a subnormal
+    ``1/(24 z^2)``; past it the integrand would be identically 0, so the
+    call raises instead of exhausting the evaluation budget."""
+    below = binet_tail(1.2e154)
+    assert below.value == pytest.approx(1.0 / 24.0 / 1.2e154 / 1.2e154, rel=1e-12)
+    bound = math.sqrt(sys.float_info.max)
+    for z in (math.nextafter(bound, math.inf), 1.4e154, 10**400, math.inf):
+        with pytest.raises(DomainError, match="1.34e154"):
+            binet_tail(z)
+
+
 def test_quadrature_result_contract():
     result = binet_tail(6.0, tol=1e-14)
     assert result.error_estimate <= 1e-14
@@ -143,6 +155,44 @@ def test_node_tables_are_bounded_and_read_only():
                 table[0] = 1.0
 
 
+def _numpy_gauss_legendre(n: int) -> tuple[list[float], list[float]]:
+    """The rule as derived while ``haarmi.integral`` imported numpy at load:
+    the float Newton vectorised over all roots, then the same Decimal
+    passes."""
+    from decimal import Decimal, localcontext
+
+    roots = np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    step = np.ones(n)
+    while np.max(np.abs(step)) > 1e-15:
+        p0, p1 = np.ones(n), roots
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * roots * p1 - (j - 1) * p0) / j
+        step = p1 * (1 - roots * roots) / (n * (p0 - roots * p1))
+        roots = roots - step
+    nodes, weights = [], []
+    with localcontext() as ctx:
+        ctx.prec = 34
+        for guess in np.sort(roots):
+            x = Decimal(float(guess))
+            for _ in range(2):
+                p0, p1 = Decimal(1), x
+                for j in range(2, n + 1):
+                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+                x -= p1 * (1 - x * x) / (n * (p0 - x * p1))
+            nodes.append(float(x))
+            weights.append(float(2 * (1 - x * x) / (n * p0) ** 2))
+    return nodes, weights
+
+
+def test_gauss_legendre_table_matches_the_numpy_derivation():
+    nodes, weights = _numpy_gauss_legendre(integral_module._GL_ORDER)
+    assert [x.hex() for x in integral_module._GL_NODES] == [x.hex() for x in nodes]
+    assert [w.hex() for w in integral_module._GL_WEIGHTS] == [w.hex() for w in weights]
+    arrays = integral_module._gl_arrays()
+    assert arrays[0].tolist() == nodes and arrays[1].tolist() == weights
+    assert not (arrays[0].flags.writeable or arrays[1].flags.writeable)
+
+
 def test_import_leaves_numpy_polynomial_out():
     """The Gauss-Legendre rule is seeded without ``numpy.polynomial``, so
     importing the CLI loads it only if numpy itself does (numpy < 2)."""
@@ -202,6 +252,29 @@ def test_kernel_partial_fraction_identity():
 
 # ---------------------------------------------------------------------------
 # folded integrand
+
+
+@pytest.mark.parametrize("call", [
+    compute_J,
+    lambda dims: kernel_R(0.5, dims),
+    lambda dims: folded_integrand(0.5, dims),
+])
+def test_kernel_needs_c_squared_in_binary64(call):
+    """``Dimensions`` accepts C up to N, but the kernel forms ``C^2``; past
+    the largest binary64 the route raises DomainError, not OverflowError.
+    No factorised triple gets there (``C^2 <= N``)."""
+    with pytest.raises(DomainError, match=r"C\^2 = \(d_a d_b\)\^2"):
+        call(Dimensions(2**600, 1, 1))
+    with pytest.raises(DomainError, match=r"C\^2"):
+        call(Dimensions(2**512 - 1, 1, 1))  # rounds to 2**512: c * c = inf
+
+
+@pytest.mark.parametrize("call", [
+    compute_J, lambda dims: folded_integrand(0.5, dims),
+])
+def test_integral_route_needs_d_e_in_binary64(call):
+    with pytest.raises(DomainError, match="d_e to fit binary64"):
+        call(Dimensions(1, 1, 2**1024 - 1))
 
 
 def test_folded_integrand_domain_and_fold_point():
