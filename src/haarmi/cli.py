@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .dims import (
+    _DRAW_N_LIMIT,
     _KEY_LIMIT,
     RNG_IDENTITY,
     STATE_DIMENSION_CAP,
@@ -443,6 +444,10 @@ def _verify_view(row, dims, config, checks):
         record("oracle_3se", "skipped",
                f"{excess} above the sampling cap {STATE_DIMENSION_CAP}")
         oracle_mean = oracle_stderr = f"n/a ({excess} > {STATE_DIMENSION_CAP})"
+    elif dims.n > _DRAW_N_LIMIT:
+        record("oracle_3se", "skipped",
+               "N above 2**1022, where a draw overflows binary64")
+        oracle_mean = oracle_stderr = "n/a (N > 2**1022)"
     else:
         stats = _fill_oracle(row, dims, config)
         oracle_mean = stats.mean_mutual_information

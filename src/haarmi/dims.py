@@ -8,10 +8,11 @@ downstream branches on a single regime flag: the *factorised* regime
 versus the *swapped* regime (environment smaller).
 
 It also holds the oracle's contract, which needs no numpy: the sampling
-cap (:func:`_cap_excess`), the chunk size, the seed range and the identity
-string of the random streams.  ``haarmi.sampling`` draws by it and the CLI
-checks and reports it, so every command can validate its seed and the
-``verify`` skip rule without loading the sampler.
+cap (:func:`_cap_excess`), the largest N whose draw fits binary64, the
+chunk size, the seed range and the identity string of the random streams.
+``haarmi.sampling`` draws by it and the CLI checks and reports it, so every
+command can validate its seed and the ``verify`` skip rules without
+loading the sampler.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ _N_LIMIT = 2**1024
 #: (N entries) in the swapped regime, the Bartlett factor (C^2) in the
 #: factorised regime.
 STATE_DIMENSION_CAP = 4096
+
+#: Largest N the oracle can draw in binary64.  The unscaled Bartlett
+#: factor's squared norm has mean 2N (``2 Gamma(d_e)`` alone when C = 1);
+#: near N = 2**1023 it overflows, and the normalised factor reads 0 or NaN.
+#: Half the range leaves room for its spread and rounding.  Only factorised
+#: triples reach it; the sampling cap stops swapped ones far below.
+_DRAW_N_LIMIT = 2**1022
 
 #: Samples per work unit; fixed so results never depend on worker count.
 CHUNK_SIZE = 512

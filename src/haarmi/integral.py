@@ -220,11 +220,20 @@ def _binary64(name: str, value: int) -> float:
 
 
 def _c_float(dims: Dimensions) -> float:
-    """``C = d_a d_b`` in binary64, checked through ``C^2``: the kernel's
-    largest constant, which it forms as ``c * c``."""
+    """``C = d_a d_b`` in binary64, checked through the kernel's constants:
+    ``C^2``, which it forms as ``c * c``, and its denominator at ``u = 0``,
+    ``d_a^2 d_b^2 C^2 = C^4``, formed as :func:`kernel_R` forms it.  Near
+    ``u = 0``, where J lives, the denominator is that constant, so once it
+    overflows the integrand reads 0 everywhere."""
     c = dims.d_a * dims.d_b
     _binary64("C^2 = (d_a d_b)^2", c * c)
-    return float(c)
+    c_float = float(c)
+    if math.isinf(float(dims.d_a**2) * float(dims.d_b**2) * (c_float * c_float)):
+        raise DomainError(
+            f"the integral route needs C^4 = (d_a d_b)^4 to fit binary64 "
+            f"(C below 2**256), got C with {c.bit_length()} bits"
+        )
+    return c_float
 
 
 def kernel_R(u: float | np.ndarray, dims: Dimensions) -> float | np.ndarray:
@@ -232,8 +241,9 @@ def kernel_R(u: float | np.ndarray, dims: Dimensions) -> float | np.ndarray:
     at a real ``u`` or elementwise on an array.
 
     Positive on (0, C^{1/2}), negative beyond, and antisymmetric under the
-    scale inversion ``u -> C/u`` with weight ``C/u^2``.  ``C^2`` must fit
-    binary64 (:class:`DomainError` otherwise).
+    scale inversion ``u -> C/u`` with weight ``C/u^2``.  ``C^4``, its
+    denominator at ``u = 0``, must fit binary64, so C is below ``2**256``
+    (:class:`DomainError` otherwise).
     """
     c = _c_float(dims)
     a2 = float(dims.d_a * dims.d_a)
@@ -271,9 +281,9 @@ def compute_J(dims: Dimensions, tol: float = 1e-14) -> QuadratureResult:
     """The positive integral ``J``: the quadrature in ``t = d_e u`` with
     value and error divided by ``d_e``, the error floored at 8 ulp of the
     returned value, so a J that underflows still carries an honest error;
-    ``tol`` is relative.  Defined for every triple whose ``C^2`` and ``d_e``
-    fit binary64 (every factorised triple's ``C^2 <= N`` does), and finite
-    when a dimension is 1; :class:`DomainError` otherwise."""
+    ``tol`` is relative.  Defined for every triple whose ``C^4`` and ``d_e``
+    fit binary64 (C below ``2**256``), and finite when a dimension is 1;
+    :class:`DomainError` otherwise."""
     d_e = _binary64("d_e", dims.d_e)
     t_form = _bose_quad(lambda t: kernel_R(t / d_e, dims), tol)
     value = t_form.value / d_e

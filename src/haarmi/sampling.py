@@ -38,19 +38,24 @@ The chunk of ``CHUNK_SIZE`` samples is the unit of randomness: chunk ``c``
 under ``seed`` is one counter-based Philox stream keyed by ``(seed, c)``
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), and
 sample ``index`` is row ``index % CHUNK_SIZE`` of chunk
-``index // CHUNK_SIZE``.  The swapped path draws the chunk as one
-``(rows, N)`` block of Gaussians; the factorised path draws the whole
-chunk's ``(CHUNK_SIZE, C)`` gammas first, then a ``(rows, C(C-1)/2)``
-block of complex normals.  Either way a partial last chunk is a prefix of
-a full one, so every sample is independent of ``n_samples``.  That
-contract (``CHUNK_SIZE``, the seed range, ``RNG_IDENTITY`` and the sampling
-cap) lives in :mod:`haarmi.dims`, which needs no numpy, and is imported
-from there.
+``index // CHUNK_SIZE``.  The swapped path draws N complex normals per
+row; the factorised path draws the whole chunk's ``(CHUNK_SIZE, C)``
+gammas first, then ``C(C-1)/2`` complex normals per row.  Either way a
+partial last chunk is a prefix of a full one, so every sample is
+independent of ``n_samples``.  A worker draws its chunk in consecutive
+row slices (:func:`_purifications`), each with at most ``2**16`` entries
+per array, and reduces each slice before it draws the next.  The stream
+is read in order, so the slices hold the same numbers as one whole-chunk
+draw, and what a worker holds does not grow with the chunk.  That
+contract (``CHUNK_SIZE``, the seed range, ``RNG_IDENTITY``, the sampling
+cap and the largest N whose draw fits binary64) lives in
+:mod:`haarmi.dims`, which needs no numpy, and is imported from there.
 
 :func:`run_oracle` goes through one chunk driver: it splits the sample
 range into fixed chunks of ``CHUNK_SIZE`` samples and calls the run's work
-function on each, on a pool of ``workers`` threads.  Each chunk writes a
-disjoint slice of the per-sample result arrays, so the worker count
+function on each, on a pool of ``workers`` threads.  Each row slice writes
+a disjoint part of the per-sample result arrays, and every per-row
+reduction has a fixed order whatever the slice's size, so the worker count
 changes nothing about the final reductions (numpy's pairwise
 ``sum``/``mean`` over a fixed-length array is a fixed reduction tree).
 """
@@ -64,6 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dims import (
+    _DRAW_N_LIMIT,
     _KEY_LIMIT,
     CHUNK_SIZE,
     RNG_IDENTITY,
@@ -87,6 +93,11 @@ _EIG_NEG_LIMIT = -1e-10
 #: within 1e-14 of LAPACK's (worst 8.4e-15, rank-deficient states at
 #: (3,1,2)), and about one full-rank Haar state in 10^4 takes the guard.
 _CUBIC_MARGIN = 1e-3
+
+#: Most entries in one array of a row slice: 2**16 complex128 entries,
+#: 1 MiB.  :func:`_purifications` sizes its slices by the largest
+#: per-sample array.
+_SLICE_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -134,6 +145,11 @@ def _check_run(dims: Dimensions, n_samples: int, seed: int) -> None:
         raise InvalidDimensionError(
             f"{excess} exceeds the sampling cap {STATE_DIMENSION_CAP}"
         )
+    if dims.n > _DRAW_N_LIMIT:
+        raise DomainError(
+            f"the oracle needs N <= 2**1022 to draw in binary64, got "
+            f"{dims.n.bit_length()} bits"
+        )
     _require_int("n_samples", n_samples, 2)
 
 
@@ -151,32 +167,44 @@ def _unit_rows(block: np.ndarray) -> np.ndarray:
     return block
 
 
-def _sample_block(dims: Dimensions, seed: int, chunk: int, count: int) -> np.ndarray:
-    """The first ``count`` states of chunk ``chunk``, shape (count, N)."""
-    block = np.empty((count, dims.n), dtype=np.complex128)
-    # Real and imaginary parts alternate, as in the complex128 memory layout.
-    _chunk_stream(seed, chunk).standard_normal(out=block.view(np.float64))
-    return _unit_rows(block)
+def _normals(gen: np.random.Generator, rows: int, k: int) -> np.ndarray:
+    """A ``(rows, k)`` block of complex normals, drawn in one call: real and
+    imaginary parts alternate, as in the complex128 memory layout."""
+    block = np.empty((rows, k), dtype=np.complex128)
+    gen.standard_normal(out=block.view(np.float64))
+    return block
 
 
-def _bartlett_block(
-    dims: Dimensions, seed: int, chunk: int, count: int
-) -> np.ndarray:
-    """The first ``count`` Bartlett factors L of chunk ``chunk``, shape
-    (count, C, C), each scaled to ``Tr L L^H = 1``.
+def _purifications(dims: Dimensions, seed: int, chunk: int, count: int):
+    """The first ``count`` samples of chunk ``chunk`` as unit vectors on
+    ``A x B x E'``, yielded in consecutive row slices shaped ``(rows, d_a,
+    d_b, e)`` with ``e = min(C, d_e)``: the normalised Bartlett factors in
+    the factorised regime, the states in the swapped one.
 
-    The whole chunk's gammas are drawn first, so the normals of a partial
+    The chunk's Philox stream is read in order, so the slices hold the same
+    numbers as one whole-chunk draw.  A slice has ``max(1, _SLICE_ENTRIES //
+    m)`` rows, ``m`` the entries per sample of the largest array it becomes:
+    the purification (``C e``), ``rho_A`` (``d_a^2``) or ``rho_B``
+    (``d_b^2``).  In the factorised regime the whole chunk's
+    ``(CHUNK_SIZE, C)`` gammas are drawn first, so the normals of a partial
     chunk are a prefix of a full chunk's."""
-    c = dims.d_a * dims.d_b
+    d_a, d_b, c = dims.d_a, dims.d_b, dims.d_a * dims.d_b
+    e = min(c, dims.d_e)
+    rows = max(1, _SLICE_ENTRIES // max(c * e, d_a * d_a, d_b * d_b))
     gen = _chunk_stream(seed, chunk)
-    shapes = np.arange(dims.d_e, dims.d_e - c, -1, dtype=np.float64)
-    gammas = gen.standard_gamma(shapes, size=(CHUNK_SIZE, c))[:count]
-    below = np.empty((count, c * (c - 1) // 2), dtype=np.complex128)
-    gen.standard_normal(out=below.view(np.float64))
-    factor = np.zeros((count, c * c), dtype=np.complex128)
-    factor[:, np.flatnonzero(np.tri(c, k=-1))] = below
-    factor[:, :: c + 1] = np.sqrt(2.0 * gammas)
-    return _unit_rows(factor).reshape(count, c, c)
+    if dims.factorised_regime:
+        shapes = np.arange(dims.d_e, dims.d_e - c, -1, dtype=np.float64)
+        diagonal = np.sqrt(2.0 * gen.standard_gamma(shapes, size=(CHUNK_SIZE, c)))
+        below = np.flatnonzero(np.tri(c, k=-1))
+    for start in range(0, count, rows):
+        z = min(rows, count - start)
+        if dims.factorised_regime:
+            block = np.zeros((z, c * c), dtype=np.complex128)
+            block[:, below] = _normals(gen, z, below.size)
+            block[:, :: c + 1] = diagonal[start : start + z]
+        else:
+            block = _normals(gen, z, dims.n)
+        yield _unit_rows(block).reshape(z, d_a, d_b, e)
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
@@ -200,17 +228,6 @@ def _state_reductions(
         # itself, not its conjugate.
         _gram(t.reshape(-1, a * b, e).transpose(0, 2, 1)),
     )
-
-
-def _purification(
-    dims: Dimensions, seed: int, chunk: int, count: int
-) -> np.ndarray:
-    """A chunk's samples as unit vectors on A x B x E', shaped
-    ``(count, d_a, d_b, e)`` with ``e = min(C, d_e)``: the normalised
-    Bartlett factors in the factorised regime, the states in the swapped
-    one."""
-    draw = _bartlett_block if dims.factorised_regime else _sample_block
-    return draw(dims, seed, chunk, count).reshape(count, dims.d_a, dims.d_b, -1)
 
 
 def _spectrum(rho: np.ndarray) -> np.ndarray:
@@ -348,8 +365,13 @@ def run_oracle(
     d_e)`` levels on E': the normalised Bartlett factor of ``rho_AB`` on
     factorised triples, the state on swapped ones (see the module
     docstring); every chunk is reduced by the same Gram products.  The
+    chunk is the unit of randomness, but each worker holds one row slice of
+    it at a time, at most ``2**16`` entries (1 MiB) per array, so memory
+    does not grow with ``n_samples`` or the purification's size.  The
     sampling cap bounds the purification, so factorised triples with
-    ``C <= 64`` are accepted at any ``d_e``.
+    ``C <= 64`` are accepted at any ``d_e`` up to ``N = 2**1022``, past
+    which the unscaled Bartlett factor's squared norm, about ``2N``, nears
+    the binary64 range (:class:`DomainError`).
 
     Precision: I is a difference of entropies of size ``ln C`` while I
     itself is about ``su/(2N)`` (``su = (d_a^2 - 1)(d_b^2 - 1)``), so
@@ -376,23 +398,26 @@ def run_oracle(
     offdiag_sq = np.empty(n_samples) if sectors else None
 
     def work(start: int, stop: int) -> None:
-        rho_a, rho_b, rho_e = _state_reductions(
-            _purification(dims, seed, start // CHUNK_SIZE, stop - start)
-        )
-        s_a, s_b, s_ab = _sample_entropies(rho_a, rho_b, rho_e)
-        entropy_a[start:stop] = s_a
-        entropy_b[start:stop] = s_b
-        entropy_ab[start:stop] = s_ab
-        purity_a[start:stop] = np.einsum("zij,zji->z", rho_a, rho_a).real
-        diag = np.diagonal(rho_a, axis1=1, axis2=2).real
-        diag_entropy_a[start:stop] = _entropy_from_weights(diag, "diagonal of A")
-        diag_second_a[start:stop] = np.sum(diag * diag, axis=-1)
-        if sectors:
-            centred = diag - np.mean(diag, axis=-1, keepdims=True)
-            cartan_sq[start:stop] = 2.0 * np.sum(centred**2, axis=-1) / (d_a - 1)
-            upper = rho_a[:, rows, cols]
-            pairs = np.sum(upper.real**2 + upper.imag**2, axis=-1)
-            offdiag_sq[start:stop] = 4.0 * pairs / (d_a * (d_a - 1))
+        hi = start
+        for t in _purifications(dims, seed, start // CHUNK_SIZE, stop - start):
+            lo, hi = hi, hi + len(t)
+            rho_a, rho_b, rho_e = _state_reductions(t)
+            s_a, s_b, s_ab = _sample_entropies(rho_a, rho_b, rho_e)
+            entropy_a[lo:hi] = s_a
+            entropy_b[lo:hi] = s_b
+            entropy_ab[lo:hi] = s_ab
+            purity_a[lo:hi] = np.einsum("zij,zji->z", rho_a, rho_a).real
+            diag = np.diagonal(rho_a, axis1=1, axis2=2).real
+            diag_entropy_a[lo:hi] = _entropy_from_weights(diag, "diagonal of A")
+            diag_second_a[lo:hi] = np.sum(diag * diag, axis=-1)
+            if sectors:
+                centred = diag - np.mean(diag, axis=-1, keepdims=True)
+                cartan_sq[lo:hi] = 2.0 * np.sum(centred**2, axis=-1) / (d_a - 1)
+                upper = rho_a[:, rows, cols]
+                # A running sum fixes each row's order of addition; np.sum
+                # adds a lone row pairwise but a batch's rows in sequence.
+                pairs = np.cumsum(upper.real**2 + upper.imag**2, axis=-1)[:, -1]
+                offdiag_sq[lo:hi] = 4.0 * pairs / (d_a * (d_a - 1))
 
     _run_chunks(n_samples, workers, work)
 

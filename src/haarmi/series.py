@@ -78,7 +78,9 @@ def _terms(dims: Dimensions, ks: Iterable[int]) -> list[float]:
     """``t_k`` for each ``k`` in ``ks``, unchecked: the one kernel behind
     :func:`bernoulli_term` and :func:`expand`."""
     n = dims.n
-    a_sq, b_sq, inv_n = dims.d_a * dims.d_a / n, dims.d_b * dims.d_b / n, 1.0 / n
+    # Integer true division is correctly rounded for every N < 2**1024, and
+    # gives a_sq == inv_n exactly when d_a = 1; float(N) overflows near it.
+    a_sq, b_sq, inv_n = dims.d_a * dims.d_a / n, dims.d_b * dims.d_b / n, 1 / n
     return [
         _ZETA[k - 1] * (a_sq**k - inv_n**k) * (b_sq**k - inv_n**k) for k in ks
     ]

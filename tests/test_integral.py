@@ -30,6 +30,7 @@ from haarmi import (
     mutual_information_exact,
     mutual_information_integral,
 )
+from haarmi import cli
 from haarmi import integral as integral_module
 
 # ---------------------------------------------------------------------------
@@ -267,6 +268,32 @@ def test_kernel_needs_c_squared_in_binary64(call):
         call(Dimensions(2**600, 1, 1))
     with pytest.raises(DomainError, match=r"C\^2"):
         call(Dimensions(2**512 - 1, 1, 1))  # rounds to 2**512: c * c = inf
+
+
+@pytest.mark.parametrize("call", [
+    compute_J,
+    lambda dims: kernel_R(0.5, dims),
+    lambda dims: folded_integrand(0.5, dims),
+])
+def test_kernel_needs_c_fourth_power_in_binary64(call):
+    """The kernel's denominator at u = 0 is ``d_a^2 d_b^2 C^2 = C^4``; from
+    C = 2**256 it overflows and the integrand would read 0, so the route
+    raises DomainError before it integrates (C = 2**256 - 1 rounds up)."""
+    for triple in ((2**128, 2**128, 2**256), (2**256 - 1, 1, 2**256)):
+        with pytest.raises(DomainError, match=r"C\^4 = \(d_a d_b\)\^4"):
+            call(Dimensions(*triple))
+
+
+def test_compute_j_below_c_to_the_256():
+    """At C = 2**255 the denominator fits, and J is its leading
+    asymptotic ``1/(24 C^2 d_e^2)``; one power of two up, the CLI exits 2
+    instead of spending its evaluation budget."""
+    d_a, d_b, d_e = 2**127, 2**128, 2**256
+    j = compute_J(Dimensions(d_a, d_b, d_e)).value
+    assert j * 24 * (d_a * d_b) ** 2 * d_e**2 == pytest.approx(1.0, rel=1e-12)
+    code = cli.main(["integral", "--da", str(2 * d_a), "--db", str(d_b),
+                     "--de", str(d_e)])
+    assert code == 2
 
 
 @pytest.mark.parametrize("call", [

@@ -1,8 +1,9 @@
-"""Monte Carlo machinery: reproducible states and Bartlett factors, their
-reductions as purifications, entropies, Bloch sectors, and the parallel
-oracle."""
+"""Monte Carlo machinery: reproducible states and Bartlett factors drawn in
+bounded slices, their reductions as purifications, entropies, Bloch
+sectors, and the parallel oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,9 +27,9 @@ from haarmi import sampling as sampling_module
 DIMS = Dimensions(2, 3, 4)  # swapped: d_e < C
 FACTORISED = Dimensions(2, 3, 7)  # factorised: C <= d_e
 
-#: Per regime, the function that draws a chunk and the name it is patched
-#: under.
-BLOCKS = ((DIMS, "_sample_block"), (FACTORISED, "_bartlett_block"))
+#: One triple per regime: the swapped one draws states, the factorised
+#: one Bartlett factors.
+REGIMES = (DIMS, FACTORISED)
 
 
 def _entropy(rho: np.ndarray) -> float:
@@ -50,12 +51,28 @@ def _record_eigvalsh_sizes(monkeypatch) -> list[int]:
     return sizes
 
 
+def _chunk(dims: Dimensions, seed: int, chunk: int, count: int) -> np.ndarray:
+    """The first ``count`` purifications of a chunk, its slices joined."""
+    return np.concatenate(
+        list(sampling_module._purifications(dims, seed, chunk, count))
+    )
+
+
+def _states(triple, seed: int, count: int) -> np.ndarray:
+    """``count`` Haar-random pure states on ``d_a x d_b x d_e``, in either
+    regime, shaped ``(count, d_a, d_b, d_e)``."""
+    block = np.random.default_rng(seed).standard_normal(
+        (count, 2 * math.prod(triple))
+    )
+    return sampling_module._unit_rows(block.view(np.complex128)).reshape(
+        count, *triple
+    )
+
+
 def _chunk_reductions(dims: Dimensions, seed: int, chunk: int, count: int):
     """``rho_A``, ``rho_B`` and ``rho_E'`` of a chunk, as the oracle reduces
     it in either regime."""
-    return sampling_module._state_reductions(
-        sampling_module._purification(dims, seed, chunk, count)
-    )
+    return sampling_module._state_reductions(_chunk(dims, seed, chunk, count))
 
 
 def _per_sample_mutual_information(dims: Dimensions, seed: int, n: int):
@@ -76,19 +93,19 @@ def _per_sample_mutual_information(dims: Dimensions, seed: int, n: int):
 
 
 def test_sample_state_normalised_and_reproducible():
-    a = sampling_module._sample_block(DIMS, 42, 5, 7)
-    b = sampling_module._sample_block(DIMS, 42, 5, 7)
-    assert np.array_equal(a, b)
-    assert a.shape == (7, 24)
+    a = _chunk(DIMS, 42, 5, 7)
+    assert np.array_equal(a, _chunk(DIMS, 42, 5, 7))
+    assert a.shape == (7, 2, 3, 4)
     assert a.dtype == np.complex128
-    np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
-
-    factor = sampling_module._bartlett_block(FACTORISED, 42, 5, 7)
-    assert np.array_equal(
-        factor, sampling_module._bartlett_block(FACTORISED, 42, 5, 7)
+    np.testing.assert_allclose(
+        np.linalg.norm(a.reshape(7, -1), axis=1), 1.0, atol=1e-12
     )
-    assert factor.shape == (7, 6, 6)
-    assert factor.dtype == np.complex128
+
+    purification = _chunk(FACTORISED, 42, 5, 7)
+    assert np.array_equal(purification, _chunk(FACTORISED, 42, 5, 7))
+    assert purification.shape == (7, 2, 3, 6)
+    assert purification.dtype == np.complex128
+    factor = purification.reshape(7, 6, 6)
     # lower triangular with a real positive diagonal, Tr L L^H = 1
     assert np.all(np.triu(factor, k=1) == 0)
     diagonal = np.diagonal(factor, axis1=1, axis2=2)
@@ -99,11 +116,10 @@ def test_sample_state_normalised_and_reproducible():
 
 
 def test_sample_state_streams_differ():
-    for dims, name in BLOCKS:
-        draw = getattr(sampling_module, name)
-        base = draw(dims, 42, 0, 4)
-        assert not np.array_equal(base, draw(dims, 42, 1, 4))
-        assert not np.array_equal(base, draw(dims, 43, 0, 4))
+    for dims in REGIMES:
+        base = _chunk(dims, 42, 0, 4)
+        assert not np.array_equal(base, _chunk(dims, 42, 1, 4))
+        assert not np.array_equal(base, _chunk(dims, 43, 0, 4))
         assert not np.array_equal(base[0], base[1])
 
 
@@ -112,19 +128,21 @@ def test_sample_state_is_row_of_its_chunk(monkeypatch):
     chunk as one of 2 * CHUNK_SIZE, and a prefix of its second: the
     Bartlett stream draws the whole chunk's gammas before the normals of
     its rows."""
-    for dims, name in BLOCKS:
-        real_block = getattr(sampling_module, name)
-        chunks = [real_block(dims, 3, c, CHUNK_SIZE) for c in (0, 1)]
+    real_draw = sampling_module._purifications
+    for dims in REGIMES:
+        chunks = [_chunk(dims, 3, c, CHUNK_SIZE) for c in (0, 1)]
         runs = []
 
-        def recording(dims, seed, chunk, count, real_block=real_block):
-            runs[-1][chunk] = real_block(dims, seed, chunk, count)
-            return runs[-1][chunk]
+        def recording(dims, seed, chunk, count):
+            slices = list(real_draw(dims, seed, chunk, count))
+            runs[-1][chunk] = np.concatenate(slices)
+            yield from slices
 
-        monkeypatch.setattr(sampling_module, name, recording)
+        monkeypatch.setattr(sampling_module, "_purifications", recording)
         for n_samples in (CHUNK_SIZE + 3, 2 * CHUNK_SIZE):
             runs.append({})
             run_oracle(dims, n_samples=n_samples, seed=3)
+        monkeypatch.undo()
         short, full = runs
         assert len(short[1]) == 3
         assert np.array_equal(short[0], chunks[0])
@@ -154,7 +172,9 @@ def test_sample_state_validation():
 
 def test_factorised_runs_draw_no_state(monkeypatch):
     """No (count, N) block is drawn for a factorised triple: a chunk costs
-    C(C-1)/2 complex normals per sample, whatever d_e is."""
+    C(C-1)/2 complex normals per sample, whatever d_e is, drawn per slice.
+    At (4,4,64) a slice holds 2**16 // C^2 = 256 samples, so the full chunk
+    takes two draws and the 3-sample one a single one."""
     normals = []
     real_generator = np.random.Generator
 
@@ -169,14 +189,11 @@ def test_factorised_runs_draw_no_state(monkeypatch):
         def __getattr__(self, name):
             return getattr(self._gen, name)
 
-    def no_state(*args):
-        raise AssertionError("a state block was drawn")
-
     monkeypatch.setattr(np.random, "Generator", Counting)
-    monkeypatch.setattr(sampling_module, "_sample_block", no_state)
     run_oracle(Dimensions(4, 4, 64), n_samples=CHUNK_SIZE + 3, seed=1,
                workers=2)
-    assert sorted(normals) == [3 * 120 * 2, CHUNK_SIZE * 120 * 2]
+    assert sorted(normals) == [3 * 120 * 2, 256 * 120 * 2, 256 * 120 * 2]
+    assert sum(normals) == (CHUNK_SIZE + 3) * 120 * 2
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +243,7 @@ def test_bartlett_factor_is_a_purification(triple):
     L L^H, and rho_E' has the spectrum of L L^H."""
     dims = Dimensions(*triple)
     d_a, d_b, c = dims.d_a, dims.d_b, dims.d_a * dims.d_b
-    factor = sampling_module._bartlett_block(dims, 2, 0, 64)
+    factor = _chunk(dims, 2, 0, 64).reshape(-1, c, c)
     rho_ab = np.einsum("zij,zkj->zik", factor, factor.conj())
     blocks = rho_ab.reshape(-1, d_a, d_b, d_a, d_b)
     rho_a, rho_b, rho_e = sampling_module._state_reductions(
@@ -240,7 +257,7 @@ def test_bartlett_factor_is_a_purification(triple):
 
 def test_schmidt_symmetry():
     """Nonzero spectrum of rho_A equals that of the complementary reduction."""
-    t = sampling_module._sample_block(DIMS, 3, 0, 8).reshape(-1, 2, 3, 4)
+    t = _chunk(DIMS, 3, 0, 8)
     flat = t[7].reshape(2, 12)
     rho_be = np.einsum("ax,ay->xy", flat.conj(), flat)  # complement of A
     eig_a = np.linalg.eigvalsh(sampling_module._state_reductions(t)[0][7])
@@ -253,9 +270,9 @@ def test_schmidt_symmetry():
 def test_schmidt_identity_ab_equals_e(triple):
     """S(rho_AB) = S(rho_E) for a pure state, whichever side is smaller."""
     d_a, d_b, d_e = triple
-    t = sampling_module._sample_block(Dimensions(*triple), 5, 0, 256)
+    t = _states(triple, 5, 256)
     rho_ab = sampling_module._gram(t.reshape(-1, d_a * d_b, d_e))
-    rho_e = sampling_module._state_reductions(t.reshape(-1, *triple))[2]
+    rho_e = sampling_module._state_reductions(t)[2]
     s_ab = sampling_module._entropies(rho_ab, "AB")
     s_e = sampling_module._entropies(rho_e, "E")
     assert np.max(np.abs(s_ab - s_e)) <= 1e-13
@@ -434,7 +451,7 @@ def test_run_oracle_statistics_concord():
 def test_run_oracle_chunking_boundaries():
     # sample counts straddling the chunk size agree field by field across
     # worker counts, on both paths
-    for dims, _ in BLOCKS:
+    for dims in REGIMES:
         for n_samples in (CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 3):
             one = run_oracle(dims, n_samples=n_samples, seed=2, workers=1)
             two = run_oracle(dims, n_samples=n_samples, seed=2, workers=2)
@@ -442,6 +459,71 @@ def test_run_oracle_chunking_boundaries():
             for name in one.__dataclass_fields__:
                 assert getattr(one, name) == getattr(two, name), (
                     dims, n_samples, name)
+
+
+def _fields(stats) -> dict:
+    return {name: getattr(stats, name) for name in stats.__dataclass_fields__}
+
+
+@pytest.mark.parametrize("dims", [DIMS, FACTORISED, Dimensions(64, 1, 2)])
+def test_one_row_slices_are_bitwise_equal(dims, monkeypatch):
+    """Slicing is invisible: with a budget of one entry every slice is one
+    row, and every field equals the default run's bitwise, across a
+    partial chunk and for 1 and 2 workers.  (64,1,2) has 16-row slices by
+    default, sized by its 64 x 64 rho_A."""
+    n = CHUNK_SIZE + 3
+    reference = _fields(run_oracle(dims, n_samples=n, seed=11))
+    rows = []
+    real_draw = sampling_module._purifications
+
+    def recording(*args):
+        for t in real_draw(*args):
+            rows.append(len(t))
+            yield t
+
+    monkeypatch.setattr(sampling_module, "_SLICE_ENTRIES", 1)
+    monkeypatch.setattr(sampling_module, "_purifications", recording)
+    for workers in (1, 2):
+        assert _fields(run_oracle(dims, n, seed=11, workers=workers)) == reference
+    assert rows == [1] * (2 * n)
+
+
+@pytest.mark.parametrize("triple", [(16, 16, 16), (8, 8, 64), (64, 1, 2)])
+def test_run_oracle_memory_is_bounded(triple):
+    """Each worker holds one slice of at most 2**16 entries per array, so
+    a 1024-sample run peaks far below the 64 MiB that all its
+    purifications (or, at (64,1,2), all its rho_A) would take."""
+    tracemalloc.start()
+    try:
+        run_oracle(Dimensions(*triple), n_samples=1024, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_draws_need_n_within_binary64():
+    """Past N = 2**1022 the unscaled Bartlett factor's squared norm, about
+    2N, nears the binary64 range, and the run is refused before any worker
+    starts; at the limit every draw is finite, in both the one-level and
+    the largest factorised case."""
+    for triple in ((1, 1, 2**1022 + 1), (8, 8, 2**1016 + 1),
+                   (1, 1, 2**1024 - 1)):
+        with pytest.raises(DomainError, match=r"N <= 2\*\*1022"):
+            run_oracle(Dimensions(*triple), n_samples=2, seed=0)
+    for triple in ((1, 1, 2**1022), (8, 8, 2**1016)):
+        stats = run_oracle(Dimensions(*triple), n_samples=64, seed=0)
+        assert stats.mean_purity_a == pytest.approx(1 / triple[0], rel=1e-12)
+        assert stats.mean_entropy_ab == pytest.approx(
+            math.log(triple[0] * triple[1]), rel=1e-12)
+
+
+def test_verify_skips_the_oracle_past_the_draw_limit(capsys):
+    """The analytic routes are defined at N = 2**1024 - 1; verify runs them
+    and records the oracle as skipped."""
+    d_e = str(2**1024 - 1)
+    assert cli.main(["verify", "--da", "1", "--db", "1", "--de", d_e]) == 0
+    assert "[SKIPPED] oracle_3se: N above 2**1022" in capsys.readouterr().out
 
 
 def test_run_oracle_validation():
@@ -454,7 +536,7 @@ def test_run_oracle_validation():
 
 
 def test_key_words_must_fit_64_bits():
-    for dims, _ in BLOCKS:
+    for dims in REGIMES:
         for workers in (1, 2):
             with pytest.raises(DomainError):
                 run_oracle(dims, n_samples=10, seed=2**64, workers=workers)
@@ -523,15 +605,18 @@ def test_one_level_diagonal_entropy_is_exactly_zero(triple):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_oracle_worker_failure(workers, monkeypatch):
-    for dims, name in BLOCKS:
-        real_block = getattr(sampling_module, name)
+    """A failure after a chunk's first slice discards the whole run."""
+    real_draw = sampling_module._purifications
 
-        def flaky(dims, seed, chunk, count, real_block=real_block):
-            if chunk >= 1:
+    def flaky(dims, seed, chunk, count):
+        for i, t in enumerate(real_draw(dims, seed, chunk, count)):
+            if chunk >= 1 and i == 1:
                 raise RuntimeError("injected failure")
-            return real_block(dims, seed, chunk, count)
+            yield t
 
-        monkeypatch.setattr(sampling_module, name, flaky)
+    monkeypatch.setattr(sampling_module, "_SLICE_ENTRIES", 4096)
+    monkeypatch.setattr(sampling_module, "_purifications", flaky)
+    for dims in REGIMES:
         with pytest.raises(OracleWorkerError):
             run_oracle(dims, n_samples=2 * CHUNK_SIZE, seed=0, workers=workers)
 

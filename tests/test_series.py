@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from haarmi import cli
 from haarmi import (
     Dimensions,
     DomainError,
@@ -53,8 +54,8 @@ def test_expand_terms_are_bernoulli_terms_bitwise(triple):
     for k in range(1, 61):
         reference = (
             float(zeta_negative_odd(k))
-            * ((dims.d_a * dims.d_a / n) ** k - (1.0 / n) ** k)
-            * ((dims.d_b * dims.d_b / n) ** k - (1.0 / n) ** k)
+            * ((dims.d_a * dims.d_a / n) ** k - (1 / n) ** k)
+            * ((dims.d_b * dims.d_b / n) ** k - (1 / n) ** k)
         )
         assert terms[k - 1].hex() == bernoulli_term(dims, k).hex() == reference.hex()
 
@@ -69,6 +70,27 @@ def test_terms_vanish_when_dimension_one():
     assert e.error_estimate == 0.0
     assert e.optimal_k == 1  # all-zero terms tie at k=1
     assert e.divergence_k is None
+
+
+@pytest.mark.parametrize("triple", [(1, 2, 2**53 + 1), (3, 1, 2**60 + 1)])
+def test_terms_vanish_when_dimension_one_past_2_to_53(triple):
+    """``1/N`` and ``1*1/N`` are the same correctly rounded quotient, so
+    the factor of a dimension 1 is exactly 0 where ``float(N)`` rounds
+    (``1.0/N`` gave t_1 = 8.6e-50 at (1,2,2**53+1))."""
+    assert all(t == 0.0 for t in expand(Dimensions(*triple), 60).terms)
+
+
+def test_terms_at_the_top_of_the_binary64_range(capsys):
+    """N = 2**1024 - 4 is a valid triple although ``float(N)`` overflows:
+    the terms divide as integers, underflow to 0, and the CLI exits 0."""
+    d_e = 2**1022 - 1
+    e = expand(Dimensions(2, 2, d_e))
+    assert e.leading == leading_order(Dimensions(2, 2, d_e)) > 0.0
+    assert all(t == 0.0 for t in e.terms)
+    assert e.value_at_optimal == e.leading
+    code = cli.main(["series", "--da", "2", "--db", "2", "--de", str(d_e)])
+    assert code == 0
+    assert "I_series_opt" in capsys.readouterr().out
 
 
 def test_partial_sum_construction():
