@@ -279,12 +279,8 @@ def _fill_integral(row: dict, dims: Dimensions, tol: float):
         return
     su = casimir_counts(dims).su_product
     j = compute_J(dims, tol).value
-    row.update(
-        I_integral=lead - 2.0 * su * j,
-        J=j,
-        bound_deficit=2.0 * su * j,
-        I_leading=lead,
-    )
+    deficit = 2.0 * su * j if j else 0.0  # as integral.bound_deficit
+    row.update(I_integral=lead - deficit, J=j, bound_deficit=deficit, I_leading=lead)
 
 
 def _fill_analytic(

@@ -7,16 +7,22 @@ Bose-Einstein kernel and yields, in the factorised regime
 
     <I(A:B)> = (d_a^2-1)(d_b^2-1) * ( 1/(2N) - 2*J ),
 
-    J = integral_0^inf R(u) / (e^{2 pi d_e u} - 1) du
-      = (1/d_e) integral_0^inf R(t/d_e) / (e^{2 pi t} - 1) dt,
+    J = integral_0^inf R(u) / (e^{2 pi d_e u} - 1) du,
     R(u) = u (C^2 - u^4) / ((u^2+1)(u^2+d_a^2)(u^2+d_b^2)(u^2+C^2)),
 
-with ``C = d_a d_b``.  In ``t = d_e u`` each partial fraction of R is a
-Binet tail (:func:`binet_tail` at ``z = p d_e``) and the weight has unit
-width for every ``d_e``, so ``J`` and ``binet_tail`` share one quadrature.
-Its nodes and Bose denominators depend on the tolerance alone: each
-refinement level is tabulated on first use, in a bounded cache, and the
-first pair of levels (2 and 4 panels) is one integrand call on 192 nodes.
+with ``C = d_a d_b``.  The scale of R is ``u/C^2`` (:func:`_kernel_shape`),
+so in ``t = d_e u``
+
+    J = Jhat / (C d_e)^2,   Jhat = integral_0^inf t h(t/d_e) / (e^{2 pi t} - 1) dt,
+
+where the weight has unit width and ``t h`` is O(1) for every accepted
+triple; the scale returns as one product, which underflows J to 0 once
+``C d_e`` passes about ``2**537``.  Each partial fraction of R is a Binet
+tail (:func:`binet_tail` at ``z = p d_e``), scaled the same way, so ``J``
+and ``binet_tail`` share one quadrature.  Its nodes and Bose denominators
+depend on the tolerance alone: each refinement level is tabulated on first
+use, in a bounded cache, and the first pair of levels (2 and 4 panels) is
+one integrand call on 192 nodes.
 The Gauss-Legendre rule itself is built at import in pure Python; numpy is
 imported at the first quadrature, so importing this module loads none.
 
@@ -31,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import TYPE_CHECKING, Callable
@@ -41,10 +46,6 @@ from .errors import DomainError, NonConvergenceError
 
 if TYPE_CHECKING:
     import numpy as np
-
-#: The largest binary64, as an integer: the bound on every integer the
-#: integral route converts to float (``float()`` overflows just above it).
-_FLOAT_MAX = int(sys.float_info.max)
 
 #: Hard cap on integrand evaluations per quadrature call.
 EVAL_BUDGET = 1_000_000
@@ -184,76 +185,64 @@ def _bose_quad(g: Callable[[np.ndarray], np.ndarray], tol: float) -> QuadratureR
         levels = (2 * levels[-1],)
 
 
+def _scaled(result: QuadratureResult, inv: float) -> QuadratureResult:
+    """``result`` times ``inv**2``, its error floored at 8 ulp of the product,
+    so a value that underflows still carries an honest error."""
+    value = result.value * inv * inv
+    error = max(result.error_estimate * inv * inv, 8.0 * math.ulp(value))
+    return QuadratureResult(value, error, result.evaluations)
+
+
 def binet_tail(z: float, tol: float = 1e-14) -> QuadratureResult:
     """Tail integral ``integral_0^inf t / ((t^2 + z^2)(e^{2 pi t} - 1)) dt``.
 
     This is the correction term of the log-plus-half asymptotic of the
     digamma function: ``psi(z+1) = ln z + 1/(2z) - 2 * binet_tail(z)``
-    for every real ``z > 0``.  It decays like ``1/(24 z^2)``.
-
-    ``z*z`` must be finite, so ``z`` is at most about 1.34e154
-    (:class:`DomainError` beyond, where the integrand would read 0).  The
-    value is subnormal from about 1.4e153 (2.89e-310 at 1.2e154), and near
-    the bound two refinements may no longer agree to ``tol``
-    (:class:`NonConvergenceError`).
+    for every real ``z > 0``.  It decays like ``1/(24 z^2)``, and is
+    computed as ``(1/z)^2 integral t / (1 + (t/z)^2) ...``: the integrand
+    is O(1) for every ``z``, so a value that underflows reads 0, never
+    ``NonConvergenceError``.  ``z`` may be an int beyond binary64.
     """
-    try:
-        z = float(z)
-    except OverflowError:  # an integer beyond binary64
-        z = math.inf
-    z2 = z * z
-    if not (z > 0.0 and math.isfinite(z2)):
-        raise DomainError(
-            f"binet_tail requires z > 0 with z*z finite (z < 1.34e154), "
-            f"got {z!r}"
-        )
-    return _bose_quad(lambda t: t / (t * t + z2), tol)
+    if not z > 0:
+        raise DomainError(f"binet_tail requires z > 0, got {z!r}")
+    inv = 1 / z
+    return _scaled(_bose_quad(lambda t: t / (1.0 + (t * inv) ** 2), tol), inv)
 
 
-def _binary64(name: str, value: int) -> float:
-    """``float(value)``, or :class:`DomainError` naming the limit where that
-    would overflow."""
-    if value > _FLOAT_MAX:
-        raise DomainError(f"the integral route needs {name} to fit binary64 "
-                          f"(at most ~1.8e308), got {value.bit_length()} bits")
-    return float(value)
+def _kernel_shape(dims: Dimensions, scale: int) -> Callable:
+    """``x -> h(x / scale)``, the kernel without its scale:
+    ``R(u) = (u / C^2) h(u)``, with ``v = u^2 / C`` and
 
+        h(u) = (1 - v)(1 + v) / ((1+u^2)(1+u^2/d_a^2)(1+u^2/d_b^2)(1+u^2/C^2)).
 
-def _c_float(dims: Dimensions) -> float:
-    """``C = d_a d_b`` in binary64, checked through the kernel's constants:
-    ``C^2``, which it forms as ``c * c``, and its denominator at ``u = 0``,
-    ``d_a^2 d_b^2 C^2 = C^4``, formed as :func:`kernel_R` forms it.  Near
-    ``u = 0``, where J lives, the denominator is that constant, so once it
-    overflows the integrand reads 0 everywhere."""
+    Each coefficient is an integer true division (``1/(C scale^2)``,
+    ``1/(d_a scale)^2``, ...), so no dimension is converted to binary64;
+    one that underflows reads 0, where its term is below 1's last bit."""
     c = dims.d_a * dims.d_b
-    _binary64("C^2 = (d_a d_b)^2", c * c)
-    c_float = float(c)
-    if math.isinf(float(dims.d_a**2) * float(dims.d_b**2) * (c_float * c_float)):
-        raise DomainError(
-            f"the integral route needs C^4 = (d_a d_b)^4 to fit binary64 "
-            f"(C below 2**256), got C with {c.bit_length()} bits"
+    k_v = 1 / (c * scale * scale)
+    k_1, k_a, k_b, k_c = (1 / (d * scale) ** 2 for d in (1, dims.d_a, dims.d_b, c))
+
+    def h(x):
+        x2 = x * x
+        v = x2 * k_v
+        return (1.0 - v) * (1.0 + v) / (
+            (1.0 + x2 * k_1) * (1.0 + x2 * k_a) * (1.0 + x2 * k_b) * (1.0 + x2 * k_c)
         )
-    return c_float
+
+    return h
 
 
 def kernel_R(u: float | np.ndarray, dims: Dimensions) -> float | np.ndarray:
     """Rational kernel ``u (C^2-u^4) / ((u^2+1)(u^2+d_a^2)(u^2+d_b^2)(u^2+C^2))``
-    at a real ``u`` or elementwise on an array.
+    at a real ``u`` or elementwise on an array, formed as
+    ``(u / C^2) h(u)`` (:func:`_kernel_shape` at scale 1), so it is finite
+    for every accepted triple.
 
     Positive on (0, C^{1/2}), negative beyond, and antisymmetric under the
-    scale inversion ``u -> C/u`` with weight ``C/u^2``.  ``C^4``, its
-    denominator at ``u = 0``, must fit binary64, so C is below ``2**256``
-    (:class:`DomainError` otherwise).
+    scale inversion ``u -> C/u`` with weight ``C/u^2``.
     """
-    c = _c_float(dims)
-    a2 = float(dims.d_a * dims.d_a)
-    b2 = float(dims.d_b * dims.d_b)
-    u2 = u * u
-    return (
-        u
-        * (c * c - u2 * u2)
-        / ((u2 + 1.0) * (u2 + a2) * (u2 + b2) * (u2 + c * c))
-    )
+    c = dims.d_a * dims.d_b
+    return u * (1 / (c * c)) * _kernel_shape(dims, 1)(u)
 
 
 def _bose_factor(x: float) -> float:
@@ -265,30 +254,27 @@ def folded_integrand(u: float, dims: Dimensions) -> float:
     """Folded, non-negative integrand ``R(u) [f(u) - f(C/u)]`` on
     ``(0, sqrt(C)]``; exactly zero at the fold point ``u = sqrt(C)``."""
     u = float(u)
-    c = _c_float(dims)
-    fold = math.sqrt(c)
+    # C, d_e and N may round up to 2**1024 in binary64; their quarters and
+    # halves never do, and scaling back by 2 rounds as the float would.
+    fold = 2.0 * math.sqrt(dims.d_a * dims.d_b / 4)
     if not (0.0 < u <= fold):
         raise DomainError(
             f"folded integrand is defined on (0, {fold!r}], got u={u!r}"
         )
     if u == fold:
         return 0.0
-    scale = 2.0 * math.pi * _binary64("d_e", dims.d_e)
-    return kernel_R(u, dims) * (_bose_factor(scale * u) - _bose_factor(scale * c / u))
+    scale = 4.0 * math.pi * (dims.d_e / 2)  # 2 pi d_e
+    mirror = 4.0 * math.pi * (dims.n / 2)  # 2 pi d_e C
+    return kernel_R(u, dims) * (_bose_factor(scale * u) - _bose_factor(mirror / u))
 
 
 def compute_J(dims: Dimensions, tol: float = 1e-14) -> QuadratureResult:
-    """The positive integral ``J``: the quadrature in ``t = d_e u`` with
-    value and error divided by ``d_e``, the error floored at 8 ulp of the
-    returned value, so a J that underflows still carries an honest error;
-    ``tol`` is relative.  Defined for every triple whose ``C^4`` and ``d_e``
-    fit binary64 (C below ``2**256``), and finite when a dimension is 1;
-    :class:`DomainError` otherwise."""
-    d_e = _binary64("d_e", dims.d_e)
-    t_form = _bose_quad(lambda t: kernel_R(t / d_e, dims), tol)
-    value = t_form.value / d_e
-    error = max(t_form.error_estimate / d_e, 8.0 * math.ulp(value))
-    return QuadratureResult(value, error, t_form.evaluations)
+    """The positive integral ``J = Jhat / (C d_e)^2`` (module docstring);
+    ``tol`` is relative.  The error is floored at 8 ulp of the returned
+    value, so a J that underflows reads 0 with an honest error.  Defined
+    for every accepted triple, and finite when a dimension is 1."""
+    h = _kernel_shape(dims, dims.d_e)
+    return _scaled(_bose_quad(lambda t: t * h(t), tol), 1 / dims.n)
 
 
 def mutual_information_integral(dims: Dimensions, tol: float = 1e-14) -> float:
@@ -303,8 +289,13 @@ def mutual_information_integral(dims: Dimensions, tol: float = 1e-14) -> float:
 
 def bound_deficit(dims: Dimensions, tol: float = 1e-14) -> float:
     """Gap ``leading_order - <I> = 2 su J`` of the strict upper bound
-    ``<I> < (d_a^2-1)(d_b^2-1)/(2N)``: positive when both dimensions exceed
-    1, exactly 0 (``su = 0``) otherwise."""
+    ``<I> < (d_a^2-1)(d_b^2-1)/(2N)``: exactly 0 (``su = 0``) when a
+    dimension is 1, positive otherwise until J, and with it the deficit,
+    underflows to 0 once ``C d_e`` passes about ``2**537``.  The deficit is
+    about ``1/(6 C d_e)`` of the leading order, so there it is far below
+    the leading order's last bit."""
     dims.require_factorised("integral")
     su = casimir_counts(dims).su_product
-    return 2.0 * su * compute_J(dims, tol).value
+    j = compute_J(dims, tol).value
+    # su rounds past binary64 (C within 2**-56 of 2**512) only where J is 0
+    return 2.0 * su * j if j else 0.0

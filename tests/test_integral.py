@@ -1,11 +1,14 @@
 """Integral route: Bose quadrature, Binet tail, kernel algebra, the folded
 witness, and the strict bound."""
 
+import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from haarmi import (
     DomainError,
     NonConvergenceError,
     RegimeError,
+    bernoulli,
     binet_tail,
     bound_deficit,
     casimir_counts,
@@ -68,16 +72,21 @@ def test_binet_tail_domain(bad):
         binet_tail(bad)
 
 
-def test_binet_tail_bound_on_z_squared():
-    """Up to the bound ``z*z`` stays finite and the tail is a subnormal
-    ``1/(24 z^2)``; past it the integrand would be identically 0, so the
-    call raises instead of exhausting the evaluation budget."""
+def test_binet_tail_scales_out_z():
+    """The quadrature is of ``t / (1 + (t/z)^2)``, which is O(1) for every
+    z, times ``(1/z)^2``: near the subnormal range the tail is ``1/(24
+    z^2)`` from the first refinement pair, past ``z*z`` overflowing it is
+    finite with a positive error, and an int beyond binary64 is a valid
+    ``z``."""
     below = binet_tail(1.2e154)
     assert below.value == pytest.approx(1.0 / 24.0 / 1.2e154 / 1.2e154, rel=1e-12)
-    bound = math.sqrt(sys.float_info.max)
-    for z in (math.nextafter(bound, math.inf), 1.4e154, 10**400, math.inf):
-        with pytest.raises(DomainError, match="1.34e154"):
-            binet_tail(z)
+    assert below.evaluations == 192
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [binet_tail(z) for z in (1.5e154, 1e300, 10**400, math.inf)]
+    assert results[0].value == pytest.approx(1.0 / 24.0 / 1.5e154 / 1.5e154, rel=1e-12)
+    assert [r.value for r in results[1:]] == [0.0, 0.0, 0.0]
+    assert all(0.0 < r.error_estimate < 1e-300 for r in results)
 
 
 def test_quadrature_result_contract():
@@ -116,19 +125,24 @@ def test_budget_covers_the_first_refinement_pair(monkeypatch):
     assert compute_J(dims).evaluations == 192
 
 
-#: Results recorded before the levels were tabulated, at refinement depths
-#: from the first pair (192 evaluations) to 256 panels (16 320).
+#: Results at refinement depths from the first pair (192 evaluations) to
+#: 256 panels (16 320).
 QUADRATURE_PINS = [
-    (lambda: compute_J(Dimensions(2, 3, 7)),
-     "0x1.8b2ce11351eabp-16", "0x1.2492492492492p-65", 192),
-    (lambda: compute_J(Dimensions(1, 1, 5), 1e-16),
-     "0x1.ae3212012f4cep-10", "0x1.999999999999ap-59", 448),
-    (lambda: compute_J(Dimensions(1, 1, 2), 1e-16),
-     "0x1.39b362da21638p-7", "0x1.0000000000000p-56", 1984),
-    (lambda: binet_tail(0.1),
-     "0x1.8f827e59f56f3p+0", "0x1.9800000000000p-47", 960),
-    (lambda: binet_tail(0.01),
-     "0x1.6fa54e0c681e8p+4", "0x1.0000000000000p-45", 16320),
+    pytest.param(lambda: compute_J(Dimensions(2, 3, 7)),
+                 "0x1.8b2ce11351ea9p-16", "0x1.293725bb804a4p-65", 192,
+                 id="J-2-3-7"),
+    pytest.param(lambda: compute_J(Dimensions(1, 1, 5), 1e-16),
+                 "0x1.ae3212012f4d2p-10", "0x1.47ae147ae147cp-59", 192,
+                 id="J-1-1-5-tol-1e-16"),
+    pytest.param(lambda: compute_J(Dimensions(1, 1, 2), 1e-16),
+                 "0x1.39b362da21638p-7", "0x1.0000000000000p-56", 192,
+                 id="J-1-1-2-tol-1e-16"),
+    pytest.param(lambda: binet_tail(0.1),
+                 "0x1.8f827e59f56f6p+0", "0x1.a900000000000p-47", 960,
+                 id="binet-0.1"),
+    pytest.param(lambda: binet_tail(0.01),
+                 "0x1.6fa54e0c681e6p+4", "0x1.3880000000000p-45", 16320,
+                 id="binet-0.01"),
 ]
 
 
@@ -255,53 +269,56 @@ def test_kernel_partial_fraction_identity():
 # folded integrand
 
 
-@pytest.mark.parametrize("call", [
-    compute_J,
-    lambda dims: kernel_R(0.5, dims),
-    lambda dims: folded_integrand(0.5, dims),
-])
-def test_kernel_needs_c_squared_in_binary64(call):
-    """``Dimensions`` accepts C up to N, but the kernel forms ``C^2``; past
-    the largest binary64 the route raises DomainError, not OverflowError.
-    No factorised triple gets there (``C^2 <= N``)."""
-    with pytest.raises(DomainError, match=r"C\^2 = \(d_a d_b\)\^2"):
-        call(Dimensions(2**600, 1, 1))
-    with pytest.raises(DomainError, match=r"C\^2"):
-        call(Dimensions(2**512 - 1, 1, 1))  # rounds to 2**512: c * c = inf
+#: Accepted triples at the edges of binary64: d_e, C or N within 2**970
+#: of 2**1024 (where ``float()`` of them overflows), C**2 past it, and C**4
+#: past it.
+EDGE_TRIPLES = [
+    (1, 1, 2**1024 - 1), (2**1023, 1, 1), (2**1024 - 1, 1, 1), (2**600, 1, 1),
+    (2**511, 2**511, 2), (3, 2**1000, 2), (2**128, 2**128, 2**256),
+]
 
 
+@pytest.mark.parametrize("triple", EDGE_TRIPLES)
 @pytest.mark.parametrize("call", [
-    compute_J,
-    lambda dims: kernel_R(0.5, dims),
-    lambda dims: folded_integrand(0.5, dims),
+    pytest.param(lambda dims: compute_J(dims).value, id="compute_J"),
+    pytest.param(lambda dims: compute_J(dims).error_estimate, id="J_error"),
+    pytest.param(lambda dims: kernel_R(0.5, dims), id="kernel_R"),
+    pytest.param(lambda dims: folded_integrand(0.5, dims), id="folded"),
 ])
-def test_kernel_needs_c_fourth_power_in_binary64(call):
-    """The kernel's denominator at u = 0 is ``d_a^2 d_b^2 C^2 = C^4``; from
-    C = 2**256 it overflows and the integrand would read 0, so the route
-    raises DomainError before it integrates (C = 2**256 - 1 rounds up)."""
+def test_integral_route_is_finite_on_the_accepted_domain(call, triple):
+    """No dimension is converted to binary64 whole, so every accepted
+    triple gives a finite value: no OverflowError, NaN or warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(call(Dimensions(*triple)))
+
+
+def test_kernel_beyond_c_fourth_power():
+    """``C^4``, the unscaled denominator at u = 0, overflows binary64 from
+    C = 2**256; the kernel, formed as ``(u/C^2) h(u)``, still matches its
+    exact rational value there, and vanishes at the fold."""
     for triple in ((2**128, 2**128, 2**256), (2**256 - 1, 1, 2**256)):
-        with pytest.raises(DomainError, match=r"C\^4 = \(d_a d_b\)\^4"):
-            call(Dimensions(*triple))
+        dims = Dimensions(*triple)
+        a2, b2, c = dims.d_a**2, dims.d_b**2, dims.d_a * dims.d_b
+        for u in (0.5, 3.0):
+            x = Fraction(u) ** 2
+            exact = (Fraction(u) * (c * c - x * x)
+                     / ((x + 1) * (x + a2) * (x + b2) * (x + c * c)))
+            assert kernel_R(u, dims) == pytest.approx(float(exact), rel=1e-15, abs=0)
+        assert kernel_R(math.sqrt(c), dims) == 0.0
 
 
 def test_compute_j_below_c_to_the_256():
-    """At C = 2**255 the denominator fits, and J is its leading
-    asymptotic ``1/(24 C^2 d_e^2)``; one power of two up, the CLI exits 2
-    instead of spending its evaluation budget."""
-    d_a, d_b, d_e = 2**127, 2**128, 2**256
-    j = compute_J(Dimensions(d_a, d_b, d_e)).value
-    assert j * 24 * (d_a * d_b) ** 2 * d_e**2 == pytest.approx(1.0, rel=1e-12)
-    code = cli.main(["integral", "--da", str(2 * d_a), "--db", str(d_b),
+    """At C = 2**255 and 2**256 (where the unscaled kernel's ``C^4``
+    overflows), J is its leading asymptotic ``1/(24 C^2 d_e^2)``, a
+    subnormal at C = d_e = 2**256, and the CLI answers."""
+    for d_a in (2**127, 2**128):
+        d_b, d_e = 2**128, 2**256
+        j = compute_J(Dimensions(d_a, d_b, d_e)).value
+        assert j * 24 * (d_a * d_b) ** 2 * d_e**2 == pytest.approx(1.0, rel=1e-12)
+    code = cli.main(["integral", "--da", str(d_a), "--db", str(d_b),
                      "--de", str(d_e)])
-    assert code == 2
-
-
-@pytest.mark.parametrize("call", [
-    compute_J, lambda dims: folded_integrand(0.5, dims),
-])
-def test_integral_route_needs_d_e_in_binary64(call):
-    with pytest.raises(DomainError, match="d_e to fit binary64"):
-        call(Dimensions(1, 1, 2**1024 - 1))
+    assert code == 0
 
 
 def test_folded_integrand_domain_and_fold_point():
@@ -410,6 +427,113 @@ def test_unattainable_tolerance_fails_loudly():
         warnings.simplefilter("error")
         with pytest.raises(NonConvergenceError):
             compute_J(Dimensions(2, 3, 7), tol=5e-324)
+
+
+def _remainder_decimal(z: int) -> Decimal:
+    """``r(z) = ln z + 1/(2z) - psi(z+1)`` at the current Decimal precision:
+    the Stirling series ``sum_k B_2k / (2k w^2k)`` at ``w = z + shift >=
+    64``, where each omitted term is below 1e-70 of the sum, and the
+    recurrence ``psi(z+1) = psi(w) - sum_{j<shift} 1/(z+j)`` below it."""
+    shift = max(0, 64 - z)
+    w = Decimal(z + shift)
+    value = Decimal(0)
+    for k in range(1, 31):
+        b = bernoulli(2 * k)
+        term = Decimal(b.numerator) / (Decimal(b.denominator) * 2 * k * w ** (2 * k))
+        value += term
+        if abs(term) < abs(value) * Decimal("1e-70"):
+            break
+    if shift:
+        z_dec = Decimal(z)
+        value += (z_dec.ln() + 1 / (2 * z_dec) - w.ln() + 1 / (2 * w)
+                  + sum(1 / Decimal(z + j) for j in range(1, shift)))
+    return value
+
+
+def _pole_sum(dims: Dimensions) -> Decimal:
+    """``2 su J = r(N) - r(d_b d_e) - r(d_a d_e) + r(d_e)`` at 50 digits,
+    so ``<I> = su/(2N) - _pole_sum`` in the factorised regime."""
+    d_a, d_b, d_e = dims.d_a, dims.d_b, dims.d_e
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return (_remainder_decimal(dims.n) - _remainder_decimal(d_b * d_e)
+                - _remainder_decimal(d_a * d_e) + _remainder_decimal(d_e))
+
+
+def _seeded_factorised_triples(count: int = 40, seed: int = 15) -> list:
+    """Factorised triples in four strata, in turn: both d_a, d_b >= 2 and N
+    below 2**41, where the deficit shows in I; C up to 2**62 with J a
+    normal binary64; C at least 2**256; N within a factor 8 of 2**1024.
+    Each dimension is uniform within its octave ``[2**k, 2**(k+1))``, so
+    ``k_a + k_b + 2 <= k_e`` keeps C <= d_e and ``k_a + k_b + k_e <= 1021``
+    keeps N below 2**1024."""
+    rng = random.Random(seed)
+    strata = (((1, 4), 20), ((0, 30), 120), ((128, 254), 1021), ((0, 254), None))
+    triples = []
+    for i in range(count):
+        bits, span = strata[i % 4]
+        k_a, k_b = rng.randint(*bits), rng.randint(*bits)
+        lowest, highest = k_a + k_b + 2, 1021 - k_a - k_b
+        k_e = highest if span is None else rng.randint(lowest, min(highest, lowest + span))
+        triples.append(tuple(rng.randrange(1 << k, 2 << k) for k in (k_a, k_b, k_e)))
+    return triples
+
+
+#: One where the unscaled integrand underflowed (``d_e C^2`` past 2**1074),
+#: four with C >= 2**256, and C within 2**-56 of 2**512, where
+#: ``float(su)`` overflows.
+WIDE_TRIPLES = [
+    (2**127, 2**128, 2**700), (2**128, 2**128, 2**256), (2**300, 2**200, 2**510),
+    (3, 2**400, 2**600), (2**255, 2, 2**300),
+    (2**256 - 1, 2**256 + 1, 2**512 - 1),
+]
+
+
+def test_integral_route_over_the_factorised_domain():
+    """On a fixed seeded set that reaches C >= 2**256, ``d_e C^2`` past
+    2**1074 (where the unscaled integrand underflowed) and N near 2**1023,
+    the integral route lands within verify's integral band,
+    ``max(1e-14, 10 tol) |I|``, of a 50-digit Decimal reference, and J
+    within its error estimate of the exact pole sum."""
+    dims_list = [Dimensions(*t) for t in _seeded_factorised_triples() + WIDE_TRIPLES]
+    assert all(d.factorised_regime for d in dims_list)
+    sizes = [(d.d_a * d.d_b, d.n) for d in dims_list]
+    assert sum(c >= 2**256 for c, _ in sizes) >= 10
+    assert sum(n * c > 2**1074 for c, n in sizes) >= 10  # d_e C^2 = N C
+    assert sum(n >= 2**1021 for _, n in sizes) >= 10
+    shown = 0
+    for dims in dims_list:
+        su = casimir_counts(dims).su_product
+        poles = _pole_sum(dims)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            lead = Decimal(su) / (2 * Decimal(dims.n))
+            reference = lead - poles
+            j_exact = poles / (2 * su) if su else None
+        shown += abs(lead - reference) > Decimal(1e-15) * reference
+        value = mutual_information_integral(dims)
+        assert abs(Decimal(value) - reference) <= Decimal(1e-13) * reference, dims
+        if su:
+            j = compute_J(dims)
+            assert abs(Decimal(j.value) - j_exact) <= Decimal(j.error_estimate), dims
+            floor = Decimal(8 * math.ulp(0.0))
+            assert Decimal(j.error_estimate) <= max(Decimal(1e-13) * j_exact, floor)
+    assert shown >= 10
+
+
+@pytest.mark.parametrize("triple", WIDE_TRIPLES)
+def test_integral_command_answers_beyond_c_fourth_power(triple, capsys):
+    """``haarmi integral`` exits 0 where the unscaled kernel raised; its
+    I_integral is the library's to the last bit, and the closed form's."""
+    argv = ["integral", "--format", "json"]
+    for flag, d in zip(("--da", "--db", "--de"), triple):
+        argv += [flag, str(d)]
+    assert cli.main(argv) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    dims = Dimensions(*triple)
+    assert row["I_integral"] == mutual_information_integral(dims)
+    if dims.d_a * dims.d_b < 2**511:  # the closed form's I/su overflows above
+        assert row["I_integral"] == mutual_information_exact(dims).total
 
 
 def test_integral_route_matches_exact():
