@@ -309,16 +309,23 @@ def test_kernel_beyond_c_fourth_power():
 
 
 def test_compute_j_below_c_to_the_256():
-    """At C = 2**255 and 2**256 (where the unscaled kernel's ``C^4``
-    overflows), J is its leading asymptotic ``1/(24 C^2 d_e^2)``, a
-    subnormal at C = d_e = 2**256, and the CLI answers."""
-    for d_a in (2**127, 2**128):
-        d_b, d_e = 2**128, 2**256
-        j = compute_J(Dimensions(d_a, d_b, d_e)).value
+    """At C = 2**255, J is its leading asymptotic ``1/(24 C^2 d_e^2)``."""
+    d_a, d_b, d_e = 2**127, 2**128, 2**256
+    j = compute_J(Dimensions(d_a, d_b, d_e)).value
+    assert j * 24 * (d_a * d_b) ** 2 * d_e**2 == pytest.approx(1.0, rel=1e-12)
+
+
+def test_compute_j_beyond_c_fourth_power():
+    """From C = 2**256 the unscaled kernel's ``C^4`` overflows (C = 2**256 - 1
+    rounds up); J is still its leading asymptotic ``1/(24 C^2 d_e^2)``, a
+    subnormal, and the CLI answers."""
+    for triple in ((2**128, 2**128, 2**256), (2**256 - 1, 1, 2**256)):
+        d_a, d_b, d_e = triple
+        j = compute_J(Dimensions(*triple)).value
         assert j * 24 * (d_a * d_b) ** 2 * d_e**2 == pytest.approx(1.0, rel=1e-12)
-    code = cli.main(["integral", "--da", str(d_a), "--db", str(d_b),
-                     "--de", str(d_e)])
-    assert code == 0
+        code = cli.main(["integral", "--da", str(d_a), "--db", str(d_b),
+                         "--de", str(d_e)])
+        assert code == 0
 
 
 def test_folded_integrand_domain_and_fold_point():
