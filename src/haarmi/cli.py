@@ -391,35 +391,25 @@ def _verify_view(row, dims, config, checks):
     def record(name: str, status: str, detail: str) -> None:
         checks.append({"name": name, "status": status, "detail": detail})
 
+    def compare(name: str, label: str, value: float, band: float,
+                band_text: str = "") -> None:
+        diff = abs(exact_value - value)
+        record(name, "pass" if diff <= band else "fail",
+               f"|exact - {label}| = {diff:.3e} (<= {band_text}{band:.3e})")
+
     # Every band scales with |I|, which falls like 1/N.  A band is 0 when a
     # dimension is 1; the values are then exactly 0.0.
-    rational_diff = abs(exact_value - rational_value)
-    rational_tol = 1e-13 * abs(rational_value)
-    record(
-        "rational_route",
-        "pass" if rational_diff <= rational_tol else "fail",
-        f"|exact - rational| = {rational_diff:.3e} (<= {rational_tol:.3e})",
-    )
+    compare("rational_route", "rational", rational_value,
+            1e-13 * abs(rational_value))
 
     if dims.factorised_regime:
-        integral_diff = abs(exact_value - row["I_integral"])
         # The floor keeps a tolerance below binary64 noise from failing.
-        integral_tol = max(1e-14, 10.0 * config.tol) * abs(exact_value)
-        record(
-            "integral_route",
-            "pass" if integral_diff <= integral_tol else "fail",
-            f"|exact - integral| = {integral_diff:.3e} (<= {integral_tol:.3e})",
-        )
-
-        series_diff = abs(exact_value - row["I_series_opt"])
+        compare("integral_route", "integral", row["I_integral"],
+                max(1e-14, 10.0 * config.tol) * abs(exact_value))
         # The superasymptotic error estimate can sit far below binary64
         # summation noise; the floor keeps the check meaningful there.
-        series_tol = max(2.0 * row["series_err"], 2e-15 * abs(exact_value))
-        record(
-            "series_route",
-            "pass" if series_diff <= series_tol else "fail",
-            f"|exact - series_opt| = {series_diff:.3e} (<= {series_tol:.3e})",
-        )
+        compare("series_route", "series_opt", row["I_series_opt"],
+                max(2.0 * row["series_err"], 2e-15 * abs(exact_value)))
 
         if row["J"] is None:
             record("strict_bound", "skipped",
@@ -448,14 +438,8 @@ def _verify_view(row, dims, config, checks):
         stats = _fill_oracle(row, dims, config)
         oracle_mean = stats.mean_mutual_information
         oracle_stderr = stats.stderr_mutual_information
-        oracle_diff = abs(exact_value - oracle_mean)
-        oracle_band = 3.0 * oracle_stderr
-        record(
-            "oracle_3se",
-            "pass" if oracle_diff <= oracle_band else "fail",
-            f"|exact - oracle_mean| = {oracle_diff:.3e} "
-            f"(<= 3*SE = {oracle_band:.3e})",
-        )
+        compare("oracle_3se", "oracle_mean", oracle_mean, 3.0 * oracle_stderr,
+                "3*SE = ")
 
     return [
         ("regime", dims.regime_label),

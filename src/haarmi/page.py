@@ -223,7 +223,8 @@ def mutual_information_exact(dims: Dimensions) -> MutualInformationBreakdown:
         delta_ev = _binet_total(dims) - i_diag
     total = i_diag + delta_ev
     su = casimir_counts(dims).su_product
-    g_value = total / su if dims.factorised_regime and su else None
+    # Through Fraction: float(su) overflows once su reaches 2**1024.
+    g_value = float(Fraction(total) / su) if dims.factorised_regime and su else None
     return MutualInformationBreakdown(
         dims=dims, total=total, i_diag=i_diag, delta_ev=delta_ev, g_value=g_value
     )

@@ -130,10 +130,10 @@ class HaarSampleStats:
     stderr_diagonal_entropy_a: float
     mean_diagonal_second_moment_a: float
     stderr_diagonal_second_moment_a: float
-    cartan_var: float | None
-    stderr_cartan_var: float | None
-    offdiag_var: float | None
-    stderr_offdiag_var: float | None
+    cartan_var: float | None = None
+    stderr_cartan_var: float | None = None
+    offdiag_var: float | None = None
+    stderr_offdiag_var: float | None = None
 
 
 def _check_run(dims: Dimensions, n_samples: int, seed: int) -> None:
@@ -387,15 +387,13 @@ def run_oracle(
     d_a = dims.d_a
     sectors = d_a >= 2
     rows, cols = np.triu_indices(d_a, k=1)
-
-    entropy_a = np.empty(n_samples)
-    entropy_b = np.empty(n_samples)
-    entropy_ab = np.empty(n_samples)
-    purity_a = np.empty(n_samples)
-    diag_entropy_a = np.empty(n_samples)
-    diag_second_a = np.empty(n_samples)
-    cartan_sq = np.empty(n_samples) if sectors else None
-    offdiag_sq = np.empty(n_samples) if sectors else None
+    # Per-sample columns, keyed by the HaarSampleStats mean field they feed.
+    names = ["mean_entropy_a", "mean_entropy_b", "mean_entropy_ab",
+             "mean_mutual_information", "mean_purity_a",
+             "mean_diagonal_entropy_a", "mean_diagonal_second_moment_a"]
+    if sectors:
+        names += ["cartan_var", "offdiag_var"]
+    columns = {name: np.empty(n_samples) for name in names}
 
     def work(start: int, stop: int) -> None:
         hi = start
@@ -403,57 +401,33 @@ def run_oracle(
             lo, hi = hi, hi + len(t)
             rho_a, rho_b, rho_e = _state_reductions(t)
             s_a, s_b, s_ab = _sample_entropies(rho_a, rho_b, rho_e)
-            entropy_a[lo:hi] = s_a
-            entropy_b[lo:hi] = s_b
-            entropy_ab[lo:hi] = s_ab
-            purity_a[lo:hi] = np.einsum("zij,zji->z", rho_a, rho_a).real
             diag = np.diagonal(rho_a, axis1=1, axis2=2).real
-            diag_entropy_a[lo:hi] = _entropy_from_weights(diag, "diagonal of A")
-            diag_second_a[lo:hi] = np.sum(diag * diag, axis=-1)
+            values = dict(
+                mean_entropy_a=s_a,
+                mean_entropy_b=s_b,
+                mean_entropy_ab=s_ab,
+                mean_mutual_information=s_a + s_b - s_ab,
+                mean_purity_a=np.einsum("zij,zji->z", rho_a, rho_a).real,
+                mean_diagonal_entropy_a=_entropy_from_weights(diag, "diagonal of A"),
+                mean_diagonal_second_moment_a=np.sum(diag * diag, axis=-1),
+            )
             if sectors:
                 centred = diag - np.mean(diag, axis=-1, keepdims=True)
-                cartan_sq[lo:hi] = 2.0 * np.sum(centred**2, axis=-1) / (d_a - 1)
                 upper = rho_a[:, rows, cols]
                 # A running sum fixes each row's order of addition; np.sum
                 # adds a lone row pairwise but a batch's rows in sequence.
                 pairs = np.cumsum(upper.real**2 + upper.imag**2, axis=-1)[:, -1]
-                offdiag_sq[lo:hi] = 4.0 * pairs / (d_a * (d_a - 1))
+                values["cartan_var"] = 2.0 * np.sum(centred**2, axis=-1) / (d_a - 1)
+                values["offdiag_var"] = 4.0 * pairs / (d_a * (d_a - 1))
+            for name, column in columns.items():
+                column[lo:hi] = values[name]
 
     _run_chunks(n_samples, workers, work)
 
-    mutual_information = entropy_a + entropy_b - entropy_ab
-    mean_sa, se_sa = _mean_stderr(entropy_a)
-    mean_sb, se_sb = _mean_stderr(entropy_b)
-    mean_sab, se_sab = _mean_stderr(entropy_ab)
-    mean_i, se_i = _mean_stderr(mutual_information)
-    mean_pur, se_pur = _mean_stderr(purity_a)
-    mean_de, se_de = _mean_stderr(diag_entropy_a)
-    mean_d2, se_d2 = _mean_stderr(diag_second_a)
-    cartan_var, se_cartan = _mean_stderr(cartan_sq) if sectors else (None, None)
-    offdiag_var, se_offdiag = _mean_stderr(offdiag_sq) if sectors else (None, None)
-
+    stats = {}
+    for name, column in columns.items():
+        stderr_name = "stderr_" + name.removeprefix("mean_")
+        stats[name], stats[stderr_name] = _mean_stderr(column)
     return HaarSampleStats(
-        dims=dims,
-        n_samples=n_samples,
-        seed=seed,
-        rng=RNG_IDENTITY,
-        mean_entropy_a=mean_sa,
-        stderr_entropy_a=se_sa,
-        mean_entropy_b=mean_sb,
-        stderr_entropy_b=se_sb,
-        mean_entropy_ab=mean_sab,
-        stderr_entropy_ab=se_sab,
-        mean_mutual_information=mean_i,
-        stderr_mutual_information=se_i,
-        mean_purity_a=mean_pur,
-        stderr_purity_a=se_pur,
-        mean_diagonal_entropy_a=mean_de,
-        stderr_diagonal_entropy_a=se_de,
-        mean_diagonal_second_moment_a=mean_d2,
-        stderr_diagonal_second_moment_a=se_d2,
-        cartan_var=cartan_var,
-        stderr_cartan_var=se_cartan,
-        offdiag_var=offdiag_var,
-        stderr_offdiag_var=se_offdiag,
+        dims=dims, n_samples=n_samples, seed=seed, rng=RNG_IDENTITY, **stats
     )
-

@@ -11,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from haarmi import NonConvergenceError, compute_J, Dimensions, leading_order
+from haarmi import (
+    NonConvergenceError,
+    compute_J,
+    Dimensions,
+    casimir_counts,
+    leading_order,
+    mutual_information_exact,
+)
 from haarmi import cli
 
 CSV_HEADER = (
@@ -21,6 +28,7 @@ CSV_HEADER = (
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args, env_extra=None):
@@ -496,6 +504,25 @@ def test_verify_rational_mismatch_exits_4(monkeypatch, capsys):
     assert "verification failed: rational_route" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("output_format", ["table", "json"])
+@pytest.mark.parametrize("triple", [
+    (5, 13, 65),  # factorised, C^2 = 4225 above the sampling cap
+    (10, 10, 50),  # swapped, N = 5000 above the sampling cap
+    (1, 3, 7),  # the oracle's mean and SE are exactly 0
+])
+def test_verify_output_is_pinned(triple, output_format, monkeypatch, capsys):
+    """verify's whole stdout, check lines included, verbatim at triples
+    whose output does not depend on the draws."""
+    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
+    d_a, d_b, d_e = (str(d) for d in triple)
+    config = cli.parse_args(["verify", "--da", d_a, "--db", d_b, "--de", d_e,
+                             "--samples", "600", "--workers", "2",
+                             "--format", output_format])
+    assert cli.run(config) == 0
+    golden = GOLDEN / f"verify-{d_a}-{d_b}-{d_e}.{output_format}"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_seed_beyond_64_bits_exits_2(workers, capsys):
     # parse_args rejects such a seed; a config built in code reaches the
@@ -571,6 +598,25 @@ def test_exact_beyond_squared_float_range():
     row = json.loads(result.stdout)["rows"][0]
     lead = leading_order(Dimensions(2, 3, d_e))
     assert row["I_exact"] == pytest.approx(lead, rel=1e-15, abs=0)
+
+
+def test_exact_beyond_float_su():
+    """su = (d_A^2 - 1)(d_B^2 - 1) passes 2**1024 at C = 2**512 - 1, a
+    factorised triple; g_value is the exact quotient total/su rounded once,
+    and exact and sweep both answer."""
+    d_a, d_b, d_e = 2**256 - 1, 2**256 + 1, 2**512 - 1
+    dims = Dimensions(d_a, d_b, d_e)
+    breakdown = mutual_information_exact(dims)
+    g_value = float(Fraction(breakdown.total) / casimir_counts(dims).su_product)
+    assert breakdown.g_value == g_value
+    argv = ["--da", str(d_a), "--db", str(d_b), "--de", str(d_e)]
+    results = {command: run_cli(command, *argv) for command in ("exact", "sweep")}
+    for result in results.values():
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+    line = next(line for line in results["exact"].stdout.splitlines()
+                if line.startswith("g_value "))
+    assert line.split()[1] == format(g_value, ".10g")
 
 
 @pytest.mark.parametrize("command", ["exact", "series", "integral"])

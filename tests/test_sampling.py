@@ -2,6 +2,7 @@
 bounded slices, their reductions as purifications, entropies, Bloch
 sectors, and the parallel oracle."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -552,6 +553,66 @@ def test_oracle_mean_equals_per_sample_route(dims):
     for workers in (1, 2):
         stats = run_oracle(dims, n, 6, workers=workers)
         assert stats.mean_mutual_information == per_sample
+
+
+def _per_sample_columns(dims: Dimensions, seed: int, n: int) -> dict:
+    """Each per-sample statistic of samples 0 .. n-1, keyed by the (mean,
+    stderr) field pair of :class:`HaarSampleStats` it feeds, each chunk
+    through the reduction and entropy kernels on its own."""
+    m = dims.d_a
+    chunks = []
+    for start in range(0, n, CHUNK_SIZE):
+        count = min(CHUNK_SIZE, n - start)
+        rho_a, rho_b, rho_e = _chunk_reductions(dims, seed, start // CHUNK_SIZE,
+                                                count)
+        s_a, s_b, s_ab = sampling_module._sample_entropies(rho_a, rho_b, rho_e)
+        diag = np.diagonal(rho_a, axis1=1, axis2=2).real
+        columns = {
+            ("mean_entropy_a", "stderr_entropy_a"): s_a,
+            ("mean_entropy_b", "stderr_entropy_b"): s_b,
+            ("mean_entropy_ab", "stderr_entropy_ab"): s_ab,
+            ("mean_mutual_information", "stderr_mutual_information"):
+                s_a + s_b - s_ab,
+            ("mean_purity_a", "stderr_purity_a"):
+                np.einsum("zij,zji->z", rho_a, rho_a).real,
+            ("mean_diagonal_entropy_a", "stderr_diagonal_entropy_a"):
+                sampling_module._entropy_from_weights(diag, "test"),
+            ("mean_diagonal_second_moment_a", "stderr_diagonal_second_moment_a"):
+                np.sum(diag * diag, axis=-1),
+        }
+        if m >= 2:
+            centred = diag - np.mean(diag, axis=-1, keepdims=True)
+            rows, cols = np.triu_indices(m, k=1)
+            upper = rho_a[:, rows, cols]
+            columns["cartan_var", "stderr_cartan_var"] = (
+                2.0 * np.sum(centred**2, axis=-1) / (m - 1))
+            columns["offdiag_var", "stderr_offdiag_var"] = (
+                4.0 * np.sum(upper.real**2 + upper.imag**2, axis=-1)
+                / (m * (m - 1)))
+        chunks.append(columns)
+    return {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
+
+
+@pytest.mark.parametrize("dims", [DIMS, FACTORISED, Dimensions(1, 3, 5)])
+def test_oracle_fields_are_their_per_sample_columns(dims):
+    """Every mean/stderr pair of the oracle's stats is ``_mean_stderr`` of
+    its own per-sample column, across a chunk boundary, in both regimes; at
+    d_A = 1 the sector fields are None."""
+    n = CHUNK_SIZE + 5
+    stats = run_oracle(dims, n, 9, workers=2)
+    columns = _per_sample_columns(dims, 9, n)
+    for (mean_field, stderr_field), values in columns.items():
+        mean, stderr = sampling_module._mean_stderr(values)
+        assert getattr(stats, mean_field) == mean, mean_field
+        assert getattr(stats, stderr_field) == stderr, stderr_field
+    fields = {f.name for f in dataclasses.fields(stats)}
+    covered = {name for pair in columns for name in pair}
+    sectors = {"cartan_var", "stderr_cartan_var", "offdiag_var",
+               "stderr_offdiag_var"}
+    assert fields - covered == {"dims", "n_samples", "seed", "rng"} | (
+        sectors if dims.d_a == 1 else set())
+    if dims.d_a == 1:
+        assert all(getattr(stats, name) is None for name in sectors)
 
 
 def _eigvalsh_sizes(triple, monkeypatch) -> list[int]:
