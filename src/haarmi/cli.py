@@ -35,7 +35,6 @@ from .dims import (
     STATE_DIMENSION_CAP,
     Dimensions,
     _cap_excess,
-    casimir_counts,
     leading_order,
 )
 from .errors import (
@@ -44,13 +43,13 @@ from .errors import (
     InvalidDimensionError,
     RegimeError,
 )
-from .integral import compute_J
+from .integral import _TOL_DEFAULT, _deficit, compute_J
 from .page import (
     MutualInformationBreakdown,
     mutual_information_exact,
     mutual_information_rational,
 )
-from .series import _check_k_max, expand
+from .series import K_MAX_DEFAULT, _check_k_max, expand
 
 if TYPE_CHECKING:
     from .sampling import HaarSampleStats
@@ -89,9 +88,16 @@ _TABLE_DIGITS = 10
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated invocation parameters for one command."""
+    """Validated invocation parameters for one command; the defaults are
+    the parser's."""
 
     command: str
+    tol: float
+    k_max: int
+    n_samples: int
+    seed: int
+    workers: int
+    output_format: str
     d_a: int | None = None
     d_b: int | None = None
     d_e: int | None = None
@@ -99,12 +105,6 @@ class RunConfig:
     db_range: tuple[int, int] | None = None
     de_range: tuple[int, int] | None = None
     de_mult_range: tuple[int, int] | None = None
-    tol: float = 1e-14
-    k_max: int = 40
-    n_samples: int = 20000
-    seed: int = 42
-    workers: int = 1
-    output_format: str = "table"
     output_path: str | None = None
 
 
@@ -132,33 +132,36 @@ def _parse_span(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return 42
+def _seed(text: str) -> int:
+    """A seed from ``--seed`` or, as the option's string default, from
+    ``$HAAR_MI_SEED``: an integer in 0 .. 2**64 - 1."""
     try:
-        return int(raw)
+        seed = int(text)
+        if 0 <= seed < _KEY_LIMIT:
+            return seed
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"environment variable {SEED_ENV} must be an integer, got {raw!r}"
-        ) from None
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be an integer in 0 .. 2**64 - 1, from the option or "
+        f"${SEED_ENV}; got {text!r}"
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-14,
-                        help="relative quadrature tolerance (default 1e-14)")
-    common.add_argument("--kmax", dest="k_max", type=int, default=40,
-                        help="number of series terms (default 40)")
+    common.add_argument("--tol", type=float, default=_TOL_DEFAULT,
+                        help="relative quadrature tolerance (default %(default)s)")
+    common.add_argument("--kmax", dest="k_max", type=int, default=K_MAX_DEFAULT,
+                        help="number of series terms (default %(default)s)")
     common.add_argument("--samples", dest="n_samples", type=int, default=20000,
-                        help="Monte Carlo sample count (default 20000)")
-    common.add_argument("--seed", type=int, default=None,
+                        help="Monte Carlo sample count (default %(default)s)")
+    common.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV, "42"),
                         help=f"RNG seed (default 42, or ${SEED_ENV})")
-    common.add_argument("--workers", type=int, default=None,
+    common.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                         help="Monte Carlo worker threads (default: CPU count)")
     common.add_argument("--format", dest="output_format",
                         choices=("table", "csv", "json"), default="table",
-                        help="output format (default table)")
+                        help="output format (default %(default)s)")
     common.add_argument("--out", dest="output_path", default=None,
                         help="write output to this path instead of stdout")
 
@@ -206,14 +209,6 @@ def parse_args(argv: list[str]) -> RunConfig:
     """Parse and validate argv into a RunConfig (usage errors exit 2)."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        try:
-            args.seed = _default_seed()
-        except argparse.ArgumentTypeError as exc:
-            parser.error(str(exc))
-    if not 0 <= args.seed < _KEY_LIMIT:
-        parser.error(f"seed must be in 0 .. 2**64 - 1 (--seed or {SEED_ENV}), "
-                     f"got {args.seed}")
     if not 0.0 < args.tol < 1.0:
         parser.error("--tol must be in (0, 1)")
     try:
@@ -222,8 +217,6 @@ def parse_args(argv: list[str]) -> RunConfig:
         parser.error(f"--kmax: {exc}")
     if args.command in ("oracle", "verify") and args.n_samples < 2:
         parser.error("--samples must be >= 2 for oracle and verify")
-    if args.workers is None:
-        args.workers = os.cpu_count() or 1
     if args.workers < 1:
         parser.error("--workers must be >= 1")
     if args.command != "sweep" and min(args.d_a, args.d_b, args.d_e) < 1:
@@ -277,22 +270,18 @@ def _fill_integral(row: dict, dims: Dimensions, tol: float):
     if dims.d_a == 1 or dims.d_b == 1:
         row.update(I_integral=0.0, bound_deficit=0.0, I_leading=lead)
         return
-    su = casimir_counts(dims).su_product
     j = compute_J(dims, tol).value
-    deficit = 2.0 * su * j if j else 0.0  # as integral.bound_deficit
+    deficit = _deficit(dims, j)
     row.update(I_integral=lead - deficit, J=j, bound_deficit=deficit, I_leading=lead)
 
 
-def _fill_analytic(
-    row: dict, dims: Dimensions, config: RunConfig
-) -> MutualInformationBreakdown:
+def _fill_analytic(row: dict, dims: Dimensions, config: RunConfig) -> None:
     """The exact route, plus the series and integral routes where they are
     defined (the factorised regime)."""
-    breakdown = _fill_exact(row, dims)
+    _fill_exact(row, dims)
     if dims.factorised_regime:
         _fill_series(row, dims, config.k_max)
         _fill_integral(row, dims, config.tol)
-    return breakdown
 
 
 def run_oracle(
@@ -323,30 +312,25 @@ def _kv_lines(pairs: list[tuple[str, object]]) -> list[str]:
     ]
 
 
+def _row_pairs(row: dict, *names: str) -> list[tuple[str, object]]:
+    return [(name, row[name]) for name in names]
+
+
 # Each single-triple view fills ``row``, may append verify checks, and
 # returns the table pairs that follow the ``dims`` line.
 
 
 def _exact_view(row, dims, config, checks):
-    breakdown = _fill_exact(row, dims)
-    pairs = [
-        ("regime", dims.regime_label),
-        ("I_exact", breakdown.total),
-        ("I_diag", breakdown.i_diag),
-        ("Delta_ev", breakdown.delta_ev),
-        ("I_leading", row["I_leading"]),
-    ]
-    if breakdown.g_value is not None:
-        pairs.append(("g_value", breakdown.g_value))
+    g_value = _fill_exact(row, dims).g_value
+    pairs = _row_pairs(row, "regime", "I_exact", "I_diag", "Delta_ev", "I_leading")
+    if g_value is not None:
+        pairs.append(("g_value", g_value))
     return pairs
 
 
 def _series_view(row, dims, config, checks):
     expansion = _fill_series(row, dims, config.k_max)
-    return [
-        ("I_leading", expansion.leading),
-        ("I_series_opt", expansion.value_at_optimal),
-        ("series_err", expansion.error_estimate),
+    return _row_pairs(row, "I_leading", "I_series_opt", "series_err") + [
         ("optimal_k", expansion.optimal_k),
         ("divergence_k", expansion.divergence_k
          if expansion.divergence_k is not None else "none"),
@@ -355,37 +339,33 @@ def _series_view(row, dims, config, checks):
 
 def _integral_view(row, dims, config, checks):
     _fill_integral(row, dims, config.tol)
-    return [
-        ("I_integral", row["I_integral"]),
-        ("J", row["J"] if row["J"] is not None else "n/a (dimension 1)"),
-        ("I_leading", row["I_leading"]),
-        ("bound_deficit", row["bound_deficit"]),
-    ]
+    shown = row if row["J"] is not None else dict(row, J="n/a (dimension 1)")
+    return _row_pairs(shown, "I_integral", "J", "I_leading", "bound_deficit")
+
+
+#: The ``oracle`` table: each label and the HaarSampleStats field it shows;
+#: the Bloch-sector fields are None, and not shown, when ``d_a = 1``.
+_ORACLE_TABLE = (
+    ("samples", "n_samples"), ("seed", "seed"), ("rng", "rng"),
+    ("mean_I", "mean_mutual_information"),
+    ("stderr_I", "stderr_mutual_information"),
+    ("mean_S_A", "mean_entropy_a"), ("mean_S_B", "mean_entropy_b"),
+    ("mean_S_AB", "mean_entropy_ab"), ("mean_purity_A", "mean_purity_a"),
+    ("mean_diag_S_A", "mean_diagonal_entropy_a"),
+    ("mean_diag_2nd_A", "mean_diagonal_second_moment_a"),
+    ("cartan_var", "cartan_var"), ("offdiag_var", "offdiag_var"),
+)
 
 
 def _oracle_view(row, dims, config, checks):
     stats = _fill_oracle(row, dims, config)
-    pairs = [
-        ("samples", stats.n_samples),
-        ("seed", stats.seed),
-        ("rng", stats.rng),
-        ("mean_I", stats.mean_mutual_information),
-        ("stderr_I", stats.stderr_mutual_information),
-        ("mean_S_A", stats.mean_entropy_a),
-        ("mean_S_B", stats.mean_entropy_b),
-        ("mean_S_AB", stats.mean_entropy_ab),
-        ("mean_purity_A", stats.mean_purity_a),
-        ("mean_diag_S_A", stats.mean_diagonal_entropy_a),
-        ("mean_diag_2nd_A", stats.mean_diagonal_second_moment_a),
-    ]
-    if stats.cartan_var is not None:
-        pairs.append(("cartan_var", stats.cartan_var))
-        pairs.append(("offdiag_var", stats.offdiag_var))
-    return pairs
+    pairs = [(label, getattr(stats, name)) for label, name in _ORACLE_TABLE]
+    return [(label, value) for label, value in pairs if value is not None]
 
 
 def _verify_view(row, dims, config, checks):
-    exact_value = _fill_analytic(row, dims, config).total
+    _fill_analytic(row, dims, config)
+    exact_value = row["I_exact"]
     rational_value = float(mutual_information_rational(dims))
 
     def record(name: str, status: str, detail: str) -> None:
@@ -426,30 +406,25 @@ def _verify_view(row, dims, config, checks):
             record(name, "skipped", "swapped regime: factorised-only route")
 
     excess = _cap_excess(dims)
+    skipped = None
     if excess:
         record("oracle_3se", "skipped",
                f"{excess} above the sampling cap {STATE_DIMENSION_CAP}")
-        oracle_mean = oracle_stderr = f"n/a ({excess} > {STATE_DIMENSION_CAP})"
+        skipped = f"n/a ({excess} > {STATE_DIMENSION_CAP})"
     elif dims.n > _DRAW_N_LIMIT:
         record("oracle_3se", "skipped",
                "N above 2**1022, where a draw overflows binary64")
-        oracle_mean = oracle_stderr = "n/a (N > 2**1022)"
+        skipped = "n/a (N > 2**1022)"
     else:
         stats = _fill_oracle(row, dims, config)
-        oracle_mean = stats.mean_mutual_information
-        oracle_stderr = stats.stderr_mutual_information
-        compare("oracle_3se", "oracle_mean", oracle_mean, 3.0 * oracle_stderr,
-                "3*SE = ")
+        compare("oracle_3se", "oracle_mean", stats.mean_mutual_information,
+                3.0 * stats.stderr_mutual_information, "3*SE = ")
 
-    return [
-        ("regime", dims.regime_label),
-        ("I_exact", exact_value),
-        ("I_rational", rational_value),
-        ("I_series_opt", row["I_series_opt"]),
-        ("I_integral", row["I_integral"]),
-        ("oracle_mean", oracle_mean),
-        ("oracle_stderr", oracle_stderr),
-    ]
+    shown = dict(row, I_rational=rational_value)
+    if skipped:
+        shown.update(oracle_mean=skipped, oracle_stderr=skipped)
+    return _row_pairs(shown, "regime", "I_exact", "I_rational", "I_series_opt",
+                      "I_integral", "oracle_mean", "oracle_stderr")
 
 
 _SINGLE_VIEWS = {

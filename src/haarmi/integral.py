@@ -50,6 +50,9 @@ if TYPE_CHECKING:
 #: Hard cap on integrand evaluations per quadrature call.
 EVAL_BUDGET = 1_000_000
 
+#: Default relative tolerance of every quadrature here and of ``--tol``.
+_TOL_DEFAULT = 1e-14
+
 #: Bose-Einstein factors below exp(-_EXP_CUT) are flushed to zero.
 _EXP_CUT = 700.0
 
@@ -193,7 +196,7 @@ def _scaled(result: QuadratureResult, inv: float) -> QuadratureResult:
     return QuadratureResult(value, error, result.evaluations)
 
 
-def binet_tail(z: float, tol: float = 1e-14) -> QuadratureResult:
+def binet_tail(z: float, tol: float = _TOL_DEFAULT) -> QuadratureResult:
     """Tail integral ``integral_0^inf t / ((t^2 + z^2)(e^{2 pi t} - 1)) dt``.
 
     This is the correction term of the log-plus-half asymptotic of the
@@ -268,7 +271,7 @@ def folded_integrand(u: float, dims: Dimensions) -> float:
     return kernel_R(u, dims) * (_bose_factor(scale * u) - _bose_factor(mirror / u))
 
 
-def compute_J(dims: Dimensions, tol: float = 1e-14) -> QuadratureResult:
+def compute_J(dims: Dimensions, tol: float = _TOL_DEFAULT) -> QuadratureResult:
     """The positive integral ``J = Jhat / (C d_e)^2`` (module docstring);
     ``tol`` is relative.  The error is floored at 8 ulp of the returned
     value, so a J that underflows reads 0 with an honest error.  Defined
@@ -277,7 +280,7 @@ def compute_J(dims: Dimensions, tol: float = 1e-14) -> QuadratureResult:
     return _scaled(_bose_quad(lambda t: t * h(t), tol), 1 / dims.n)
 
 
-def mutual_information_integral(dims: Dimensions, tol: float = 1e-14) -> float:
+def mutual_information_integral(dims: Dimensions, tol: float = _TOL_DEFAULT) -> float:
     """Average mutual information via ``su * (1/(2N) - 2 J)``, i.e. the
     leading order minus :func:`bound_deficit`.
 
@@ -287,7 +290,7 @@ def mutual_information_integral(dims: Dimensions, tol: float = 1e-14) -> float:
     return leading_order(dims) - bound_deficit(dims, tol)
 
 
-def bound_deficit(dims: Dimensions, tol: float = 1e-14) -> float:
+def bound_deficit(dims: Dimensions, tol: float = _TOL_DEFAULT) -> float:
     """Gap ``leading_order - <I> = 2 su J`` of the strict upper bound
     ``<I> < (d_a^2-1)(d_b^2-1)/(2N)``: exactly 0 (``su = 0``) when a
     dimension is 1, positive otherwise until J, and with it the deficit,
@@ -295,7 +298,11 @@ def bound_deficit(dims: Dimensions, tol: float = 1e-14) -> float:
     about ``1/(6 C d_e)`` of the leading order, so there it is far below
     the leading order's last bit."""
     dims.require_factorised("integral")
+    return _deficit(dims, compute_J(dims, tol).value)
+
+
+def _deficit(dims: Dimensions, j: float) -> float:
+    """``2 su J`` from a computed J, and exactly 0 where J is."""
     su = casimir_counts(dims).su_product
-    j = compute_J(dims, tol).value
     # su rounds past binary64 (C within 2**-56 of 2**512) only where J is 0
     return 2.0 * su * j if j else 0.0

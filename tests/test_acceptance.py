@@ -33,8 +33,9 @@ from haarmi import (
     mutual_information_rational,
     page_entropy,
     run_oracle,
-    zeta_negative_odd,
 )
+
+from exact_reference import series_term
 
 SEED = 42
 N_SAMPLES = 20_000
@@ -61,15 +62,6 @@ def _wide_environment_grid():
         for j in range(8)
         if 2**j * (d_a * d_b) ** 2 <= 20_000
     ]
-
-
-def _term_fraction(dims: Dimensions, k: int) -> Fraction:
-    return (
-        zeta_negative_odd(k)
-        * (Fraction(dims.d_a) ** (2 * k) - 1)
-        * (Fraction(dims.d_b) ** (2 * k) - 1)
-        / Fraction(dims.n) ** (2 * k)
-    )
 
 
 def test_golden_mutual_information(acceptance):
@@ -160,7 +152,7 @@ def test_series_divergence_and_truncation_honesty(acceptance):
         expansion = expand(dims)
         truncated = Fraction(casimir_counts(dims).su_product, 2 * dims.n)
         for k in range(1, expansion.optimal_k + 1):
-            truncated += _term_fraction(dims, k)
+            truncated += series_term(dims, k)
         gap = abs(truncated - mutual_information_rational(dims))
         ratio = float(gap / Fraction(expansion.error_estimate))
         worst_ratio = max(worst_ratio, ratio)

@@ -101,6 +101,28 @@ def test_usage_errors_exit_2(argv):
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    [command, "--da", "2", "--db", "3", "--de", "7"]
+    for command in ("exact", "series", "integral", "oracle", "verify")
+] + [["sweep", "--da", "2", "--db", "3", "--de-mult", "1"]],
+    ids=lambda argv: argv[0])
+def test_help_names_the_parsed_defaults(argv, monkeypatch, capsys):
+    """Each subcommand's --help states the defaults parse_args returns.
+    Substrings only, with the wrapping undone: argparse's layout varies
+    across Python versions."""
+    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
+    config = cli.parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args([argv[0], "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for value in (config.tol, config.k_max, config.n_samples, config.seed,
+                  config.output_format):
+        assert f"(default {value}" in text, value
+    assert "$HAAR_MI_SEED" in text and "CPU count" in text
+    assert config.workers == (os.cpu_count() or 1)
+
+
 def test_kmax_limit_is_the_series_limit():
     assert cli.parse_args(["exact", "--da", "2", "--db", "3", "--de", "7",
                            "--kmax", "60"]).k_max == 60

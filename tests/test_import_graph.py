@@ -1,8 +1,10 @@
 """Which work loads numpy: the closed form, the series and the rational
 route run on the standard library alone; the quadrature and the oracle
 import numpy on first use.  Each probe runs in a fresh interpreter, since
-the test process has numpy loaded already."""
+the test process has numpy loaded already.  And every name a package
+module imports is read there."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(p for p in (SRC / "haarmi").glob("*.py") if p.name != "__init__.py")
 
 TRIPLE = ["--da", "2", "--db", "3", "--de", "7"]
 
@@ -70,3 +73,29 @@ assert run_oracle is sampling.run_oracle and stats is sampling.HaarSampleStats
 print(before, "numpy" in sys.modules)
 """)
     assert loaded == ["False", "True"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_imported_name_is_read(path):
+    """No linter runs here, so this is pyflakes' F401 for the package: each
+    name an import binds in a module (``__init__.py``, which re-exports, is
+    exempt) is read in it.  ``# noqa: F401`` on any line of the import
+    statement exempts the whole statement, as for a re-export that the
+    benchmark's tracer wraps by name."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        imported.update((alias.asname or alias.name).split(".")[0]
+                        for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(imported - read) == []

@@ -20,7 +20,6 @@ from haarmi import (
     DomainError,
     NonConvergenceError,
     RegimeError,
-    bernoulli,
     binet_tail,
     bound_deficit,
     casimir_counts,
@@ -36,6 +35,8 @@ from haarmi import (
 )
 from haarmi import cli
 from haarmi import integral as integral_module
+
+from exact_reference import binet_remainder
 
 # ---------------------------------------------------------------------------
 # binet_tail
@@ -436,35 +437,14 @@ def test_unattainable_tolerance_fails_loudly():
             compute_J(Dimensions(2, 3, 7), tol=5e-324)
 
 
-def _remainder_decimal(z: int) -> Decimal:
-    """``r(z) = ln z + 1/(2z) - psi(z+1)`` at the current Decimal precision:
-    the Stirling series ``sum_k B_2k / (2k w^2k)`` at ``w = z + shift >=
-    64``, where each omitted term is below 1e-70 of the sum, and the
-    recurrence ``psi(z+1) = psi(w) - sum_{j<shift} 1/(z+j)`` below it."""
-    shift = max(0, 64 - z)
-    w = Decimal(z + shift)
-    value = Decimal(0)
-    for k in range(1, 31):
-        b = bernoulli(2 * k)
-        term = Decimal(b.numerator) / (Decimal(b.denominator) * 2 * k * w ** (2 * k))
-        value += term
-        if abs(term) < abs(value) * Decimal("1e-70"):
-            break
-    if shift:
-        z_dec = Decimal(z)
-        value += (z_dec.ln() + 1 / (2 * z_dec) - w.ln() + 1 / (2 * w)
-                  + sum(1 / Decimal(z + j) for j in range(1, shift)))
-    return value
-
-
 def _pole_sum(dims: Dimensions) -> Decimal:
     """``2 su J = r(N) - r(d_b d_e) - r(d_a d_e) + r(d_e)`` at 50 digits,
     so ``<I> = su/(2N) - _pole_sum`` in the factorised regime."""
     d_a, d_b, d_e = dims.d_a, dims.d_b, dims.d_e
     with localcontext() as ctx:
         ctx.prec = 50
-        return (_remainder_decimal(dims.n) - _remainder_decimal(d_b * d_e)
-                - _remainder_decimal(d_a * d_e) + _remainder_decimal(d_e))
+        return (binet_remainder(dims.n) - binet_remainder(d_b * d_e)
+                - binet_remainder(d_a * d_e) + binet_remainder(d_e))
 
 
 def _seeded_factorised_triples(count: int = 40, seed: int = 15) -> list:

@@ -29,9 +29,10 @@ from haarmi import (
     page_entropy,
     page_entropy_rational,
     schur_deficit,
-    zeta_negative_odd,
 )
 from haarmi import page as page_module
+
+from exact_reference import digamma as digamma_decimal, series_term
 
 # ---------------------------------------------------------------------------
 # entropy formulas
@@ -239,31 +240,12 @@ def test_float_total_within_5e16_of_rational_on_grid():
     assert swapped == 1232
 
 
-def _psi_decimal(x: int) -> Decimal:
-    """``psi(x)`` for an integer ``x >= 1`` at the current Decimal precision:
-    the upward recurrence to ``x >= 64``, then 30 Stirling terms, the last
-    below 1e-75 at ``x = 64``."""
-    value = Decimal(0)
-    while x < 64:
-        value -= 1 / Decimal(x)
-        x += 1
-    z = Decimal(x)
-    value += z.ln() - 1 / (2 * z)
-    inv2 = 1 / (z * z)
-    power = inv2
-    for k in range(1, 31):
-        b = bernoulli(2 * k)
-        value -= Decimal(b.numerator) / (Decimal(b.denominator) * 2 * k) * power
-        power *= inv2
-    return value
-
-
 def _page_decimal(m: int, n: int) -> Decimal:
     """Page's formula ``psi(mn+1) - psi(hi+1) - (lo-1)/(2 hi)``, term by
     term in Decimal."""
     lo, hi = sorted((m, n))
     return (
-        _psi_decimal(m * n + 1) - _psi_decimal(hi + 1)
+        digamma_decimal(m * n + 1) - digamma_decimal(hi + 1)
         - Decimal(lo - 1) / (2 * Decimal(hi))
     )
 
@@ -294,7 +276,7 @@ def test_large_n_against_decimal_reference(triple):
         entropies = [(page_entropy(m, n), _page_decimal(m, n)) for m, n in pairs]
         diagonal = [
             (diagonal_entropy_avg(m, n),
-             _psi_decimal(m * n + 1) - _psi_decimal(n + 1))
+             digamma_decimal(m * n + 1) - digamma_decimal(n + 1))
             for m, n in pairs
         ]
         (_, s_a), (_, s_b), (_, s_ab) = entropies
@@ -347,9 +329,7 @@ def test_poles_give_the_bernoulli_terms():
                 sign * coef / Fraction(z) ** (2 * k)
                 for sign, z in zip((-1, 1, 1, -1), poles)
             )
-            assert series == zeta_negative_odd(k) * (d_a ** (2 * k) - 1) * (
-                d_b ** (2 * k) - 1
-            ) / Fraction(dims.n) ** (2 * k), (dims, k)
+            assert series == series_term(dims, k), (dims, k)
 
 
 def test_poles_give_the_bose_kernel():
