@@ -2,8 +2,8 @@
 # ------------------------------------------------------------
 #
 # Everything analytic in this package can be checked by brute force:
-# draw Haar-random pure states (or, when d_A d_B <= d_E, the Wishart
-# factor of their rho_AB directly), trace out parts, diagonalise, average.
+# draw the Wishart (Bartlett) factor of the rho_AB of Haar-random pure
+# states, trace out parts, diagonalise, average.
 # This script runs the sampler on one triple and reports z-scores of
 # every analytic prediction, then shows the "democratic" Bloch-variance
 # property and the bitwise determinism of the parallel sampler.
@@ -63,9 +63,9 @@ for m, n in [(2, 8), (3, 3)]:
           f" +- {b.stderr_offdiag_var:.6f},  2/(m(mn+1)) = {target:.6f}")
 
 # Determinism: each chunk of 512 samples is one stream keyed by
-# (seed, chunk index), whether it draws states (swapped regime) or Bartlett
-# factors of rho_AB (factorised regime, as here), so the worker count cannot
-# change a single bit of the result.
+# (seed, chunk index), from which it draws the Bartlett factors of rho_AB
+# in either regime, so the worker count cannot change a single bit of the
+# result.
 single = run_oracle(dims, n_samples=5_000, seed=7, workers=1)
 eight = run_oracle(dims, n_samples=5_000, seed=7, workers=8)
 same = dataclasses.asdict(single) == dataclasses.asdict(eight)

@@ -26,16 +26,16 @@ from .errors import InvalidDimensionError, RegimeError, _require_int
 #: Exclusive bound on ``N``: ``float(N)`` and ``1.0 / N`` overflow from here.
 _N_LIMIT = 2**1024
 
-#: Most entries of the one array the oracle forms per sample: the state
-#: (N entries) in the swapped regime, the Bartlett factor (C^2) in the
-#: factorised regime.
+#: Most entries of the one array the oracle forms per sample: the Bartlett
+#: factor, ``C e`` entries with ``e = min(C, d_e)`` (N in the swapped
+#: regime, C^2 in the factorised one).
 STATE_DIMENSION_CAP = 4096
 
 #: Largest N the oracle can draw in binary64.  The unscaled Bartlett
-#: factor's squared norm has mean 2N (``2 Gamma(d_e)`` alone when C = 1);
-#: near N = 2**1023 it overflows, and the normalised factor reads 0 or NaN.
-#: Half the range leaves room for its spread and rounding.  Only factorised
-#: triples reach it; the sampling cap stops swapped ones far below.
+#: factor's squared norm has mean 2N in both regimes (``2 Gamma(d_e)`` when
+#: C = 1); near N = 2**1023 it overflows, and the normalised factor reads 0
+#: or NaN.  Half the range leaves room for its spread and rounding.  Only
+#: factorised triples reach it; the sampling cap stops swapped ones far below.
 _DRAW_N_LIMIT = 2**1022
 
 #: Samples per work unit; fixed so results never depend on worker count.
@@ -46,9 +46,9 @@ RNG_IDENTITY = (
     f"philox4x64-10 (numpy.random.Philox), "
     f"key=(seed, sample_index // {CHUNK_SIZE}), "
     f"sample = row sample_index % {CHUNK_SIZE}; "
-    f"C <= d_e: Bartlett factor of rho_AB, the chunk's {CHUNK_SIZE} x C "
-    f"gammas Gamma(d_e - i) then C(C-1)/2 complex normals per row; "
-    f"d_e < C: the state, N complex normals per row"
+    f"Bartlett factor of rho_AB, C x e lower trapezoidal with "
+    f"e = min(C, d_e): the chunk's {CHUNK_SIZE} x e gammas Gamma(d_e - i) "
+    f"then C*e - e(e+1)/2 complex normals per row"
 )
 
 #: Seeds must fit one 64-bit word; the seed and the chunk index are the
@@ -133,10 +133,10 @@ def leading_order(dims: Dimensions) -> float:
 
 
 def _cap_excess(dims: Dimensions) -> str | None:
-    """The size of the purification the oracle draws per sample, ``C e``
-    entries on ``A x B x E'``: ``"N = 5000"`` (the state, swapped regime) or
-    ``"C^2 = 5184"`` (the Bartlett factor, factorised regime), when it
-    exceeds ``STATE_DIMENSION_CAP`` entries; else None."""
+    """The size of the Bartlett factor the oracle draws per sample, ``C e``
+    entries on ``A x B x E'``: ``"N = 5000"`` (swapped regime, ``e = d_e``)
+    or ``"C^2 = 5184"`` (factorised regime, ``e = C``), when it exceeds
+    ``STATE_DIMENSION_CAP`` entries; else None."""
     c = dims.d_a * dims.d_b
     name, size = ("C^2", c * c) if dims.factorised_regime else ("N", dims.n)
     return f"{name} = {size}" if size > STATE_DIMENSION_CAP else None

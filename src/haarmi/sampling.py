@@ -3,53 +3,51 @@
 A Haar-random pure state is a normalised vector of iid complex Gaussians.
 :func:`run_oracle` draws each sample as one purification: a unit vector on
 ``A x B x E'`` with ``e = min(C, d_e)`` levels on ``E'`` (``C = d_a d_b``),
-whose reduced state on AB has the law of the Haar state's.  What it draws
-depends on the regime, chosen by ``Dimensions.factorised_regime``; how it
-reduces does not.  Every reduced state is one batched Gram product
-``x @ x^H`` of a reshaped view ``x`` of the purifications, shaped
-``(z, d_a, d_b, e)``: ``rho_A`` keeps the A axis as rows, ``rho_B`` the B
-axis and ``rho_E'`` the E' axis.  A pure state has ``S_AB = S_E'``
-(Schmidt), so ``S_AB`` comes from ``rho_E'``, and no matrix larger than
-``max(d_a, d_b, min(C, d_e))`` is diagonalised.  The Bloch sectors need
-no generator basis: with ``Tr(g_a g_b) = 2 delta_ab``, the Cartan
-components of ``rho_A`` square-sum to ``2 sum_i (rho_ii - Tr rho/d_a)^2``
-and each off-diagonal pair ``i < j`` to ``4 |rho_ij|^2``; unlike
-``sum_i rho_ii^2 - 1/d_a`` or ``purity - sum_i rho_ii^2``, neither cancels.
-Spectra are chosen by matrix size (:func:`_spectrum`): two levels in closed
-form, three by the trigonometric root of the characteristic cubic, and
-four and up by LAPACK's ``eigvalsh``, which also takes the three-level
-states with two nearly coinciding eigenvalues.
+whose reduced state on AB has the law of the Haar state's.  Every reduced
+state is one batched Gram product ``x @ x^H`` of a reshaped view ``x`` of
+the purifications, shaped ``(z, d_a, d_b, e)``: ``rho_A`` keeps the A axis
+as rows, ``rho_B`` the B axis and ``rho_E'`` the E' axis.  A pure state
+has ``S_AB = S_E'`` (Schmidt), so ``S_AB`` comes from ``rho_E'``, and no
+matrix larger than ``max(d_a, d_b, min(C, d_e))`` is diagonalised.  The
+Bloch sectors need no generator basis: with ``Tr(g_a g_b) = 2 delta_ab``,
+the Cartan components of ``rho_A`` square-sum to ``2 sum_i (rho_ii - Tr
+rho/d_a)^2`` and each off-diagonal pair ``i < j`` to ``4 |rho_ij|^2``;
+unlike ``sum_i rho_ii^2 - 1/d_a`` or ``purity - sum_i rho_ii^2``, neither
+cancels.  Spectra are chosen by matrix size (:func:`_spectrum`): two
+levels in closed form, three by the trigonometric root of the
+characteristic cubic, and four and up by LAPACK's ``eigvalsh``, which also
+takes the three-level states with two nearly coinciding eigenvalues.
 
-* **Factorised** (``C <= d_e``, ``e = C``).  Reshaped as a ``C x d_e``
-  matrix G, the state has ``rho_AB = W / Tr W`` with ``W = G G^H`` a
-  complex Wishart matrix with ``d_e`` degrees of freedom (the induced
-  measure; Zyczkowski and Sommers, J. Phys. A 34, 7111, 2001).  By the
-  Bartlett decomposition ``W = L L^H`` with L lower triangular,
-  ``L_ij ~ CN`` below the diagonal and ``L_ii^2 = 2 Gamma(d_e - i)``
-  (Goodman, 1963), on the scale of the Gaussian parts below.  The oracle
-  draws L and normalises it; read as a ``C x C`` matrix from AB to E', it
-  is a purification of ``rho_AB = L L^H``, and ``rho_E' = L^T conj(L)`` has
-  the same spectrum.  A sample costs ``C(C-1)/2`` complex normals and ``C``
-  gammas whatever ``d_e`` is.
-* **Swapped** (``d_e < C``, ``e = d_e``).  The oracle draws the state
-  itself, and E' is E.
+Reshaped as a ``C x d_e`` matrix G, the state has ``rho_AB = W / Tr W``
+with ``W = G G^H`` a complex Wishart matrix with ``d_e`` degrees of freedom
+(the induced measure; Zyczkowski and Sommers, J. Phys. A 34, 7111, 2001),
+singular when ``d_e < C``.  Its Bartlett factor is the ``C x e`` lower
+trapezoidal L of ``G = L Q`` (Q with orthonormal rows), so ``W = L L^H``:
+``L_ij ~ CN`` below the diagonal and ``L_ii^2 = 2 Gamma(d_e - i)`` for
+``i < e``, on the scale of the Gaussian parts below (Goodman, 1963;
+Srivastava, Ann. Statist. 31, 1537, 2003, for the singular case).  The
+oracle draws L and normalises it; read as a ``C x e`` matrix from AB to
+E', it is a purification of ``rho_AB = L L^H``, and ``rho_E' = L^T
+conj(L)`` has the same nonzero spectrum.  A sample costs ``C e - e(e+1)/2``
+complex normals and ``e`` gammas: ``C(C-1)/2`` and ``C`` whatever ``d_e``
+is in the factorised regime (``C <= d_e``), and fewer than the state's N
+in the swapped one.
 
 The chunk of ``CHUNK_SIZE`` samples is the unit of randomness: chunk ``c``
 under ``seed`` is one counter-based Philox stream keyed by ``(seed, c)``
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), and
 sample ``index`` is row ``index % CHUNK_SIZE`` of chunk
-``index // CHUNK_SIZE``.  The swapped path draws N complex normals per
-row; the factorised path draws the whole chunk's ``(CHUNK_SIZE, C)``
-gammas first, then ``C(C-1)/2`` complex normals per row.  Either way a
-partial last chunk is a prefix of a full one, so every sample is
-independent of ``n_samples``.  A worker draws its chunk in consecutive
-row slices (:func:`_purifications`), each with at most ``2**16`` entries
-per array, and reduces each slice before it draws the next.  The stream
-is read in order, so the slices hold the same numbers as one whole-chunk
-draw, and what a worker holds does not grow with the chunk.  That
-contract (``CHUNK_SIZE``, the seed range, ``RNG_IDENTITY``, the sampling
-cap and the largest N whose draw fits binary64) lives in
-:mod:`haarmi.dims`, which needs no numpy, and is imported from there.
+``index // CHUNK_SIZE``.  The chunk's ``(CHUNK_SIZE, e)`` gammas are drawn
+first, then ``C e - e(e+1)/2`` complex normals per row, so a partial last
+chunk is a prefix of a full one, and every sample is independent of
+``n_samples``.  A worker draws its chunk in consecutive row slices
+(:func:`_purifications`), each with at most ``2**16`` entries per array,
+and reduces each slice before it draws the next.  The stream is read in
+order, so the slices hold the same numbers as one whole-chunk draw, and
+what a worker holds does not grow with the chunk.  That contract
+(``CHUNK_SIZE``, the seed range, ``RNG_IDENTITY``, the sampling cap and
+the largest N whose draw fits binary64) lives in :mod:`haarmi.dims`,
+which needs no numpy, and is imported from there.
 
 :func:`run_oracle` goes through one chunk driver: it splits the sample
 range into fixed chunks of ``CHUNK_SIZE`` samples and calls the run's work
@@ -178,32 +176,29 @@ def _normals(gen: np.random.Generator, rows: int, k: int) -> np.ndarray:
 def _purifications(dims: Dimensions, seed: int, chunk: int, count: int):
     """The first ``count`` samples of chunk ``chunk`` as unit vectors on
     ``A x B x E'``, yielded in consecutive row slices shaped ``(rows, d_a,
-    d_b, e)`` with ``e = min(C, d_e)``: the normalised Bartlett factors in
-    the factorised regime, the states in the swapped one.
+    d_b, e)`` with ``e = min(C, d_e)``: the normalised Bartlett factors of
+    ``rho_AB``, lower trapezoidal ``C x e``.
 
     The chunk's Philox stream is read in order, so the slices hold the same
     numbers as one whole-chunk draw.  A slice has ``max(1, _SLICE_ENTRIES //
     m)`` rows, ``m`` the entries per sample of the largest array it becomes:
     the purification (``C e``), ``rho_A`` (``d_a^2``) or ``rho_B``
-    (``d_b^2``).  In the factorised regime the whole chunk's
-    ``(CHUNK_SIZE, C)`` gammas are drawn first, so the normals of a partial
-    chunk are a prefix of a full chunk's."""
+    (``d_b^2``).  The whole chunk's ``(CHUNK_SIZE, e)`` gammas are drawn
+    first, so the normals of a partial chunk are a prefix of a full
+    chunk's."""
     d_a, d_b, c = dims.d_a, dims.d_b, dims.d_a * dims.d_b
     e = min(c, dims.d_e)
     rows = max(1, _SLICE_ENTRIES // max(c * e, d_a * d_a, d_b * d_b))
     gen = _chunk_stream(seed, chunk)
-    if dims.factorised_regime:
-        shapes = np.arange(dims.d_e, dims.d_e - c, -1, dtype=np.float64)
-        diagonal = np.sqrt(2.0 * gen.standard_gamma(shapes, size=(CHUNK_SIZE, c)))
-        below = np.flatnonzero(np.tri(c, k=-1))
+    shapes = np.arange(dims.d_e, dims.d_e - e, -1, dtype=np.float64)
+    diagonal = np.sqrt(2.0 * gen.standard_gamma(shapes, size=(CHUNK_SIZE, e)))
+    below = np.flatnonzero(np.tri(c, e, k=-1))
     for start in range(0, count, rows):
         z = min(rows, count - start)
-        if dims.factorised_regime:
-            block = np.zeros((z, c * c), dtype=np.complex128)
-            block[:, below] = _normals(gen, z, below.size)
-            block[:, :: c + 1] = diagonal[start : start + z]
-        else:
-            block = _normals(gen, z, dims.n)
+        block = np.zeros((z, c * e), dtype=np.complex128)
+        block[:, below] = _normals(gen, z, below.size)
+        # L_ii sits at flat index i (e + 1), for i < e.
+        block[:, : e * e : e + 1] = diagonal[start : start + z]
         yield _unit_rows(block).reshape(z, d_a, d_b, e)
 
 
@@ -362,13 +357,15 @@ def run_oracle(
     variances come from the diagonal and upper triangle of each ``rho_A``.
 
     Each sample is one purification on ``A x B x E'`` with ``e = min(C,
-    d_e)`` levels on E': the normalised Bartlett factor of ``rho_AB`` on
-    factorised triples, the state on swapped ones (see the module
-    docstring); every chunk is reduced by the same Gram products.  The
+    d_e)`` levels on E': the normalised ``C x e`` Bartlett factor of
+    ``rho_AB`` (see the module docstring), reduced by Gram products.  The
     chunk is the unit of randomness, but each worker holds one row slice of
-    it at a time, at most ``2**16`` entries (1 MiB) per array, so memory
-    does not grow with ``n_samples`` or the purification's size.  The
-    sampling cap bounds the purification, so factorised triples with
+    it at a time, at most ``2**16`` entries (1 MiB) per array, whatever
+    ``n_samples`` or the purification's size.  What grows with
+    ``n_samples`` is the per-sample columns the means and standard errors
+    are taken from: 8 bytes per statistic per sample, nine statistics (seven
+    when ``d_a = 1``).  The sampling cap bounds the purification, so
+    factorised triples with
     ``C <= 64`` are accepted at any ``d_e`` up to ``N = 2**1022``, past
     which the unscaled Bartlett factor's squared norm, about ``2N``, nears
     the binary64 range (:class:`DomainError`).

@@ -2,7 +2,8 @@
 route run on the standard library alone; the quadrature and the oracle
 import numpy on first use.  Each probe runs in a fresh interpreter, since
 the test process has numpy loaded already.  And every name a package
-module imports is read there."""
+module imports is read there, and every private name it defines is read
+somewhere in the package."""
 
 import ast
 import os
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-MODULES = sorted(p for p in (SRC / "haarmi").glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted((SRC / "haarmi").glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 TRIPLE = ["--da", "2", "--db", "3", "--de", "7"]
 
@@ -99,3 +101,42 @@ def test_every_imported_name_is_read(path):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(imported - read) == []
+
+
+def _module_private_names(tree: ast.Module) -> set[str]:
+    """The private, non-dunder names a module binds at its top level by
+    ``def``, ``class`` or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names
+            if name.startswith("_") and not name.endswith("__")}
+
+
+def test_every_private_name_is_read():
+    """No linter runs here, so this finds the helper left behind: each
+    private name a package module defines at its top level is read in that
+    module, imported by another (whose reads the check above covers), or
+    read as an attribute somewhere in the package."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE}
+    elsewhere = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                elsewhere.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                elsewhere.add(node.attr)
+    unread = []
+    for name, tree in trees.items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{name}:{private}"
+                   for private in sorted(_module_private_names(tree))
+                   if private not in read | elsewhere]
+    assert unread == []

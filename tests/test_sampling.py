@@ -1,6 +1,6 @@
-"""Monte Carlo machinery: reproducible states and Bartlett factors drawn in
-bounded slices, their reductions as purifications, entropies, Bloch
-sectors, and the parallel oracle."""
+"""Monte Carlo machinery: reproducible Bartlett factors drawn in bounded
+slices, their reductions as purifications, entropies, Bloch sectors, and
+the parallel oracle."""
 
 import dataclasses
 import math
@@ -28,8 +28,9 @@ from haarmi import sampling as sampling_module
 DIMS = Dimensions(2, 3, 4)  # swapped: d_e < C
 FACTORISED = Dimensions(2, 3, 7)  # factorised: C <= d_e
 
-#: One triple per regime: the swapped one draws states, the factorised
-#: one Bartlett factors.
+#: One triple per regime: both draw Bartlett factors, lower trapezoidal
+#: C x d_e in the swapped one and lower triangular C x C in the factorised
+#: one.
 REGIMES = (DIMS, FACTORISED)
 
 
@@ -90,30 +91,100 @@ def _per_sample_mutual_information(dims: Dimensions, seed: int, n: int):
 
 
 # ---------------------------------------------------------------------------
-# state and Bartlett-factor sampling
+# Bartlett-factor sampling
 
 
 def test_sample_state_normalised_and_reproducible():
-    a = _chunk(DIMS, 42, 5, 7)
-    assert np.array_equal(a, _chunk(DIMS, 42, 5, 7))
-    assert a.shape == (7, 2, 3, 4)
-    assert a.dtype == np.complex128
-    np.testing.assert_allclose(
-        np.linalg.norm(a.reshape(7, -1), axis=1), 1.0, atol=1e-12
-    )
+    """Read as C x e, each purification is lower trapezoidal (lower
+    triangular when e = C) with a real positive diagonal and Tr L L^H = 1,
+    in both regimes."""
+    for dims, e in ((DIMS, 4), (FACTORISED, 6)):
+        purification = _chunk(dims, 42, 5, 7)
+        assert np.array_equal(purification, _chunk(dims, 42, 5, 7))
+        assert purification.shape == (7, 2, 3, e)
+        assert purification.dtype == np.complex128
+        factor = purification.reshape(7, 6, e)
+        assert np.all(np.triu(factor, k=1) == 0)
+        diagonal = np.diagonal(factor, axis1=1, axis2=2)
+        assert np.all(diagonal.imag == 0) and np.all(diagonal.real > 0)
+        np.testing.assert_allclose(
+            np.linalg.norm(factor, axis=(1, 2)), 1.0, atol=1e-12
+        )
 
-    purification = _chunk(FACTORISED, 42, 5, 7)
-    assert np.array_equal(purification, _chunk(FACTORISED, 42, 5, 7))
-    assert purification.shape == (7, 2, 3, 6)
-    assert purification.dtype == np.complex128
-    factor = purification.reshape(7, 6, 6)
-    # lower triangular with a real positive diagonal, Tr L L^H = 1
-    assert np.all(np.triu(factor, k=1) == 0)
-    diagonal = np.diagonal(factor, axis1=1, axis2=2)
-    assert np.all(diagonal.imag == 0) and np.all(diagonal.real > 0)
-    np.testing.assert_allclose(
-        np.linalg.norm(factor, axis=(1, 2)), 1.0, atol=1e-12
-    )
+
+#: The first purification of chunk 0 under seed 1, read as C x e, row by
+#: row up to the diagonal (every entry above it is 0).  A change of the
+#: streams, of the order they are read in or of the draw moves these.
+PINNED_DRAWS = {
+    (2, 3, 4): (
+        (0.5124920559358636,),
+        (0.05066395500280152-0.0013612162673498622j, 0.3165883258005191),
+        (
+            -0.03663035747967216-0.032381458668505024j,
+            0.18143486053949487-0.0721736824806944j,
+            0.32749064515819537,
+        ),
+        (
+            -0.07031177511323754-0.08040766821401152j,
+            0.06631658383061183+0.18446152257478704j,
+            -0.12185657324147665+0.3048786841438091j,
+            0.2818505041606216,
+        ),
+        (
+            0.18278381407366082-0.07556949575497818j,
+            0.11533912875116187+0.05228331182506353j,
+            0.2527130456954279+0.042818728834817306j,
+            0.016030986992863726-0.09608460112085637j,
+        ),
+        (
+            -0.05072759681882614-0.2155120426251341j,
+            -0.12925529270560834-0.05701261983255651j,
+            0.1515750150346619-0.03597957422154265j,
+            -0.15812784943587496-0.03346887206122872j,
+        ),
+    ),
+    (2, 3, 7): (
+        (0.49584233147511353,),
+        (-0.12484194197872235+0.26797154894909747j, 0.36026737991594415),
+        (
+            0.06295735517911426+0.06956275635376291j,
+            -0.08622410896605869+0.03737071946782866j,
+            0.3875148738573951,
+        ),
+        (
+            0.15060515617253303-0.034850441767732776j,
+            0.04772841410831683-0.08114968657011498j,
+            -0.03967739504833889+0.1469117859642368j,
+            0.1819227213187965,
+        ),
+        (
+            0.11177377912594913-0.0445621164466949j,
+            0.062203881276940896+0.026606490785268038j,
+            0.003338931946707502+0.085880559988494j,
+            0.1688843332227584-0.12371456834769577j,
+            0.2703758832094179,
+        ),
+        (
+            -0.04708549004877526+0.10222227103630768j,
+            0.0764913350835918+0.1673998040826213j,
+            0.10615498405545579+0.1179840990591618j,
+            -0.08887203468385196+0.11775200207331829j,
+            0.03424545583702668-0.02697678669810395j,
+            0.20340159472043964,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("triple", list(PINNED_DRAWS))
+def test_first_draws_are_pinned(triple):
+    dims = Dimensions(*triple)
+    e = min(6, dims.d_e)
+    factor = _chunk(dims, 1, 0, 1).reshape(6, e)
+    for i, row in enumerate(PINNED_DRAWS[triple]):
+        np.testing.assert_allclose(factor[i, :len(row)], row, rtol=1e-12,
+                                   atol=0)
+        assert np.all(factor[i, len(row):] == 0)
 
 
 def test_sample_state_streams_differ():
@@ -125,7 +196,7 @@ def test_sample_state_streams_differ():
 
 
 def test_sample_state_is_row_of_its_chunk(monkeypatch):
-    """On both paths a run of CHUNK_SIZE + 3 samples draws the same first
+    """In both regimes a run of CHUNK_SIZE + 3 samples draws the same first
     chunk as one of 2 * CHUNK_SIZE, and a prefix of its second: the
     Bartlett stream draws the whole chunk's gammas before the normals of
     its rows."""
@@ -154,8 +225,8 @@ def test_sample_state_is_row_of_its_chunk(monkeypatch):
 
 
 def test_sample_state_validation():
-    """The cap bounds the per-sample array: N for a state in the swapped
-    regime, C^2 for the Bartlett factor in the factorised one; either
+    """The cap bounds the per-sample array, the C x e Bartlett factor: N
+    entries in the swapped regime, C^2 in the factorised one; either
     reaches it exactly."""
     swapped = Dimensions(16, 16, 17)  # N = 4352
     with pytest.raises(InvalidDimensionError, match="N = 4352 exceeds"):
@@ -171,12 +242,22 @@ def test_sample_state_validation():
     assert stats.n_samples == 2
 
 
-def test_factorised_runs_draw_no_state(monkeypatch):
-    """No (count, N) block is drawn for a factorised triple: a chunk costs
-    C(C-1)/2 complex normals per sample, whatever d_e is, drawn per slice.
-    At (4,4,64) a slice holds 2**16 // C^2 = 256 samples, so the full chunk
-    takes two draws and the 3-sample one a single one."""
-    normals = []
+@pytest.mark.parametrize("triple,normals", [
+    ((4, 4, 64), 16 * 16 - 16 * 17 // 2),
+    ((8, 8, 16), 64 * 16 - 16 * 17 // 2),
+    ((2, 3, 4), 6 * 4 - 4 * 5 // 2),
+])
+def test_runs_draw_no_state(triple, normals, monkeypatch):
+    """No (count, N) block is drawn in either regime: a chunk costs its
+    CHUNK_SIZE x e gammas, e = min(C, d_e), then C e - e(e+1)/2 complex
+    normals per sample, drawn per slice (888 against the state's 1024 at
+    (8,8,16)).  At (4,4,64) a slice holds 2**16 // C^2 = 256 samples, so the
+    full chunk takes two draws and the 3-sample one a single one."""
+    dims = Dimensions(*triple)
+    c = dims.d_a * dims.d_b
+    e = min(c, dims.d_e)
+    rows = 2**16 // (c * e)
+    draws = {"standard_normal": [], "standard_gamma": []}
     real_generator = np.random.Generator
 
     class Counting:
@@ -184,17 +265,23 @@ def test_factorised_runs_draw_no_state(monkeypatch):
             self._gen = real_generator(bit_generator)
 
         def standard_normal(self, *args, out=None, **kwargs):
-            normals.append(out.size)
+            draws["standard_normal"].append(out.size)
             return self._gen.standard_normal(*args, out=out, **kwargs)
+
+        def standard_gamma(self, shape, size=None, **kwargs):
+            draws["standard_gamma"].append(size)
+            return self._gen.standard_gamma(shape, size=size, **kwargs)
 
         def __getattr__(self, name):
             return getattr(self._gen, name)
 
     monkeypatch.setattr(np.random, "Generator", Counting)
-    run_oracle(Dimensions(4, 4, 64), n_samples=CHUNK_SIZE + 3, seed=1,
-               workers=2)
-    assert sorted(normals) == [3 * 120 * 2, 256 * 120 * 2, 256 * 120 * 2]
-    assert sum(normals) == (CHUNK_SIZE + 3) * 120 * 2
+    run_oracle(dims, n_samples=CHUNK_SIZE + 3, seed=1, workers=2)
+    slices = [min(rows, count - start) for count in (CHUNK_SIZE, 3)
+              for start in range(0, count, rows)]
+    assert sorted(draws["standard_normal"]) == sorted(
+        2 * normals * z for z in slices)
+    assert draws["standard_gamma"] == [(CHUNK_SIZE, e)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +290,8 @@ def test_factorised_runs_draw_no_state(monkeypatch):
 
 def _reductions_by_side():
     """Eight samples' reductions per side; "AB" is the C-level rho_E' of the
-    Bartlett factor, "E" the environment of the state."""
+    factorised Bartlett factor, "E" the d_e-level rho_E' of the swapped one,
+    which stands for the environment."""
     swapped = _chunk_reductions(DIMS, 1, 0, 8)
     factorised = _chunk_reductions(FACTORISED, 1, 0, 8)
     return {
@@ -237,23 +325,27 @@ def test_reduce_product_state():
     np.testing.assert_allclose(rho_e[0], np.outer(w, w.conj()), atol=1e-14)
 
 
-@pytest.mark.parametrize("triple", [(2, 3, 7), (4, 4, 64), (3, 2, 6)])
+@pytest.mark.parametrize("triple", [(2, 3, 7), (4, 4, 64), (3, 2, 6),
+                                    (3, 4, 2), (8, 8, 16), (64, 1, 2)])
 def test_bartlett_factor_is_a_purification(triple):
-    """Read as a vector on A x B x E', the Bartlett factor L purifies
-    rho_AB = L L^H: its A and B reductions are the partial traces of
-    L L^H, and rho_E' has the spectrum of L L^H."""
+    """Read as a vector on A x B x E', the C x e Bartlett factor L purifies
+    rho_AB = L L^H in both regimes: its A and B reductions are the partial
+    traces of L L^H, and rho_E' has the top e eigenvalues of L L^H (all C
+    of them when e = C)."""
     dims = Dimensions(*triple)
     d_a, d_b, c = dims.d_a, dims.d_b, dims.d_a * dims.d_b
-    factor = _chunk(dims, 2, 0, 64).reshape(-1, c, c)
+    e = min(c, dims.d_e)
+    factor = _chunk(dims, 2, 0, 64).reshape(-1, c, e)
     rho_ab = np.einsum("zij,zkj->zik", factor, factor.conj())
     blocks = rho_ab.reshape(-1, d_a, d_b, d_a, d_b)
     rho_a, rho_b, rho_e = sampling_module._state_reductions(
-        factor.reshape(-1, d_a, d_b, c)
+        factor.reshape(-1, d_a, d_b, e)
     )
     assert np.max(np.abs(rho_a - np.einsum("zibjb->zij", blocks))) < 1e-15
     assert np.max(np.abs(rho_b - np.einsum("zaiaj->zij", blocks))) < 1e-15
     spectrum = np.linalg.eigvalsh(rho_e)
-    assert np.max(np.abs(spectrum - np.linalg.eigvalsh(rho_ab))) < 1e-15
+    top = np.linalg.eigvalsh(rho_ab)[:, c - e:]
+    assert np.max(np.abs(spectrum - top)) < 1e-15
 
 
 def test_schmidt_symmetry():
@@ -418,7 +510,8 @@ def test_mutual_info_sample_composition():
 
 
 def test_run_oracle_deterministic_across_workers():
-    # states at (2,3,4) and (8,8,16), Bartlett factors at (2,3,7) and (4,4,64)
+    # swapped factors at (2,3,4) and (8,8,16), factorised at (2,3,7) and
+    # (4,4,64)
     for dims in (DIMS, FACTORISED, Dimensions(8, 8, 16), Dimensions(4, 4, 64)):
         reference = run_oracle(dims, n_samples=700, seed=9, workers=1)
         for workers in (2, 4):
@@ -451,7 +544,7 @@ def test_run_oracle_statistics_concord():
 
 def test_run_oracle_chunking_boundaries():
     # sample counts straddling the chunk size agree field by field across
-    # worker counts, on both paths
+    # worker counts, in both regimes
     for dims in REGIMES:
         for n_samples in (CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 3):
             one = run_oracle(dims, n_samples=n_samples, seed=2, workers=1)
@@ -740,7 +833,7 @@ def test_oracle_bloch_sectors_match_componentwise_generators(triple):
 
 
 def test_run_oracle_reaches_a_million_dimensions():
-    """(4,4,62500) has N = 1e6, far above the cap on a state, but its
+    """(4,4,62500) has N = 1e6, far above the sampling cap, but its
     Bartlett factor has C^2 = 256 entries; I ~ 1e-4 is matched to 4 SE."""
     dims = Dimensions(4, 4, 62500)
     stats = run_oracle(dims, n_samples=20_000, seed=42, workers=2)
