@@ -4,9 +4,11 @@ A Haar-random pure state is a normalised vector of iid complex Gaussians.
 :func:`run_oracle` draws each sample as one purification: a unit vector on
 ``A x B x E'`` with ``e = min(C, d_e)`` levels on ``E'`` (``C = d_a d_b``),
 whose reduced state on AB has the law of the Haar state's.  Every reduced
-state is one batched Gram product ``x @ x^H`` of a reshaped view ``x`` of
-the purifications, shaped ``(z, d_a, d_b, e)``: ``rho_A`` keeps the A axis
-as rows, ``rho_B`` the B axis and ``rho_E'`` the E' axis.  A pure state
+state comes from batched Gram products ``x @ x^H`` of views ``x`` of the
+purifications, shaped ``(z, d_a, d_b, e)``, and of their one conjugate:
+``rho_A`` keeps the A axis as rows, ``rho_E'`` the E' axis, and ``rho_B``
+is the sum over A of the Gram products of the ``(d_b, e)`` blocks, so
+that the batch is never copied with B first.  A pure state
 has ``S_AB = S_E'`` (Schmidt), so ``S_AB`` comes from ``rho_E'``, and no
 matrix larger than ``max(d_a, d_b, min(C, d_e))`` is diagonalised.  The
 Bloch sectors need no generator basis: with ``Tr(g_a g_b) = 2 delta_ab``,
@@ -41,26 +43,34 @@ sample ``index`` is row ``index % CHUNK_SIZE`` of chunk
 first, then ``C e - e(e+1)/2`` complex normals per row, so a partial last
 chunk is a prefix of a full one, and every sample is independent of
 ``n_samples``.  A worker draws its chunk in consecutive row slices
-(:func:`_purifications`), each with at most ``2**16`` entries per array,
-and reduces each slice before it draws the next.  The stream is read in
-order, so the slices hold the same numbers as one whole-chunk draw, and
-what a worker holds does not grow with the chunk.  That contract
+(:func:`_purifications`), sized so that a slice's arrays and one copy of
+each fit ``2**17`` entries, and reduces each slice to its per-sample
+statistics, releasing the slice and its reduced states, before it draws
+the next.  The stream is read in order, so the slices hold the same
+numbers as one whole-chunk draw, and what a worker holds does not grow
+with the chunk.  That contract
 (``CHUNK_SIZE``, the seed range, ``RNG_IDENTITY``, the sampling cap and
 the largest N whose draw fits binary64) lives in :mod:`haarmi.dims`,
 which needs no numpy, and is imported from there.
 
-:func:`run_oracle` goes through one chunk driver: it splits the sample
-range into fixed chunks of ``CHUNK_SIZE`` samples and calls the run's work
-function on each, on a pool of ``workers`` threads.  Each row slice writes
-a disjoint part of the per-sample result arrays, and every per-row
-reduction has a fixed order whatever the slice's size, so the worker count
-changes nothing about the final reductions (numpy's pairwise
-``sum``/``mean`` over a fixed-length array is a fixed reduction tree).
+:func:`run_oracle` goes through one chunk driver, :func:`_run_chunks`: it
+splits the sample range into fixed chunks of ``CHUNK_SIZE`` samples, runs
+the work function on each on a pool of ``workers`` threads, with at most
+``2 * workers`` chunks in flight, and yields the results in chunk order.
+A chunk's result is the count, mean vector and centred co-moment matrix
+of its per-sample statistics, and the results merge in chunk order by the
+pairwise update (:func:`_merge`).  Every per-row reduction has a fixed
+order whatever the slice's size, a chunk's moments are taken over the
+whole chunk, and the merge order is fixed, so the worker count changes
+nothing about the result.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -92,10 +102,24 @@ _EIG_NEG_LIMIT = -1e-10
 #: (3,1,2)), and about one full-rank Haar state in 10^4 takes the guard.
 _CUBIC_MARGIN = 1e-3
 
-#: Most entries in one array of a row slice: 2**16 complex128 entries,
-#: 1 MiB.  :func:`_purifications` sizes its slices by the largest
-#: per-sample array.
-_SLICE_ENTRIES = 2**16
+#: Most complex128 entries a worker holds at once for one row slice:
+#: 2**17, 2 MiB, over the purification, its three reduced states and one
+#: copy of each (see :func:`_purifications`).
+_SLICE_ENTRIES = 2**17
+
+#: The HaarSampleStats mean fields, in the order of the rows of
+#: :func:`_slice_statistics`; the two Bloch sectors only when ``d_a >= 2``.
+_STATISTICS = (
+    "mean_entropy_a",
+    "mean_entropy_b",
+    "mean_entropy_ab",
+    "mean_mutual_information",
+    "mean_purity_a",
+    "mean_diagonal_entropy_a",
+    "mean_diagonal_second_moment_a",
+    "cartan_var",
+    "offdiag_var",
+)
 
 
 @dataclass(frozen=True)
@@ -181,14 +205,16 @@ def _purifications(dims: Dimensions, seed: int, chunk: int, count: int):
 
     The chunk's Philox stream is read in order, so the slices hold the same
     numbers as one whole-chunk draw.  A slice has ``max(1, _SLICE_ENTRIES //
-    m)`` rows, ``m`` the entries per sample of the largest array it becomes:
-    the purification (``C e``), ``rho_A`` (``d_a^2``) or ``rho_B``
-    (``d_b^2``).  The whole chunk's ``(CHUNK_SIZE, e)`` gammas are drawn
-    first, so the normals of a partial chunk are a prefix of a full
-    chunk's."""
+    2m)`` rows, with ``m = C e + d_a^2 + d_b^2 + e^2`` the entries per sample
+    of the purification and its three reduced states: the budget covers
+    each of them and one copy (the conjugate of the purification, the
+    LAPACK copy of a reduced state).  A slice is dropped here before the
+    next is drawn, so it lives only as long as its consumer holds it.  The
+    whole chunk's ``(CHUNK_SIZE, e)`` gammas are drawn first, so the
+    normals of a partial chunk are a prefix of a full chunk's."""
     d_a, d_b, c = dims.d_a, dims.d_b, dims.d_a * dims.d_b
     e = min(c, dims.d_e)
-    rows = max(1, _SLICE_ENTRIES // max(c * e, d_a * d_a, d_b * d_b))
+    rows = max(1, _SLICE_ENTRIES // (2 * (c * e + d_a * d_a + d_b * d_b + e * e)))
     gen = _chunk_stream(seed, chunk)
     shapes = np.arange(dims.d_e, dims.d_e - e, -1, dtype=np.float64)
     diagonal = np.sqrt(2.0 * gen.standard_gamma(shapes, size=(CHUNK_SIZE, e)))
@@ -200,28 +226,38 @@ def _purifications(dims: Dimensions, seed: int, chunk: int, count: int):
         # L_ii sits at flat index i (e + 1), for i < e.
         block[:, : e * e : e + 1] = diagonal[start : start + z]
         yield _unit_rows(block).reshape(z, d_a, d_b, e)
+        # Drop the slice before the next is drawn: only the consumer holds it.
+        del block
 
 
-def _gram(x: np.ndarray) -> np.ndarray:
-    """``x @ x^H`` for a batch of matrices ``x`` shaped ``(z, m, k)``: the
-    reduced state on the ``m`` row levels, with the ``k`` column levels
-    traced out."""
-    return x @ x.conj().transpose(0, 2, 1)
+def _gram(x: np.ndarray, x_conj: np.ndarray) -> np.ndarray:
+    """``x @ x^H`` for a batch of matrices ``x`` shaped ``(z, m, k)``, given
+    ``x_conj = conj(x)``: the reduced state on the ``m`` row levels, with
+    the ``k`` column levels traced out."""
+    return x @ x_conj.transpose(0, 2, 1)
 
 
 def _state_reductions(
     t: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``rho_A``, ``rho_B`` and ``rho_E'`` of a batch of pure states shaped
-    ``(z, d_a, d_b, e)``, each the Gram product of a ``(z, m, k)`` view
-    with the kept levels as rows."""
-    _, a, b, e = t.shape
+    ``(z, d_a, d_b, e)``, as Gram products of views of ``t`` and of its one
+    conjugate: ``rho_A`` of the ``(z, d_a, d_b e)`` view, ``rho_E'`` of the
+    transposed ``(z, e, d_a d_b)`` view, and ``rho_B`` as the sum over A of
+    the Gram products of the ``(z, d_b, e)`` views, so that no B-first copy
+    of the batch is made."""
+    z, a, b, e = t.shape
+    t_conj = t.conj()
+    rho_b = _gram(t[:, 0], t_conj[:, 0])
+    for i in range(1, a):
+        rho_b += _gram(t[:, i], t_conj[:, i])
     return (
-        _gram(t.reshape(-1, a, b * e)),
-        _gram(t.transpose(0, 2, 1, 3).reshape(-1, b, a * e)),
+        _gram(t.reshape(z, a, b * e), t_conj.reshape(z, a, b * e)),
+        rho_b,
         # The transpose of the merged AB view: its Gram product is rho_E'
         # itself, not its conjugate.
-        _gram(t.reshape(-1, a * b, e).transpose(0, 2, 1)),
+        _gram(t.reshape(z, a * b, e).transpose(0, 2, 1),
+              t_conj.reshape(z, a * b, e).transpose(0, 2, 1)),
     )
 
 
@@ -323,30 +359,85 @@ def _sample_entropies(
     return s_a, s_b, _entropies(rho_e, "E'")
 
 
-def _run_chunks(n_samples: int, workers: int, work) -> None:
-    """Call ``work(start, stop)`` on each ``CHUNK_SIZE`` slice of
-    ``range(n_samples)`` on a pool of ``workers`` threads; any failure in a
-    chunk is raised as :class:`OracleWorkerError`."""
+def _slice_statistics(t: np.ndarray) -> np.ndarray:
+    """The per-sample statistics of a row slice of purifications shaped
+    ``(z, d_a, d_b, e)``, shaped ``(k, z)``: one row per :data:`_STATISTICS`
+    name, the Bloch sectors only when ``d_a >= 2``."""
+    d_a = t.shape[1]
+    rho_a, rho_b, rho_e = _state_reductions(t)
+    s_a, s_b, s_ab = _sample_entropies(rho_a, rho_b, rho_e)
+    diag = np.diagonal(rho_a, axis1=1, axis2=2).real
+    values = [
+        s_a,
+        s_b,
+        s_ab,
+        s_a + s_b - s_ab,
+        np.einsum("zij,zji->z", rho_a, rho_a).real,
+        _entropy_from_weights(diag, "diagonal of A"),
+        np.sum(diag * diag, axis=-1),
+    ]
+    if d_a >= 2:
+        centred = diag - np.mean(diag, axis=-1, keepdims=True)
+        # The strict upper triangle, row by row: the complement of tri.
+        upper = rho_a[:, ~np.tri(d_a, dtype=bool)]
+        # A running sum fixes each row's order of addition; np.sum adds a
+        # lone row pairwise but a batch's rows in sequence.
+        pairs = (upper.real**2 + upper.imag**2).cumsum(axis=-1)[:, -1]
+        values.append(2.0 * np.sum(centred**2, axis=-1) / (d_a - 1))
+        values.append(4.0 * pairs / (d_a * (d_a - 1)))
+    return np.stack(values)
+
+
+def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """The count, mean vector and centred co-moment matrix ``sum_i (x_i -
+    mean)(x_i - mean)^T`` of the columns of a ``(k, z)`` block."""
+    mean = np.mean(values, axis=1)
+    centred = values - mean[:, None]
+    return values.shape[1], mean, centred @ centred.T
+
+
+def _merge(left, right) -> tuple[int, np.ndarray, np.ndarray]:
+    """The :func:`_moments` of two blocks joined, from theirs: the pairwise
+    update of Chan, Golub and LeVeque (Am. Stat. 37, 242, 1983), with the
+    cross-moments as in Pebay (Sandia report SAND2008-6212)."""
+    n_left, mean_left, co_left = left
+    n_right, mean_right, co_right = right
+    n = n_left + n_right
+    delta = mean_right - mean_left
+    return (
+        n,
+        mean_left + delta * (n_right / n),
+        co_left + co_right + np.outer(delta, delta) * (n_left * n_right / n),
+    )
+
+
+def _run_chunks(n_samples: int, workers: int, work):
+    """Yield ``work(start, stop)`` for each ``CHUNK_SIZE`` slice of
+    ``range(n_samples)``, in chunk order, computed on a pool of ``workers``
+    threads.  At most ``2 * workers`` chunks are submitted and not yet
+    yielded, so the pending results do not grow with ``n_samples``.  A
+    failure in a chunk is raised as :class:`OracleWorkerError` when its
+    result is read, and no chunk starts after that."""
     _require_int("workers", workers, 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(work, start, min(start + CHUNK_SIZE, n_samples))
-            for start in range(0, n_samples, CHUNK_SIZE)
-        ]
-        for future in futures:
+    pool = ThreadPoolExecutor(max_workers=workers)
+    futures = (
+        pool.submit(work, start, min(start + CHUNK_SIZE, n_samples))
+        for start in range(0, n_samples, CHUNK_SIZE)
+    )
+    window = deque(itertools.islice(futures, 2 * workers))
+    try:
+        while window:
             try:
-                future.result()
+                result = window.popleft().result()
             except Exception as exc:
                 raise OracleWorkerError(
                     f"a Monte Carlo worker failed ({exc!r}); partial "
                     f"results discarded"
                 ) from exc
-
-
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(values.size))
-    return mean, stderr
+            window.extend(itertools.islice(futures, 1))
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_oracle(
@@ -360,15 +451,18 @@ def run_oracle(
     d_e)`` levels on E': the normalised ``C x e`` Bartlett factor of
     ``rho_AB`` (see the module docstring), reduced by Gram products.  The
     chunk is the unit of randomness, but each worker holds one row slice of
-    it at a time, at most ``2**16`` entries (1 MiB) per array, whatever
-    ``n_samples`` or the purification's size.  What grows with
-    ``n_samples`` is the per-sample columns the means and standard errors
-    are taken from: 8 bytes per statistic per sample, nine statistics (seven
-    when ``d_a = 1``).  The sampling cap bounds the purification, so
-    factorised triples with
-    ``C <= 64`` are accepted at any ``d_e`` up to ``N = 2**1022``, past
-    which the unscaled Bartlett factor's squared norm, about ``2N``, nears
-    the binary64 range (:class:`DomainError`).
+    it at a time, with at most ``2**17`` complex128 entries (2 MiB) over
+    every per-sample array the slice has alive at once, whatever
+    ``n_samples`` or the purification's size.  Each chunk reduces to the
+    count, mean vector and centred co-moment matrix of its per-sample
+    statistics (nine, seven when ``d_a = 1``), and the chunks merge in
+    chunk order by the pairwise update (:func:`_merge`).  So neither the
+    per-sample values nor the pending chunks grow with ``n_samples``, and
+    the fixed merge order keeps every field independent of the worker
+    count.  The sampling cap bounds the purification, so factorised
+    triples with ``C <= 64`` are accepted at any ``d_e`` up to ``N =
+    2**1022``, past which the unscaled Bartlett factor's squared norm,
+    about ``2N``, nears the binary64 range (:class:`DomainError`).
 
     Precision: I is a difference of entropies of size ``ln C`` while I
     itself is about ``su/(2N)`` (``su = (d_a^2 - 1)(d_b^2 - 1)``), so
@@ -377,54 +471,30 @@ def run_oracle(
     random rotated basis, over 4096 samples at each of (2,2,4), (2,3,7),
     (3,2,7), (3,4,2), (4,4,64), (8,8,16) and (2,2,62500); the largest
     sample was ``7e-15 N/su``).  The closed-form spectra of two- and
-    three-level states are within that spread.  It stays below the
-    relative standard error, about 1e-3 at 20 000 samples for any N,
-    up to ``N/su`` of about 1e11."""
+    three-level states are within that spread.  The mean I does move away
+    from ``<I>``, always downwards, past an onset in ``N/su`` that falls as
+    C grows.  At 20 000 samples (relative standard error about 1e-3; seeds
+    1-3, ROADMAP item 19) the shift first exceeds 3 standard errors between
+    ``N/su`` = 4.4e13 and 4.4e14 at C = 4, near 7.5e13 at C = 6 (z about
+    -2.4 there), between 7.1e11 and 7.1e12 at C = 16, and between 1.6e10
+    and 1.6e11 at C = 64.  Its cause is not established, and such triples
+    are not refused."""
     _check_run(dims, n_samples, seed)
-    d_a = dims.d_a
-    sectors = d_a >= 2
-    rows, cols = np.triu_indices(d_a, k=1)
-    # Per-sample columns, keyed by the HaarSampleStats mean field they feed.
-    names = ["mean_entropy_a", "mean_entropy_b", "mean_entropy_ab",
-             "mean_mutual_information", "mean_purity_a",
-             "mean_diagonal_entropy_a", "mean_diagonal_second_moment_a"]
-    if sectors:
-        names += ["cartan_var", "offdiag_var"]
-    columns = {name: np.empty(n_samples) for name in names}
 
-    def work(start: int, stop: int) -> None:
-        hi = start
-        for t in _purifications(dims, seed, start // CHUNK_SIZE, stop - start):
-            lo, hi = hi, hi + len(t)
-            rho_a, rho_b, rho_e = _state_reductions(t)
-            s_a, s_b, s_ab = _sample_entropies(rho_a, rho_b, rho_e)
-            diag = np.diagonal(rho_a, axis1=1, axis2=2).real
-            values = dict(
-                mean_entropy_a=s_a,
-                mean_entropy_b=s_b,
-                mean_entropy_ab=s_ab,
-                mean_mutual_information=s_a + s_b - s_ab,
-                mean_purity_a=np.einsum("zij,zji->z", rho_a, rho_a).real,
-                mean_diagonal_entropy_a=_entropy_from_weights(diag, "diagonal of A"),
-                mean_diagonal_second_moment_a=np.sum(diag * diag, axis=-1),
-            )
-            if sectors:
-                centred = diag - np.mean(diag, axis=-1, keepdims=True)
-                upper = rho_a[:, rows, cols]
-                # A running sum fixes each row's order of addition; np.sum
-                # adds a lone row pairwise but a batch's rows in sequence.
-                pairs = np.cumsum(upper.real**2 + upper.imag**2, axis=-1)[:, -1]
-                values["cartan_var"] = 2.0 * np.sum(centred**2, axis=-1) / (d_a - 1)
-                values["offdiag_var"] = 4.0 * pairs / (d_a * (d_a - 1))
-            for name, column in columns.items():
-                column[lo:hi] = values[name]
+    def work(start: int, stop: int) -> tuple[int, np.ndarray, np.ndarray]:
+        slices = _purifications(dims, seed, start // CHUNK_SIZE, stop - start)
+        # map holds each slice only while its statistics are formed, so no
+        # slice or reduction is alive when the next slice is drawn.
+        return _moments(np.hstack(list(map(_slice_statistics, slices))))
 
-    _run_chunks(n_samples, workers, work)
-
+    count, mean, comoment = functools.reduce(
+        _merge, _run_chunks(n_samples, workers, work)
+    )
+    stderr = np.sqrt(np.diagonal(comoment) / (count - 1)) / math.sqrt(count)
     stats = {}
-    for name, column in columns.items():
-        stderr_name = "stderr_" + name.removeprefix("mean_")
-        stats[name], stats[stderr_name] = _mean_stderr(column)
+    for name, m, se in zip(_STATISTICS, mean, stderr):
+        stats[name] = float(m)
+        stats["stderr_" + name.removeprefix("mean_")] = float(se)
     return HaarSampleStats(
         dims=dims, n_samples=n_samples, seed=seed, rng=RNG_IDENTITY, **stats
     )
