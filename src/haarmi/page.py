@@ -1,15 +1,18 @@
 """Closed-form ensemble averages for Haar-random bipartite pure states.
 
-Two independent exact routes are provided for every quantity.  The
-binary64 route reads one set of poles: a bipartition ``lo x hi`` of
-``N = lo hi`` (``lo <= hi``) has ``<S> = ln lo + (1 - lo^2)/(2N) - r(N) +
-r(hi)``, and ``m`` diagonal cells of concentration ``n`` have the average
-Shannon entropy ``ln m + (1 - m)/(2mn) - r(mn) + r(n)``, with ``r(z) = ln z
-+ 1/(2z) - psi(z+1)`` the Binet remainder, so no ``ln N``-sized terms
-cancel and the O(1/N) values of ``<I>``, its diagonal part and the
-diagonal entropy stay accurate in *relative* terms.  The rational route sums
-harmonic differences ``H_b - H_a``, each once, with no state kept between
-calls; ``<I>`` telescopes the ``H_N`` its three Page entropies share.
+Every entropy closed form here is a signed sum of *entropy parts* ``(s, m,
+n, p)`` of one size ``mn``, each worth ``<S> = ln m + (1 - m^p)/(2mn) -
+r(mn) + r(n)`` with ``r(z) = ln z + 1/(2z) - psi(z+1)`` the Binet
+remainder: ``p = 2`` is Page's entropy of the smaller factor ``m`` of ``m x
+n``, ``p = 1`` the Shannon entropy of ``m`` diagonal cells of concentration
+``n``.  ``<I>`` is ``S_A + S_B - S_AB`` on the sorted factor pairs, its
+diagonal part the same with ``p = 1`` on the unsorted ones, and its
+eigenvector part the difference.  The binary64 evaluator sums parts in one
+``fsum`` over the poles whose signs do not cancel, so no ``ln N``-sized
+terms cancel and O(1/N) values stay accurate in *relative* terms.  The
+rational one sums ``H_mn - H_n - (m^(p-1) - 1)/(2n)``, pairing harmonic
+numbers into ranges each summed once, with no state kept between calls;
+``<I>`` telescopes the ``H_N`` its three Page entropies share.
 
 Conventions: ``page_entropy(m, n)`` is the average entanglement entropy of
 the dimension-``m`` part of a random pure state on ``m x n`` (symmetric
@@ -32,19 +35,63 @@ from .errors import DomainError, InvalidDimensionError, _require_int
 from .special import _psi_remainder, digamma, harmonic_rational  # noqa: F401
 
 
-def _check_sizes(m: int, n: int) -> None:
+def _check_sizes(m: int, n: int, route: str | None = None) -> None:
+    """Check ``m, n >= 1``; a binary64 ``route`` needs ``m n < 2**1024``."""
     _require_int("m", m, 1, InvalidDimensionError)
     _require_int("n", n, 1, InvalidDimensionError)
+    if route and m * n >= _N_LIMIT:
+        raise DomainError(f"{route} requires m*n < 2**1024, got "
+                          f"{(m * n).bit_length()} bits")
 
 
-def _float_size(what: str, m: int, n: int) -> int:
-    """``m n`` for a binary64 route, which needs it below ``2**1024``."""
-    _check_sizes(m, n)
-    size = m * n
-    if size >= _N_LIMIT:
-        raise DomainError(f"{what} requires m*n < 2**1024, got "
-                          f"{size.bit_length()} bits")
-    return size
+def _float_value(parts: tuple) -> float:
+    """Binary64 value of the parts: one ``fsum`` of ``ln prod m^s`` and
+    ``sum s(1 - m^p) / (2mn)``, each rounded once, and ``s r(z)`` for each
+    pole (``-s`` at ``mn``, ``+s`` at ``n``) whose net sign is not 0."""
+    num = den = 1
+    rational = net = 0
+    poles: dict[int, int] = {}
+    for s, m, n, p in parts:
+        if s > 0:
+            num *= m
+        else:
+            den *= m
+        rational += s * (1 - m**p)
+        net += s
+        poles[n] = poles.get(n, 0) + s
+    poles[m * n] = poles.get(m * n, 0) - net
+    try:
+        log = math.log(num / den)
+    except OverflowError:  # the ratio rounds up to 2**1024
+        log = math.log(num) - math.log(den)
+    remainders = [s * _psi_remainder(z) for z, s in poles.items() if s]
+    return math.fsum([log, rational / (2 * m * n), *remainders])
+
+
+def _rational_value(parts: tuple) -> Fraction:
+    """Exact ``sum s(H_mn - H_n - (m^(p-1) - 1)/(2n))``: the shared ``H_mn``
+    enters once with its net sign, and the harmonic numbers added and those
+    taken are paired in sorted order into ranges (of length 0 too)."""
+    size = parts[0][1] * parts[0][2]
+    net = sum(s for s, _, _, _ in parts)
+    added = [size] * net + [n for s, _, n, _ in parts if s < 0]
+    taken = [size] * -net + [n for s, _, n, _ in parts if s > 0]
+    ranges = zip(sorted(added), sorted(taken))
+    correction = sum(Fraction(s * (m ** (p - 1) - 1), 2 * n) for s, m, n, p in parts)
+    return sum(harmonic_rational(x, y) for x, y in ranges) - correction
+
+
+def _mutual_parts(dims: Dimensions, p: int, sort: bool, sign: int = 1) -> tuple:
+    """``sign (S_A + S_B - S_AB)`` as parts of power ``p`` on the factor
+    pairs ``(d_a, d_b d_e)``, ``(d_b, d_a d_e)`` and ``(d_a d_b, d_e)``,
+    each of size ``N``: ``p = 2`` on the sorted pairs is ``<I>``, ``p = 1``
+    on the unsorted pairs its diagonal part."""
+    d_a, d_b, d_e = dims.d_a, dims.d_b, dims.d_e
+    pairs = ((d_a, d_b * d_e), (d_b, d_a * d_e), (d_a * d_b, d_e))
+    if sort:
+        pairs = [(m, n) if m <= n else (n, m) for m, n in pairs]
+    (m_a, n_a), (m_b, n_b), (m_c, n_c) = pairs
+    return ((sign, m_a, n_a, p), (sign, m_b, n_b, p), (-sign, m_c, n_c, p))
 
 
 @dataclass(frozen=True)
@@ -54,7 +101,8 @@ class MutualInformationBreakdown:
     total:    <I(A:B)> = i_diag + delta_ev (this identity holds bitwise).
     i_diag:   average mutual information of the *diagonal* (classical)
               distribution in a product basis.
-    delta_ev: the eigenvector / basis-optimisation contribution.
+    delta_ev: the eigenvector / basis-optimisation contribution, the
+              ``<I>`` parts less the diagonal ones, summed once.
     g_value:  total divided by (d_a^2-1)(d_b^2-1), the universal scale
               factor of the factorised regime; None in the swapped regime
               or when the numerator count vanishes (a dimension is 1).
@@ -71,33 +119,29 @@ def page_entropy(m: int, n: int) -> float:
     """Average entanglement entropy ``psi(mn+1) - psi(hi+1) - (lo-1)/(2 hi)``
     where ``lo, hi = sorted((m, n))``, evaluated as ``ln lo + (1 - lo^2)/(2mn)
     - r(mn) + r(hi)``; ``m n`` must be below ``2**1024``."""
-    size = _float_size("page_entropy", m, n)
-    lo, hi = sorted((m, n))
-    return math.fsum((math.log(lo), (1 - lo * lo) / (2 * size),
-                      -_psi_remainder(size), _psi_remainder(hi)))
+    _check_sizes(m, n, "page_entropy")
+    return _float_value(((1, *sorted((m, n)), 2),))
 
 
 def page_entropy_rational(m: int, n: int) -> Fraction:
     """Exact rational counterpart of :func:`page_entropy`
     (``H_{mn} - H_hi - (lo-1)/(2 hi)``)."""
     _check_sizes(m, n)
-    lo, hi = sorted((m, n))
-    return harmonic_rational(m * n, hi) - Fraction(lo - 1, 2 * hi)
+    return _rational_value(((1, *sorted((m, n)), 2),))
 
 
 def diagonal_entropy_avg(m: int, n: int) -> float:
     """Average Shannon entropy of the diagonal ``psi(mn+1) - psi(n+1)``,
     evaluated as ``ln m + (1 - m)/(2mn) - r(mn) + r(n)``; ``m n`` must be
     below ``2**1024``."""
-    size = _float_size("diagonal_entropy_avg", m, n)
-    return math.fsum((math.log(m), (1 - m) / (2 * size),
-                      -_psi_remainder(size), _psi_remainder(n)))
+    _check_sizes(m, n, "diagonal_entropy_avg")
+    return _float_value(((1, m, n, 1),))
 
 
 def diagonal_entropy_avg_rational(m: int, n: int) -> Fraction:
     """Exact rational counterpart of :func:`diagonal_entropy_avg`."""
     _check_sizes(m, n)
-    return harmonic_rational(m * n, n)
+    return _rational_value(((1, m, n, 1),))
 
 
 def schur_deficit(m: int, n: int) -> float:
@@ -137,94 +181,49 @@ def bloch_variance(m: int, n: int) -> Fraction:
     return Fraction(2, m * (m * n + 1))
 
 
-def _i_diag_float(dims: Dimensions) -> float:
-    """``psi(N+1) - psi(d_b d_e+1) - psi(d_a d_e+1) + psi(d_e+1)`` with
-    ``psi(z+1) = ln z + 1/(2z) - r(z)``: the logs cancel exactly, since
-    ``N d_e = (d_a d_e)(d_b d_e)``, and the ``1/(2z)`` terms sum to
-    ``cartan/(2N)``."""
-    d_e = dims.d_e
-    cartan = casimir_counts(dims).cartan_product
-    return cartan / (2 * dims.n) - math.fsum((
-        _psi_remainder(dims.n), -_psi_remainder(dims.d_b * d_e),
-        -_psi_remainder(dims.d_a * d_e), _psi_remainder(d_e),
-    ))
-
-
 def i_diag_rational(dims: Dimensions) -> Fraction:
     """Exact rational diagonal mutual information
     ``(H_N - H_{N/d_a}) - (H_{N/d_b} - H_{N/(d_a d_b)})``."""
-    d_e = dims.d_e
-    return (
-        harmonic_rational(dims.n, dims.d_b * d_e)
-        - harmonic_rational(dims.d_a * d_e, d_e)
-    )
-
-
-def _bipartitions(dims: Dimensions) -> tuple[tuple[int, int], ...]:
-    """``(lo, hi)`` of ``S_A``, ``S_B`` and ``S_AB``: the sorted factor pairs
-    ``(d_a, d_b d_e)``, ``(d_b, d_a d_e)`` and ``(d_a d_b, d_e)``; every
-    pair has ``lo * hi = N``, and ``a, b, c`` below name the three ``hi``."""
-    d_a, d_b, d_e = dims.d_a, dims.d_b, dims.d_e
-    pairs = ((d_a, d_b * d_e), (d_b, d_a * d_e), (d_a * d_b, d_e))
-    return tuple((min(pair), max(pair)) for pair in pairs)
-
-
-def _binet_total(dims: Dimensions) -> float:
-    """``<I> = ln(lo_a lo_b / lo_c) + (1 - lo_a^2 - lo_b^2 + lo_c^2)/(2N)
-    - r(N) + r(a) + r(b) - r(c)``: ``S_A + S_B - S_AB`` in the form of
-    :func:`page_entropy`, with the log and the rational each rounded once."""
-    (lo_a, a), (lo_b, b), (lo_c, c) = _bipartitions(dims)
-    return math.fsum((
-        math.log(lo_a * lo_b / lo_c),
-        (1 - lo_a * lo_a - lo_b * lo_b + lo_c * lo_c) / (2 * dims.n),
-        -_psi_remainder(dims.n), _psi_remainder(a), _psi_remainder(b),
-        -_psi_remainder(c),
-    ))
+    return _rational_value(_mutual_parts(dims, 1, sort=False))
 
 
 def mutual_information_rational(dims: Dimensions) -> Fraction:
     """Exact rational ``<I(A:B)> = <S_A> + <S_B> - <S_AB>`` (both regimes)
-    with the shared ``H_N`` cancelled: ``(H_N - H_a) - (H_b - H_c) - (lo_a-1)
-    /(2a) - (lo_b-1)/(2b) + (lo_c-1)/(2c)``, ``(N-a) + |b-c|`` terms."""
-    (lo_a, a), (lo_b, b), (lo_c, c) = _bipartitions(dims)
-    tail = (harmonic_rational(b, c) + Fraction(lo_a - 1, 2 * a)
-            + Fraction(lo_b - 1, 2 * b) - Fraction(lo_c - 1, 2 * c))
-    return harmonic_rational(dims.n, a) - tail
+    with the shared ``H_N`` cancelled: two harmonic ranges, at most ``(N-a)
+    + |b-c|`` terms (``a, b, c`` the larger factors of S_A, S_B, S_AB)."""
+    return _rational_value(_mutual_parts(dims, 2, sort=True))
 
 
-def _factorised_delta_ev(dims: Dimensions) -> float:
-    """The factorised regime's eigenvector part ``(su - cartan)/(2N)``."""
-    counts = casimir_counts(dims)
-    return (counts.su_product - counts.cartan_product) / (2 * dims.n)
+def _split(dims: Dimensions, sort: bool) -> tuple[float, float]:
+    """``(i_diag, delta_ev)``: the diagonal parts, and the ``<I>`` parts (on
+    the sorted or unsorted pairs) with the diagonal parts negated."""
+    negated = _mutual_parts(dims, 1, sort=False, sign=-1)
+    return (_float_value(_mutual_parts(dims, 1, sort=False)),
+            _float_value(_mutual_parts(dims, 2, sort) + negated))
 
 
 def forced_factorised_value(dims: Dimensions) -> float:
-    """The factorised-regime closed form ``i_diag + (su - cartan)/(2N)``
-    evaluated regardless of the actual regime.
-
+    """The factorised-regime closed form ``i_diag + (su - cartan)/(2N)``: the
+    split of :func:`mutual_information_exact` on the unsorted factor pairs.
     In the swapped regime this is *not* the mutual information; it is
-    exposed so the size of the regime discontinuity can be quantified.
-    """
-    return _i_diag_float(dims) + _factorised_delta_ev(dims)
+    exposed so the size of the regime discontinuity can be quantified."""
+    i_diag, delta_ev = _split(dims, sort=False)
+    return i_diag + delta_ev
 
 
 def mutual_information_exact(dims: Dimensions) -> MutualInformationBreakdown:
     """Average mutual information with its diagonal/eigenvector split.
 
-    In the factorised regime ``delta_ev`` has the closed form
-    ``((d_a^2-1)(d_b^2-1) - (d_a-1)(d_b-1)) / (2N)``; in the swapped regime
-    it is the one-``fsum`` total of the three bipartitions minus ``i_diag``.
-    No second route is run here: ``haarmi verify`` checks the rational one.
+    In the factorised regime the sorted pairs are the unsorted ones, so
+    every pole of ``delta_ev`` cancels, leaving ``(su - cartan)/(2N)``.  No
+    second route is run here: ``haarmi verify`` checks the rational one.
     """
-    i_diag = _i_diag_float(dims)
-    if dims.factorised_regime:
-        delta_ev = _factorised_delta_ev(dims)
-    else:
-        delta_ev = _binet_total(dims) - i_diag
+    i_diag, delta_ev = _split(dims, sort=True)
     total = i_diag + delta_ev
     su = casimir_counts(dims).su_product
-    # Through Fraction: float(su) overflows once su reaches 2**1024.
-    g_value = float(Fraction(total) / su) if dims.factorised_regime and su else None
+    # One correctly rounded integer division: float(su) overflows from 2**1024.
+    num, den = total.as_integer_ratio()
+    g_value = num / (den * su) if dims.factorised_regime and su else None
     return MutualInformationBreakdown(
         dims=dims, total=total, i_diag=i_diag, delta_ev=delta_ev, g_value=g_value
     )

@@ -12,6 +12,7 @@ import pytest
 from haarmi import (
     Dimensions,
     DomainError,
+    EULER_GAMMA,
     InvalidDimensionError,
     bernoulli,
     bloch_variance,
@@ -227,15 +228,24 @@ def test_float_total_within_5e16_of_rational_on_grid():
     """Every triple with d_a, d_b <= 8 and d_e < 80, both regimes, including
     triples where one side outweighs the rest, such as (8, 2, 3), whose log
     term is not ``ln(C / d_e)``; the swapped regime reached 6.7e-15 at
-    (8, 8, 63) when the total subtracted three ln N-sized entropies."""
+    (8, 8, 63) when the total subtracted three ln N-sized entropies.  Its
+    two parts are held too: ``delta_ev`` at the same 5e-16, ``i_diag`` at
+    4e-15, since its remainders near ``z = 10`` are accurate only in
+    absolute terms (3.53e-15 at (2, 2, 9))."""
     swapped = 0
     for d_a in range(1, 9):
         for d_b in range(1, 9):
             for d_e in range(1, 80):
                 dims = Dimensions(d_a, d_b, d_e)
-                exact = float(mutual_information_rational(dims))
-                total = mutual_information_exact(dims).total
-                assert abs(total - exact) <= 5e-16 * abs(exact), dims
+                rational = mutual_information_rational(dims)
+                diagonal = i_diag_rational(dims)
+                b = mutual_information_exact(dims)
+                for value, exact, band in (
+                    (b.total, float(rational), 5e-16),
+                    (b.i_diag, float(diagonal), 4e-15),
+                    (b.delta_ev, float(rational - diagonal), 5e-16),
+                ):
+                    assert abs(value - exact) <= band * abs(exact), (dims, value)
                 swapped += not dims.factorised_regime
     assert swapped == 1232
 
@@ -289,37 +299,46 @@ def test_large_n_against_decimal_reference(triple):
 
 
 def test_factorised_poles_are_the_paper_closed_form():
-    """In the factorised regime the bipartitions are ``d_a x d_b d_e``,
+    """In the factorised regime the ``<I>`` parts are ``d_a x d_b d_e``,
     ``d_b x d_a d_e`` and ``C x d_e``: the log ratio vanishes, the
-    rational's numerator is ``su``, and the pole total, which the breakdown
-    reads only in the swapped regime, is as accurate here."""
+    rational's numerator is ``su``, and the parts' value, which the
+    breakdown reads only through ``i_diag + delta_ev``, is as accurate."""
     for d_a in range(1, 6):
         for d_b in range(1, 6):
             c = d_a * d_b
             for d_e in (c, c + 1, 3 * c + 2):
                 dims = Dimensions(d_a, d_b, d_e)
-                poles = page_module._bipartitions(dims)
-                assert poles == ((d_a, d_b * d_e), (d_b, d_a * d_e), (c, d_e))
-                (lo_a, _), (lo_b, _), (lo_c, _) = poles
+                parts = page_module._mutual_parts(dims, 2, sort=True)
+                assert parts == (
+                    (1, d_a, d_b * d_e, 2), (1, d_b, d_a * d_e, 2), (-1, c, d_e, 2)
+                )
+                (_, lo_a, _, _), (_, lo_b, _, _), (_, lo_c, _, _) = parts
                 assert math.log(lo_a * lo_b / lo_c) == 0.0
                 assert (
-                    1 - lo_a**2 - lo_b**2 + lo_c**2
+                    sum(s * (1 - m**p) for s, m, _, p in parts)
                     == casimir_counts(dims).su_product
                 )
                 exact = float(mutual_information_rational(dims))
-                total = page_module._binet_total(dims)
+                total = page_module._float_value(parts)
                 assert abs(total - exact) <= 5e-16 * abs(exact), dims
 
 
 def _poles(dims):
-    """``(N, a, b, c)``: ``N`` and the ``hi`` of ``S_A``, ``S_B``, ``S_AB``."""
-    return (dims.n,) + tuple(hi for _, hi in page_module._bipartitions(dims))
+    """The net sign of each Binet pole of the ``<I>`` parts: a part
+    ``(s, m, n, p)`` puts ``-s`` at ``m n`` and ``+s`` at ``n``, so the
+    signs are ``-1`` at ``N`` and ``c``, ``+1`` at ``a`` and ``b`` (the
+    ``hi`` of ``S_A``, ``S_B``, ``S_AB``), summed where two coincide."""
+    poles = {}
+    for s, m, n, _ in page_module._mutual_parts(dims, 2, sort=True):
+        poles[m * n] = poles.get(m * n, 0) - s
+        poles[n] = poles.get(n, 0) + s
+    return poles
 
 
 def test_poles_give_the_bernoulli_terms():
-    """The Stirling series of the four signed remainders is the paper's
-    series: ``sum_i s_i B_2k / (2k z_i^2k) = zeta(1-2k) (d_a^2k - 1)
-    (d_b^2k - 1) / N^2k``, exactly, with ``s = (-1, +1, +1, -1)``."""
+    """The Stirling series of the signed remainders is the paper's series:
+    ``sum_i s_i B_2k / (2k z_i^2k) = zeta(1-2k) (d_a^2k - 1) (d_b^2k - 1)
+    / N^2k``, exactly, with ``s_i`` the pole signs of the parts."""
     for d_a, d_b, d_e in [(2, 3, 7), (2, 2, 4), (3, 3, 9), (1, 4, 5), (2, 5, 12)]:
         dims = Dimensions(d_a, d_b, d_e)
         poles = _poles(dims)
@@ -327,24 +346,24 @@ def test_poles_give_the_bernoulli_terms():
             coef = bernoulli(2 * k) / (2 * k)
             series = sum(
                 sign * coef / Fraction(z) ** (2 * k)
-                for sign, z in zip((-1, 1, 1, -1), poles)
+                for z, sign in poles.items()
             )
             assert series == series_term(dims, k), (dims, k)
 
 
 def test_poles_give_the_bose_kernel():
     """``sum_i s_i t / (t^2 + z_i^2) = su kernel_R(t / d_e) / d_e`` with
-    ``s = (+1, -1, -1, +1)``, equal dimensions included; the band scales
-    with the sum of magnitudes because the kernel changes sign at
-    ``t = d_e sqrt(C)``."""
+    ``s_i`` the negated pole signs of the parts, equal dimensions
+    included; the band scales with the sum of magnitudes because the
+    kernel changes sign at ``t = d_e sqrt(C)``."""
     for triple in [(2, 3, 7), (3, 4, 20), (2, 2, 4), (3, 3, 9)]:
         dims = Dimensions(*triple)
-        poles = [float(z) for z in _poles(dims)]
+        poles = {float(z): -sign for z, sign in _poles(dims).items()}
         su = casimir_counts(dims).su_product
         for t in [0.05 * 1.5**j for j in range(24)]:
             parts = [
                 sign * t / (t * t + z * z)
-                for sign, z in zip((1, -1, -1, 1), poles)
+                for z, sign in poles.items()
             ]
             kernel = su * kernel_R(t / dims.d_e, dims) / dims.d_e
             assert abs(math.fsum(parts) - kernel) <= 1e-14 * sum(
@@ -362,9 +381,16 @@ def test_poles_give_the_bose_kernel():
         ((20, 20, 400), "0x1.fd7152c6f8b95p-2", "0x1.279868c379d25p-10",
          "0x1.fc49ba5e353f8p-2"),
         ((1, 4, 9), "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        # swapped regime, where delta_ev keeps the poles of the sorted pairs
+        ((3, 4, 2), "0x1.60c330ebb9203p+0", "0x1.bac82698b2be2p-4",
+         "0x1.4516ae822df45p+0"),
+        ((10, 10, 50), "0x1.d8b2d9612c6c4p-1", "0x1.0859ae1ec6511p-7",
+         "0x1.d49172a8b1530p-1"),
+        ((64, 2, 3), "0x1.58e54c5f64794p+0", "0x1.33f01365f6690p-4",
+         "0x1.45a64b290512bp+0"),
     ],
 )
-def test_factorised_breakdown_is_bitwise_pinned(triple, total, i_diag, delta_ev):
+def test_breakdown_is_bitwise_pinned(triple, total, i_diag, delta_ev):
     b = mutual_information_exact(Dimensions(*triple))
     assert (b.total.hex(), b.i_diag.hex(), b.delta_ev.hex()) == (
         total, i_diag, delta_ev
@@ -419,6 +445,37 @@ def test_rational_route_sums_two_ranges(monkeypatch):
         assert len(lengths) == 2 and sum(lengths) == terms, triple
 
 
+def test_closed_forms_evaluate_only_the_poles_left(monkeypatch):
+    """Cost guard: a factorised breakdown evaluates the four remainders of
+    ``i_diag`` and none for ``delta_ev``, whose poles all cancel (three at
+    (2,2,4), where the poles at ``d_a d_e = d_b d_e`` merge); a swapped one
+    evaluates at most ten; ``page_entropy`` at most two."""
+    calls = []
+    real = page_module._psi_remainder
+
+    def counting(z):
+        calls.append(z)
+        return real(z)
+
+    monkeypatch.setattr(page_module, "_psi_remainder", counting)
+    for triple, count in [
+        ((2, 3, 7), 4), ((3, 5, 960), 4), ((20, 21, 420), 4), ((2, 2, 4), 3)
+    ]:
+        calls.clear()
+        mutual_information_exact(Dimensions(*triple))
+        assert len(calls) == count, triple
+    for d_a in range(1, 9):
+        for d_b in range(1, 9):
+            for d_e in range(1, d_a * d_b):
+                calls.clear()
+                mutual_information_exact(Dimensions(d_a, d_b, d_e))
+                assert len(calls) <= 10, (d_a, d_b, d_e)
+    for m, n in [(2, 3), (7, 7), (1, 9), (64, 5)]:
+        calls.clear()
+        page_entropy(m, n)
+        assert len(calls) <= 2, (m, n)
+
+
 def test_rational_route_leaves_no_state():
     tracemalloc.start()
     try:
@@ -438,6 +495,20 @@ def test_exact_factorisation_when_dimension_one():
             assert mutual_information_rational(Dimensions(1, d_b, d_e)) == 0
     # N within 2**970 of 2**1024 converts to no float; the remainders vanish
     assert mutual_information_exact(Dimensions(1, 1, 2**1024 - 1)).total == 0.0
+
+
+def test_log_ratio_that_rounds_past_binary64():
+    """The parts' integer ratio ``prod m^s`` stays below 2**1024 but can
+    round up to it; its log is then a difference of two logs.  The total at
+    (d, d, 1) overflowed that way: a pure state on AB, so <I> = 2 <S_A>."""
+    m = 2**1024 - 1
+    assert diagonal_entropy_avg(m, 1) == pytest.approx(
+        math.log(m) - 1 + EULER_GAMMA, abs=0, rel=1e-15
+    )
+    d = 2**512 - 1
+    b = mutual_information_exact(Dimensions(d, d, 1))
+    assert b.total == pytest.approx(2 * page_entropy(d, d), abs=0, rel=1e-15)
+    assert b.g_value is None
 
 
 def test_swapped_regime_break():
