@@ -107,21 +107,6 @@ _CUBIC_MARGIN = 1e-3
 #: copy of each (see :func:`_purifications`).
 _SLICE_ENTRIES = 2**17
 
-#: The HaarSampleStats mean fields, in the order of the rows of
-#: :func:`_slice_statistics`; the two Bloch sectors only when ``d_a >= 2``.
-_STATISTICS = (
-    "mean_entropy_a",
-    "mean_entropy_b",
-    "mean_entropy_ab",
-    "mean_mutual_information",
-    "mean_purity_a",
-    "mean_diagonal_entropy_a",
-    "mean_diagonal_second_moment_a",
-    "cartan_var",
-    "offdiag_var",
-)
-
-
 @dataclass(frozen=True)
 class HaarSampleStats:
     """Sample means (with standard errors) over a Haar Monte Carlo run.
@@ -361,8 +346,9 @@ def _sample_entropies(
 
 def _slice_statistics(t: np.ndarray) -> np.ndarray:
     """The per-sample statistics of a row slice of purifications shaped
-    ``(z, d_a, d_b, e)``, shaped ``(k, z)``: one row per :data:`_STATISTICS`
-    name, the Bloch sectors only when ``d_a >= 2``."""
+    ``(z, d_a, d_b, e)``, shaped ``(k, z)``, one row per statistic in the
+    order of the :class:`HaarSampleStats` fields: the Bloch pair comes last
+    and is left out when ``d_a = 1``, where its fields stay None."""
     d_a = t.shape[1]
     rho_a, rho_b, rho_e = _state_reductions(t)
     s_a, s_b, s_ab = _sample_entropies(rho_a, rho_b, rho_e)
@@ -491,10 +477,6 @@ def run_oracle(
         _merge, _run_chunks(n_samples, workers, work)
     )
     stderr = np.sqrt(np.diagonal(comoment) / (count - 1)) / math.sqrt(count)
-    stats = {}
-    for name, m, se in zip(_STATISTICS, mean, stderr):
-        stats[name] = float(m)
-        stats["stderr_" + name.removeprefix("mean_")] = float(se)
-    return HaarSampleStats(
-        dims=dims, n_samples=n_samples, seed=seed, rng=RNG_IDENTITY, **stats
-    )
+    # Each statistic's mean and standard error, in the dataclass's order.
+    values = [float(v) for pair in zip(mean, stderr) for v in pair]
+    return HaarSampleStats(dims, n_samples, seed, RNG_IDENTITY, *values)

@@ -1,10 +1,12 @@
 """Special functions: digamma, exact harmonic differences, Bernoulli numbers.
 
-The digamma implementation is self-contained (recurrence plus asymptotic
-series) so that the whole package carries no dependency beyond numpy, and
-so that the Bernoulli numbers feeding the asymptotic expansion are exactly
-the ones produced by :func:`bernoulli`; the series has one copy,
-:func:`_psi_remainder`.  Exact harmonic differences are summed by binary
+Digamma is computed here, so that the package carries no dependency
+beyond numpy and the Bernoulli numbers of its Stirling series are the
+ones :func:`bernoulli` serves.  It has one evaluation: the Binet
+remainder ``r(z) = ln z + 1/(2z) - psi(z+1)`` of :func:`_psi_remainder`
+(a positive series per recurrence step, then the Stirling series), from
+which :func:`digamma` and every closed form in :mod:`haarmi.page` read
+``psi`` and ``r``.  Exact harmonic differences are summed by binary
 splitting.  Nothing is cached at run time: the only table, ``B_0`` to
 ``B_120``, is built once at import from the integer tangent numbers.
 """
@@ -112,11 +114,14 @@ def harmonic_rational(n: int, start: int = 0) -> Fraction:
     return _range_sum(start, n)
 
 
-# Stirling coefficients B_{2k}/(2k), k = 1..7.  With the recurrence
-# threshold at z >= 10 the first omitted term is below 2^-53 * psi(z), so
-# seven terms saturate binary64.
+# Stirling coefficients B_{2k}/(2k), k = 1..10.  From z >= 10 on, the
+# first omitted term, B_22/(22 z^22), is below 4e-17 of r(z).
 _PSI_SHIFT = 10.0
-_PSI_COEF = [float(bernoulli(2 * k)) / (2 * k) for k in range(1, 8)]
+_PSI_COEF = [float(bernoulli(2 * k)) / (2 * k) for k in range(1, 11)]
+# The recurrence step's series in y = 1/(2z+1) (see _psi_remainder):
+# 4k/(2k+1) for k = 1..17, so the omitted tail at y <= 1/3 is below
+# 1e-16 of the step.
+_STEP_COEF = [4.0 * k / (2 * k + 1) for k in range(1, 18)]
 
 
 def _psi_remainder(z: float) -> float:
@@ -125,19 +130,31 @@ def _psi_remainder(z: float) -> float:
 
     For ``z >= 10`` it is the Stirling series ``sum_k B_{2k} / (2k z^{2k})``.
     Below, the recurrence ``r(z) = r(z+1) - log1p(1/z) + 1/(2z) +
-    1/(2(z+1))`` keeps the small result accurate in *absolute* terms, which
-    the form ``ln z + 1/(2z) - psi(z+1)`` would not.  ``z`` is made a
-    float first: a huge int ``z`` then squares to infinity, a zero series
-    term, instead of overflowing its conversion; an int too large for
-    binary64 (from ``2**1024 - 2**970`` on) gives 0.0, as ``r(z)`` does there.
+    1/(2(z+1))`` carries it down.  The three pieces of a step cancel to
+    about ``1/(6 z^3)``, so for ``z >= 1`` the step is summed instead as
+    the positive series ``2 sum_{k>=1} (2k/(2k+1)) y^(2k+1)`` in ``y =
+    1/(2z+1) <= 1/3``, which keeps the result accurate in *relative*
+    terms; only a step from ``z < 1``, where ``y`` nears 1, takes the three
+    pieces.  ``z`` is made a float first: a huge int ``z`` then squares to
+    infinity, a zero series term, instead of overflowing its conversion;
+    an int too large for binary64 (from ``2**1024 - 2**970`` on) gives
+    0.0, as ``r(z)`` does there.
     """
     try:
         z = float(z)
     except OverflowError:
         return 0.0
     pieces = []
-    while z < _PSI_SHIFT:
+    if z < 1.0:
         pieces += (-math.log1p(1.0 / z), 0.5 / z, 0.5 / (z + 1.0))
+        z += 1.0
+    while z < _PSI_SHIFT:
+        y = 1.0 / (2.0 * z + 1.0)
+        y2 = y * y
+        power = y * y2
+        for c in _STEP_COEF:
+            pieces.append(c * power)
+            power *= y2
         z += 1.0
     inv2 = 1.0 / (z * z)
     power = inv2
@@ -150,15 +167,11 @@ def _psi_remainder(z: float) -> float:
 def digamma(x: float) -> float:
     """Digamma function ``psi(x)`` for real ``x > 0``.
 
-    Uses the upward recurrence ``psi(x+1) = psi(x) + 1/x`` to push the
-    argument to at least 10, then the asymptotic series
-    ``ln x - 1/(2x) - r(x)`` with the Stirling series ``r`` of
-    :func:`_psi_remainder`.  All pieces are accumulated with exact
-    compensated summation (``math.fsum``), so the absolute error stays at a
-    few 1e-16 across the whole domain and the result is correct to ~2 ulp
-    wherever no leading-digit cancellation occurs in the recurrence (in
-    particular for all x >= 10).  A number too large for binary64 raises
-    :class:`DomainError` like any other non-finite argument.
+    ``psi(x) = ln x - 1/(2x) - r(x)``, with the Binet remainder ``r`` of
+    :func:`_psi_remainder`, summed in one ``math.fsum``; every ``psi`` and
+    ``r`` value in the package comes from that one evaluation of ``r``.
+    A number too large for binary64 raises :class:`DomainError` like any
+    other non-finite argument.
     """
     try:
         x = float(x)
@@ -168,9 +181,6 @@ def digamma(x: float) -> float:
         ) from None
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"digamma requires finite x > 0, got {x!r}")
-    pieces = []
-    while x < _PSI_SHIFT:
-        pieces.append(-1.0 / x)
-        x += 1.0
-    pieces += (math.log(x), -0.5 / x, -_psi_remainder(x))
-    return math.fsum(pieces)
+    if 1.0 / x == math.inf:  # psi(x) ~ -1/x - gamma overflows with 1/x
+        return -math.inf
+    return math.fsum((math.log(x), -0.5 / x, -_psi_remainder(x)))

@@ -1,7 +1,9 @@
 """Special functions: digamma accuracy, exact harmonic and Bernoulli numbers."""
 
 import math
+import sys
 import threading
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,9 @@ from haarmi import (
     harmonic_rational,
     zeta_negative_odd,
 )
+from haarmi.special import _psi_remainder
+
+from exact_reference import binet_remainder, digamma as digamma_decimal
 
 # ---------------------------------------------------------------------------
 # digamma
@@ -30,6 +35,17 @@ def test_digamma_beyond_binary64():
     assert math.isfinite(digamma(2**1023))
     with pytest.raises(DomainError):
         digamma(10**400)
+
+
+def test_digamma_where_the_reciprocal_overflows():
+    """``psi(x) ~ -1/x - gamma`` is -inf where ``1/x`` overflows, and
+    finite from the next float up."""
+    tiny = 1.0 / sys.float_info.max
+    for x in (5e-324, 1e-310, tiny):
+        assert digamma(x) == -math.inf
+    assert digamma(math.nextafter(tiny, 1.0)) == pytest.approx(
+        -sys.float_info.max, rel=1e-15
+    )
 
 
 def test_digamma_known_points():
@@ -69,6 +85,30 @@ def test_digamma_recurrence(x):
     lhs = digamma(x + 1.0) - digamma(x)
     scale = max(abs(digamma(x + 1.0)), abs(digamma(x)), 1.0 / x)
     assert abs(lhs - 1.0 / x) <= 8e-16 * scale
+
+
+def test_digamma_integers_against_60_digit_reference():
+    """``psi(n)`` within 3e-16 relative for n = 2..399: one ``fsum`` of
+    ``ln n``, ``-1/(2n)`` and the remainder; a separate shift loop of
+    ``-1/x`` terms lost 5.1e-16 at n = 2."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for n in range(2, 400):
+            exact = digamma_decimal(n)
+            error = abs(Decimal(digamma(n)) - exact)
+            assert error <= Decimal("3e-16") * abs(exact), n
+
+
+def test_psi_remainder_against_60_digit_reference():
+    """``r(z)`` within 5e-16 relative for z = 1..299.  Seven Stirling terms
+    at z >= 10, carried down by the three-piece recurrence step, were
+    accurate only in absolute terms: 4.99e-14 relative at z = 10."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for z in range(1, 300):
+            exact = binet_remainder(z)
+            error = abs(Decimal(_psi_remainder(z)) - exact)
+            assert error <= Decimal("5e-16") * exact, z
 
 
 def test_digamma_asymptotic_regime():
