@@ -28,15 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .dims import (
-    _DRAW_N_LIMIT,
-    _KEY_LIMIT,
-    RNG_IDENTITY,
-    STATE_DIMENSION_CAP,
-    Dimensions,
-    _cap_excess,
-    leading_order,
-)
+from .dims import _KEY_LIMIT, RNG_IDENTITY, Dimensions, _oracle_refusal, leading_order
 from .errors import (
     DomainError,
     HaarMIError,
@@ -405,24 +397,19 @@ def _verify_view(row, dims, config, checks):
         for name in ("integral_route", "series_route", "strict_bound"):
             record(name, "skipped", "swapped regime: factorised-only route")
 
-    excess = _cap_excess(dims)
-    skipped = None
-    if excess:
-        record("oracle_3se", "skipped",
-               f"{excess} above the sampling cap {STATE_DIMENSION_CAP}")
-        skipped = f"n/a ({excess} > {STATE_DIMENSION_CAP})"
-    elif dims.n > _DRAW_N_LIMIT:
-        record("oracle_3se", "skipped",
-               "N above 2**1022, where a draw overflows binary64")
-        skipped = "n/a (N > 2**1022)"
+    # The oracle's own admission rule: skipped exactly where it refuses.
+    refusal = _oracle_refusal(dims)
+    cells = {}
+    if refusal:
+        _, reason, short = refusal
+        record("oracle_3se", "skipped", reason)
+        cells = dict.fromkeys(("oracle_mean", "oracle_stderr"), f"n/a ({short})")
     else:
         stats = _fill_oracle(row, dims, config)
         compare("oracle_3se", "oracle_mean", stats.mean_mutual_information,
                 3.0 * stats.stderr_mutual_information, "3*SE = ")
 
-    shown = dict(row, I_rational=rational_value)
-    if skipped:
-        shown.update(oracle_mean=skipped, oracle_stderr=skipped)
+    shown = dict(row, I_rational=rational_value, **cells)
     return _row_pairs(shown, "regime", "I_exact", "I_rational", "I_series_opt",
                       "I_integral", "oracle_mean", "oracle_stderr")
 

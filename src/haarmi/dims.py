@@ -7,12 +7,13 @@ downstream branches on a single regime flag: the *factorised* regime
 ``d_a * d_b <= d_e`` (environment at least as large as the joint system)
 versus the *swapped* regime (environment smaller).
 
-It also holds the oracle's contract, which needs no numpy: the sampling
-cap (:func:`_cap_excess`), the largest N whose draw fits binary64, the
-chunk size, the seed range and the identity string of the random streams.
-``haarmi.sampling`` draws by it and the CLI checks and reports it, so every
-command can validate its seed and the ``verify`` skip rules without
-loading the sampler.
+It also holds the oracle's contract, which needs no numpy: the chunk
+size, the seed range, the identity string of the random streams, and one
+admission rule, :func:`_oracle_refusal`, which alone compares a triple
+with the oracle's limits (the sampling cap, and the largest N whose draw
+fits binary64).  ``haarmi.sampling`` draws by the contract and raises from
+the rule; the CLI validates its seed by it and skips the ``verify`` oracle
+check from the rule, without loading the sampler.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidDimensionError, RegimeError, _require_int
+from .errors import DomainError, InvalidDimensionError, RegimeError, _require_int
 
 
 #: Exclusive bound on ``N``: ``float(N)`` and ``1.0 / N`` overflow from here.
@@ -132,11 +133,23 @@ def leading_order(dims: Dimensions) -> float:
     return counts.su_product / (2 * dims.n)
 
 
-def _cap_excess(dims: Dimensions) -> str | None:
-    """The size of the Bartlett factor the oracle draws per sample, ``C e``
-    entries on ``A x B x E'``: ``"N = 5000"`` (swapped regime, ``e = d_e``)
-    or ``"C^2 = 5184"`` (factorised regime, ``e = C``), when it exceeds
-    ``STATE_DIMENSION_CAP`` entries; else None."""
+def _oracle_refusal(dims: Dimensions) -> tuple[type, str, str] | None:
+    """Why the oracle refuses ``dims``, or None: the error class
+    ``run_oracle`` raises, the reason (its message and ``verify``'s skip
+    detail) and the short form ``verify`` shows for the oracle's values.
+
+    The sampling cap bounds the Bartlett factor drawn per sample, ``C e``
+    entries on ``A x B x E'``: N in the swapped regime (``e = d_e``), C^2
+    in the factorised one (``e = C``).  Past ``N = 2**1022`` a draw
+    overflows binary64; only factorised triples get there."""
     c = dims.d_a * dims.d_b
     name, size = ("C^2", c * c) if dims.factorised_regime else ("N", dims.n)
-    return f"{name} = {size}" if size > STATE_DIMENSION_CAP else None
+    if size > STATE_DIMENSION_CAP:
+        excess = f"{name} = {size}"
+        return (InvalidDimensionError,
+                f"{excess} above the sampling cap {STATE_DIMENSION_CAP}",
+                f"{excess} > {STATE_DIMENSION_CAP}")
+    if dims.n > _DRAW_N_LIMIT:
+        return (DomainError, "N above 2**1022, where a draw overflows binary64",
+                "N > 2**1022")
+    return None

@@ -49,9 +49,9 @@ statistics, releasing the slice and its reduced states, before it draws
 the next.  The stream is read in order, so the slices hold the same
 numbers as one whole-chunk draw, and what a worker holds does not grow
 with the chunk.  That contract
-(``CHUNK_SIZE``, the seed range, ``RNG_IDENTITY``, the sampling cap and
-the largest N whose draw fits binary64) lives in :mod:`haarmi.dims`,
-which needs no numpy, and is imported from there.
+(``CHUNK_SIZE``, the seed range, ``RNG_IDENTITY`` and the admission rule,
+which compares a triple with the sampling cap and the largest N whose
+draw fits binary64) lives in :mod:`haarmi.dims`, which needs no numpy.
 
 :func:`run_oracle` goes through one chunk driver, :func:`_run_chunks`: it
 splits the sample range into fixed chunks of ``CHUNK_SIZE`` samples, runs
@@ -76,22 +76,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import (
-    _DRAW_N_LIMIT,
-    _KEY_LIMIT,
-    CHUNK_SIZE,
-    RNG_IDENTITY,
-    STATE_DIMENSION_CAP,
-    Dimensions,
-    _cap_excess,
-)
-from .errors import (
-    DomainError,
-    InvalidDimensionError,
-    NumericalValidityError,
-    OracleWorkerError,
-    _require_int,
-)
+from .dims import _KEY_LIMIT, CHUNK_SIZE, RNG_IDENTITY, Dimensions, _oracle_refusal
+from .errors import DomainError, NumericalValidityError, OracleWorkerError, _require_int
 
 _EIG_FLOOR = 1e-14
 _EIG_NEG_LIMIT = -1e-10
@@ -147,16 +133,10 @@ def _check_run(dims: Dimensions, n_samples: int, seed: int) -> None:
     _require_int("seed", seed, 0)
     if seed >= _KEY_LIMIT:
         raise DomainError(f"seed must be below 2**64, got {seed}")
-    excess = _cap_excess(dims)
-    if excess:
-        raise InvalidDimensionError(
-            f"{excess} exceeds the sampling cap {STATE_DIMENSION_CAP}"
-        )
-    if dims.n > _DRAW_N_LIMIT:
-        raise DomainError(
-            f"the oracle needs N <= 2**1022 to draw in binary64, got "
-            f"{dims.n.bit_length()} bits"
-        )
+    refusal = _oracle_refusal(dims)
+    if refusal:
+        error, reason, _ = refusal
+        raise error(reason)
     _require_int("n_samples", n_samples, 2)
 
 
@@ -250,11 +230,12 @@ def _spectrum(rho: np.ndarray) -> np.ndarray:
     """Eigenvalues of a batch of Hermitian matrices shaped ``(z, m, m)``,
     shape ``(z, m)``, by matrix size: the closed form for two levels, the
     trigonometric root of the characteristic cubic for three (Smith, CACM
-    4, 168, 1961; Kopp, Int. J. Mod. Phys. C 19, 523, 2008), and LAPACK for
-    one level, for four and up, and for the three-level rows the cubic
-    cannot resolve (:func:`_lapack_spectrum`, which gives NaN for a row
-    with a non-finite diagonal).  The batch must have a positive trace, as
-    density matrices do."""
+    4, 168, 1961; Kopp, Int. J. Mod. Phys. C 19, 523, 2008), and LAPACK's
+    ``eigvalsh`` for one level, for four and up, and for the three-level
+    rows the cubic cannot resolve.  The batch must have a positive trace
+    and a finite diagonal, as the reduced states :func:`_entropies` passes
+    do: LAPACK can return a finite spectrum for a NaN on the diagonal
+    (``diag(nan, 1, 1, 1)`` gives ``[0, -0, 1, 1]``)."""
     m = rho.shape[-1]
     if m == 2:
         a, d = rho[:, 0, 0].real, rho[:, 1, 1].real
@@ -264,7 +245,7 @@ def _spectrum(rho: np.ndarray) -> np.ndarray:
         # det / high, not trace - high, which cancels for a nearly pure state.
         return np.stack([(a * d - off) / high, high], axis=-1)
     if m != 3:
-        return _lapack_spectrum(rho)
+        return np.linalg.eigvalsh(rho)
     diag = np.diagonal(rho, axis1=1, axis2=2).real
     trace = np.sum(diag, axis=-1)
     q = trace / 3.0
@@ -288,19 +269,7 @@ def _spectrum(rho: np.ndarray) -> np.ndarray:
     # Near |r| = 1 two roots nearly coincide, and arccos loses sqrt(eps).
     guard = np.abs(r) > 1.0 - _CUBIC_MARGIN
     if np.any(guard):
-        values[guard] = _lapack_spectrum(rho[guard])
-    return values
-
-
-def _lapack_spectrum(rho: np.ndarray) -> np.ndarray:
-    """LAPACK's ``eigvalsh`` of the rows with a finite diagonal, and NaN
-    weights for the others: LAPACK can return a finite spectrum for a NaN
-    on the diagonal (``diag(nan, 1, 1, 1)`` gives ``[0, -0, 1, 1]``)."""
-    finite = np.isfinite(np.diagonal(rho, axis1=1, axis2=2)).all(axis=-1)
-    if finite.all():
-        return np.linalg.eigvalsh(rho)
-    values = np.full(rho.shape[:-1], np.nan)
-    values[finite] = np.linalg.eigvalsh(rho[finite])
+        values[guard] = np.linalg.eigvalsh(rho[guard])
     return values
 
 
@@ -324,7 +293,12 @@ def _entropy_from_weights(weights: np.ndarray, what: str) -> np.ndarray:
 
 
 def _entropies(rho: np.ndarray, what: str) -> np.ndarray:
-    """Per-sample von Neumann entropy of a batch of reduced states."""
+    """Per-sample von Neumann entropy of a batch of reduced states.  A Gram
+    product has a non-finite diagonal wherever its factor has a non-finite
+    entry, so one check of the diagonal, before any spectrum, is the
+    state's validity check."""
+    if not np.isfinite(np.diagonal(rho, axis1=1, axis2=2)).all():
+        raise NumericalValidityError(f"rho_{what} has a non-finite diagonal")
     return _entropy_from_weights(_spectrum(rho), f"eigendecomposition of {what}")
 
 
@@ -445,10 +419,13 @@ def run_oracle(
     chunk order by the pairwise update (:func:`_merge`).  So neither the
     per-sample values nor the pending chunks grow with ``n_samples``, and
     the fixed merge order keeps every field independent of the worker
-    count.  The sampling cap bounds the purification, so factorised
-    triples with ``C <= 64`` are accepted at any ``d_e`` up to ``N =
-    2**1022``, past which the unscaled Bartlett factor's squared norm,
-    about ``2N``, nears the binary64 range (:class:`DomainError`).
+    count.  A triple is admitted by the one rule that ``verify`` also
+    reads, :func:`haarmi.dims._oracle_refusal`, and refused with its
+    reason: past the sampling cap on the purification
+    (:class:`InvalidDimensionError`), so factorised triples with ``C <=
+    64`` are accepted at any ``d_e`` up to ``N = 2**1022``, past which the
+    unscaled Bartlett factor's squared norm, about ``2N``, nears the
+    binary64 range (:class:`DomainError`).
 
     Precision: I is a difference of entropies of size ``ln C`` while I
     itself is about ``su/(2N)`` (``su = (d_a^2 - 1)(d_b^2 - 1)``), so

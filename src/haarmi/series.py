@@ -22,7 +22,8 @@ from itertools import accumulate
 
 from .dims import Dimensions, leading_order
 from .errors import DomainError, _require_int
-from .special import BERNOULLI_LIMIT, zeta_negative_odd
+# zeta_negative_odd stays importable here: perfbench's tracer wraps it.
+from .special import BERNOULLI_LIMIT, _ZETA, zeta_negative_odd  # noqa: F401
 
 #: Default number of terms kept by :func:`expand`.
 K_MAX_DEFAULT = 40
@@ -65,13 +66,6 @@ def _check_k_max(k_max: int) -> None:
             f"k_max={k_max} needs Bernoulli numbers past the supported "
             f"limit {BERNOULLI_LIMIT}"
         )
-
-
-#: ``float(zeta(1-2k))`` at index ``k - 1``, for every ``k`` that
-#: :func:`_check_k_max` admits.
-_ZETA = tuple(
-    float(zeta_negative_odd(k)) for k in range(1, BERNOULLI_LIMIT // 2 + 1)
-)
 
 
 def _terms(dims: Dimensions, ks: Iterable[int]) -> list[float]:

@@ -7,8 +7,9 @@ remainder ``r(z) = ln z + 1/(2z) - psi(z+1)`` of :func:`_psi_remainder`
 (a positive series per recurrence step, then the Stirling series), from
 which :func:`digamma` and every closed form in :mod:`haarmi.page` read
 ``psi`` and ``r``.  Exact harmonic differences are summed by binary
-splitting.  Nothing is cached at run time: the only table, ``B_0`` to
-``B_120``, is built once at import from the integer tangent numbers.
+splitting.  Nothing is cached at run time: the only tables, ``B_0`` to
+``B_120`` and the binary64 ``zeta(1-2k)`` for ``k <= 60``, are built once
+at import from the integer tangent numbers.
 """
 
 from __future__ import annotations
@@ -82,6 +83,14 @@ def zeta_negative_odd(k: int) -> Fraction:
     return -bernoulli(2 * k) / (2 * k)
 
 
+#: ``float(zeta(1-2k))``, correctly rounded, at index ``k - 1`` for every
+#: ``k <= BERNOULLI_LIMIT / 2``: the coefficients of the large-N series and,
+#: negated, of the Stirling series of :func:`_psi_remainder`.
+_ZETA = tuple(
+    float(zeta_negative_odd(k)) for k in range(1, BERNOULLI_LIMIT // 2 + 1)
+)
+
+
 def _range_sum(a: int, b: int) -> Fraction:
     """``sum_{k=a+1}^{b} 1/k`` for ``0 <= a < b`` by binary splitting.
 
@@ -114,13 +123,14 @@ def harmonic_rational(n: int, start: int = 0) -> Fraction:
     return _range_sum(start, n)
 
 
-# Stirling coefficients B_{2k}/(2k), k = 1..10.  From z >= 10 on, the
-# first omitted term, B_22/(22 z^22), is below 4e-17 of r(z).
+# Stirling coefficients B_{2k}/(2k) = -zeta(1-2k), k = 1..10.  From z >= 10
+# on, the first omitted term, B_22/(22 z^22), is below 4e-17 of r(z).
 _PSI_SHIFT = 10.0
-_PSI_COEF = [float(bernoulli(2 * k)) / (2 * k) for k in range(1, 11)]
+_PSI_COEF = [-zeta for zeta in _ZETA[:10]]
 # The recurrence step's series in y = 1/(2z+1) (see _psi_remainder):
 # 4k/(2k+1) for k = 1..17, so the omitted tail at y <= 1/3 is below
-# 1e-16 of the step.
+# 1e-16 of the step; a step stops at its first power below 2**-60 of its
+# first, where the rest is below binary64's resolution of the step.
 _STEP_COEF = [4.0 * k / (2 * k + 1) for k in range(1, 18)]
 
 
@@ -152,9 +162,12 @@ def _psi_remainder(z: float) -> float:
         y = 1.0 / (2.0 * z + 1.0)
         y2 = y * y
         power = y * y2
+        last = power * 2.0**-60
         for c in _STEP_COEF:
             pieces.append(c * power)
             power *= y2
+            if power < last:
+                break
         z += 1.0
     inv2 = 1.0 / (z * z)
     power = inv2

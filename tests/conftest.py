@@ -2,12 +2,19 @@
 
 The acceptance tests record a one-line verdict per criterion; the lines are
 echoed in a dedicated section of the terminal summary so a plain
-``pytest -v`` run shows them even though stdout is captured.
+``pytest -v`` run shows them even though stdout is captured.  Every test
+runs without ``$HAAR_MI_SEED``, so a seed exported by the caller changes
+no default the tests read.
 """
 
 import pytest
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def _no_seed_from_the_environment(monkeypatch):
+    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
 
 
 @pytest.fixture

@@ -106,11 +106,10 @@ def test_usage_errors_exit_2(argv):
     for command in ("exact", "series", "integral", "oracle", "verify")
 ] + [["sweep", "--da", "2", "--db", "3", "--de-mult", "1"]],
     ids=lambda argv: argv[0])
-def test_help_names_the_parsed_defaults(argv, monkeypatch, capsys):
+def test_help_names_the_parsed_defaults(argv, capsys):
     """Each subcommand's --help states the defaults parse_args returns.
     Substrings only, with the wrapping undone: argparse's layout varies
     across Python versions."""
-    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
     config = cli.parse_args(argv)
     with pytest.raises(SystemExit) as exc:
         cli.parse_args([argv[0], "--help"])
@@ -342,9 +341,7 @@ _ORACLE_LABELS = [
     ("oracle", (1, 3, 3), _ORACLE_LABELS, {}),
 ], ids=["series-2-3-7", "integral-2-3-7", "integral-1-3-7", "oracle-2-2-4",
         "oracle-1-3-3"])
-def test_single_triple_table_labels(command, triple, labels, fixed,
-                                    monkeypatch, capsys):
-    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
+def test_single_triple_table_labels(command, triple, labels, fixed, capsys):
     d_a, d_b, d_e = (str(d) for d in triple)
     config = cli.parse_args([command, "--da", d_a, "--db", d_b, "--de", d_e,
                              "--samples", "600", "--workers", "1"])
@@ -395,9 +392,7 @@ def test_verify_swapped_regime_skips_factorised_checks():
     ((9, 8, 100), "pass"),  # factorised, C^2 = 5184
     ((10, 10, 50), "skipped"),  # swapped, N = 5000
 ])
-def test_verify_above_sampling_cap_skips_oracle(triple, analytic, monkeypatch,
-                                                capsys):
-    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
+def test_verify_above_sampling_cap_skips_oracle(triple, analytic, capsys):
     d_a, d_b, d_e = triple
     c = d_a * d_b
     excess = f"C^2 = {c * c}" if c <= d_e else f"N = {c * d_e}"
@@ -425,13 +420,11 @@ def test_verify_above_sampling_cap_skips_oracle(triple, analytic, monkeypatch,
         assert line.split(None, 1)[1] == f"n/a ({excess} > 4096)"
     # the oracle on its own still refuses the triple
     assert cli.run(cli.parse_args(["oracle", *argv])) == 2
-    assert f"{excess} exceeds the sampling cap 4096" in capsys.readouterr().err
+    assert f"{excess} above the sampling cap 4096" in capsys.readouterr().err
 
 
-def test_verify_runs_oracle_on_factorised_triples_above_n_4096(monkeypatch,
-                                                               capsys):
+def test_verify_runs_oracle_on_factorised_triples_above_n_4096(capsys):
     """The factorised oracle forms a C x C factor, so N = 6000 is sampled."""
-    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
     argv = ["--da", "2", "--db", "3", "--de", "1000", "--workers", "2"]
     assert cli.run(cli.parse_args(["verify", *argv, "--format", "json"])) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -442,9 +435,8 @@ def test_verify_runs_oracle_on_factorised_triples_above_n_4096(monkeypatch,
 
 
 @pytest.mark.parametrize("triple", [(1, 3, 7), (3, 1, 7)])
-def test_verify_dimension_one_skips_strict_bound(triple, monkeypatch, capsys):
+def test_verify_dimension_one_skips_strict_bound(triple, capsys):
     # the deficit is exactly 0 when a dimension is 1: no strict bound to check
-    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
     d_a, d_b, d_e = (str(d) for d in triple)
     config = cli.parse_args(["verify", "--da", d_a, "--db", d_b, "--de", d_e,
                              "--samples", "2000", "--format", "json"])
@@ -466,7 +458,6 @@ def test_verify_fault_injection_exits_4(monkeypatch, capsys):
         result = real_compute_J(dims, tol)
         return dataclasses.replace(result, value=result.value + 1e-6)
 
-    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
     monkeypatch.setattr(cli, "compute_J", biased)
     config = cli.parse_args(["verify", "--da", "2", "--db", "3", "--de", "7",
                              "--samples", "2000"])
@@ -499,7 +490,6 @@ def test_verify_bands_are_relative(route, monkeypatch, capsys):
             return dataclasses.replace(result, partial_sums=sums)
 
         monkeypatch.setattr(cli, "expand", shifted)
-    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
     config = cli.parse_args(["verify", "--da", "2", "--db", "2", "--de", "5000",
                              "--samples", "2000"])
     assert cli.run(config) == 4
@@ -518,7 +508,6 @@ def test_verify_rational_mismatch_exits_4(monkeypatch, capsys):
     def off(dims):
         return real_rational(dims) * (1 + Fraction(1, 10**10))
 
-    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
     monkeypatch.setattr(cli, "mutual_information_rational", off)
     config = cli.parse_args(["verify", "--da", "2", "--db", "3", "--de", "7",
                              "--samples", "2000"])
@@ -532,10 +521,9 @@ def test_verify_rational_mismatch_exits_4(monkeypatch, capsys):
     (10, 10, 50),  # swapped, N = 5000 above the sampling cap
     (1, 3, 7),  # the oracle's mean and SE are exactly 0
 ])
-def test_verify_output_is_pinned(triple, output_format, monkeypatch, capsys):
+def test_verify_output_is_pinned(triple, output_format, capsys):
     """verify's whole stdout, check lines included, verbatim at triples
     whose output does not depend on the draws."""
-    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
     d_a, d_b, d_e = (str(d) for d in triple)
     config = cli.parse_args(["verify", "--da", d_a, "--db", d_b, "--de", d_e,
                              "--samples", "600", "--workers", "2",
@@ -562,8 +550,6 @@ def test_seed_beyond_64_bits_exits_2(workers, capsys):
     ["sweep", "--da", "2", "--db", "2", "--de-mult", "1", "--format", "csv"],
 ], ids=["exact", "sweep"])
 def test_seed_range_checked_for_every_command(argv, via_env, monkeypatch, capsys):
-    monkeypatch.delenv("HAAR_MI_SEED", raising=False)
-
     def parse(seed):
         if via_env:
             monkeypatch.setenv("HAAR_MI_SEED", str(seed))

@@ -63,6 +63,18 @@ print(before, code, "numpy" in sys.modules)
     assert loaded == ["False", "0", "True"]
 
 
+def test_verify_skips_the_oracle_without_loading_the_sampler():
+    """Past the sampling cap, verify records the oracle check as skipped by
+    the admission rule in ``haarmi.dims``, which needs no sampler."""
+    loaded = _probe("""
+import sys
+import haarmi.cli as cli
+code = cli.main(["verify", "--da", "10", "--db", "10", "--de", "50"])
+print(code, "haarmi.sampling" in sys.modules)
+""")
+    assert loaded == ["0", "False"]
+
+
 def test_sampling_names_resolve_on_first_use():
     loaded = _probe("""
 import sys

@@ -3,6 +3,7 @@ slices, their reductions as purifications, entropies, Bloch sectors, and
 the parallel oracle."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -24,6 +25,7 @@ from haarmi import (
 )
 from haarmi import cli
 from haarmi import sampling as sampling_module
+from haarmi.dims import _oracle_refusal
 
 DIMS = Dimensions(2, 3, 4)  # swapped: d_e < C
 FACTORISED = Dimensions(2, 3, 7)  # factorised: C <= d_e
@@ -229,13 +231,13 @@ def test_sample_state_validation():
     entries in the swapped regime, C^2 in the factorised one; either
     reaches it exactly."""
     swapped = Dimensions(16, 16, 17)  # N = 4352
-    with pytest.raises(InvalidDimensionError, match="N = 4352 exceeds"):
+    with pytest.raises(InvalidDimensionError, match="N = 4352 above"):
         run_oracle(swapped, n_samples=2, seed=0)
     wide = Dimensions(9, 8, 100)  # C^2 = 5184, N = 7200
-    with pytest.raises(InvalidDimensionError, match=r"C\^2 = 5184 exceeds"):
+    with pytest.raises(InvalidDimensionError, match=r"C\^2 = 5184 above"):
         run_oracle(wide, n_samples=2, seed=0)
-    assert sampling_module._cap_excess(Dimensions(8, 8, 64)) is None
-    assert sampling_module._cap_excess(Dimensions(16, 16, 16)) is None
+    assert _oracle_refusal(Dimensions(8, 8, 64)) is None
+    assert _oracle_refusal(Dimensions(16, 16, 16)) is None
     stats = run_oracle(Dimensions(16, 16, 16), n_samples=2, seed=0)  # N = 4096
     assert stats.n_samples == 2
     stats = run_oracle(Dimensions(8, 8, 1000), n_samples=2, seed=0)  # N = 64000
@@ -636,7 +638,7 @@ def test_draws_need_n_within_binary64():
     the largest factorised case."""
     for triple in ((1, 1, 2**1022 + 1), (8, 8, 2**1016 + 1),
                    (1, 1, 2**1024 - 1)):
-        with pytest.raises(DomainError, match=r"N <= 2\*\*1022"):
+        with pytest.raises(DomainError, match=r"N above 2\*\*1022"):
             run_oracle(Dimensions(*triple), n_samples=2, seed=0)
     for triple in ((1, 1, 2**1022), (8, 8, 2**1016)):
         stats = run_oracle(Dimensions(*triple), n_samples=64, seed=0)
@@ -651,6 +653,43 @@ def test_verify_skips_the_oracle_past_the_draw_limit(capsys):
     d_e = str(2**1024 - 1)
     assert cli.main(["verify", "--da", "1", "--db", "1", "--de", d_e]) == 0
     assert "[SKIPPED] oracle_3se: N above 2**1022" in capsys.readouterr().out
+
+
+#: Triples on either side of each oracle limit: the admitted one, the
+#: refused one, the error run_oracle raises and the size its reason names.
+ADMISSION_EDGES = {
+    "swapped_cap": ((64, 64, 1), (65, 64, 1), InvalidDimensionError,
+                    "N = 4160"),
+    "factorised_cap": ((8, 8, 64), (9, 8, 100), InvalidDimensionError,
+                       "C^2 = 5184"),
+    "draw_limit": ((1, 1, 2**1022), (1, 1, 2**1022 + 1), DomainError,
+                   "N above 2**1022"),
+}
+
+
+@pytest.mark.parametrize("edge", ADMISSION_EDGES)
+def test_oracle_refuses_exactly_where_verify_skips(edge, capsys):
+    """One rule admits a triple to run_oracle and to verify's oracle check:
+    on both sides of each limit, run_oracle refuses exactly where verify
+    records oracle_3se as skipped, and with the same reason."""
+    admitted, refused, error, size = ADMISSION_EDGES[edge]
+
+    def oracle_check(triple):
+        argv = ["verify", "--da", str(triple[0]), "--db", str(triple[1]),
+                "--de", str(triple[2]), "--samples", "2", "--workers", "1",
+                "--format", "json"]
+        assert cli.main(argv) in (0, 4)
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        return next(c for c in checks if c["name"] == "oracle_3se")
+
+    assert run_oracle(Dimensions(*admitted), n_samples=2, seed=0).n_samples == 2
+    assert oracle_check(admitted)["status"] != "skipped"
+    with pytest.raises(error) as refusal:
+        run_oracle(Dimensions(*refused), n_samples=2, seed=0)
+    check = oracle_check(refused)
+    assert check["status"] == "skipped"
+    assert check["detail"] == str(refusal.value)
+    assert str(refusal.value).startswith(size)
 
 
 def test_run_oracle_validation():
