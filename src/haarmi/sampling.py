@@ -3,14 +3,17 @@
 A Haar-random pure state is a normalised vector of iid complex Gaussians.
 :func:`run_oracle` draws each sample as one purification: a unit vector on
 ``A x B x E'`` with ``e = min(C, d_e)`` levels on ``E'`` (``C = d_a d_b``),
-whose reduced state on AB has the law of the Haar state's.  Every reduced
-state comes from batched Gram products ``x @ x^H`` of views ``x`` of the
-purifications, shaped ``(z, d_a, d_b, e)``, and of their one conjugate:
-``rho_A`` keeps the A axis as rows, ``rho_E'`` the E' axis, and ``rho_B``
-is the sum over A of the Gram products of the ``(d_b, e)`` blocks, so
-that the batch is never copied with B first.  A pure state
-has ``S_AB = S_E'`` (Schmidt), so ``S_AB`` comes from ``rho_E'``, and no
-matrix larger than ``max(d_a, d_b, min(C, d_e))`` is diagonalised.  The
+whose reduced state on AB has the law of the Haar state's.  The reduced
+states come from batched Gram products ``x @ x^H`` of views ``x`` of the
+purifications, shaped ``(z, d_a, d_b, e)``, and of their one conjugate.
+When ``e = C`` (every factorised triple) a sample takes one product,
+``rho_AB`` itself, and ``rho_A`` and ``rho_B`` are its partial traces.
+When ``e < C``, ``rho_A`` keeps the A axis as rows, ``rho_E'`` the E'
+axis, and ``rho_B`` is the sum over A of the Gram products of the ``(d_b,
+e)`` blocks, so that the batch is never copied with B first.  A pure state
+has ``S_AB = S_E'`` (Schmidt), so ``S_AB`` comes from whichever of
+``rho_AB`` and ``rho_E'`` has ``e`` levels, and no matrix larger than
+``max(d_a, d_b, min(C, d_e))`` is diagonalised.  The
 Bloch sectors need no generator basis: with ``Tr(g_a g_b) = 2 delta_ab``,
 the Cartan components of ``rho_A`` square-sum to ``2 sum_i (rho_ii - Tr
 rho/d_a)^2`` and each off-diagonal pair ``i < j`` to ``4 |rho_ij|^2``;
@@ -176,18 +179,25 @@ def _purifications(dims: Dimensions, seed: int, chunk: int, count: int):
     LAPACK copy of a reduced state).  A slice is dropped here before the
     next is drawn, so it lives only as long as its consumer holds it.  The
     whole chunk's ``(CHUNK_SIZE, e)`` gammas are drawn first, so the
-    normals of a partial chunk are a prefix of a full chunk's."""
+    normals of a partial chunk are a prefix of a full chunk's.  A sample's
+    normals fill L row by row: the ``e(e-1)/2`` entries below the diagonal
+    of rows ``i < e`` through an index array, then rows ``i >= e``, all
+    ``e`` entries each, as one contiguous tail of the sample's row."""
     d_a, d_b, c = dims.d_a, dims.d_b, dims.d_a * dims.d_b
     e = min(c, dims.d_e)
     rows = max(1, _SLICE_ENTRIES // (2 * (c * e + d_a * d_a + d_b * d_b + e * e)))
     gen = _chunk_stream(seed, chunk)
     shapes = np.arange(dims.d_e, dims.d_e - e, -1, dtype=np.float64)
     diagonal = np.sqrt(2.0 * gen.standard_gamma(shapes, size=(CHUNK_SIZE, e)))
-    below = np.flatnonzero(np.tri(c, e, k=-1))
+    top = np.flatnonzero(np.tri(e, k=-1))
     for start in range(0, count, rows):
         z = min(rows, count - start)
         block = np.zeros((z, c * e), dtype=np.complex128)
-        block[:, below] = _normals(gen, z, below.size)
+        normals = _normals(gen, z, c * e - e * (e + 1) // 2)
+        block[:, top] = normals[:, : top.size]
+        block[:, e * e :] = normals[:, top.size :]
+        # Only the slice stays alive while its consumer holds it.
+        del normals
         # L_ii sits at flat index i (e + 1), for i < e.
         block[:, : e * e : e + 1] = diagonal[start : start + z]
         yield _unit_rows(block).reshape(z, d_a, d_b, e)
@@ -205,14 +215,28 @@ def _gram(x: np.ndarray, x_conj: np.ndarray) -> np.ndarray:
 def _state_reductions(
     t: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``rho_A``, ``rho_B`` and ``rho_E'`` of a batch of pure states shaped
-    ``(z, d_a, d_b, e)``, as Gram products of views of ``t`` and of its one
-    conjugate: ``rho_A`` of the ``(z, d_a, d_b e)`` view, ``rho_E'`` of the
-    transposed ``(z, e, d_a d_b)`` view, and ``rho_B`` as the sum over A of
-    the Gram products of the ``(z, d_b, e)`` views, so that no B-first copy
-    of the batch is made."""
+    """``rho_A``, ``rho_B`` and the joint side of a batch of pure states
+    shaped ``(z, d_a, d_b, e)``, from Gram products of views of ``t`` and of
+    its one conjugate.  The joint side is the ``e``-level state whose
+    spectrum gives ``S_AB``.
+
+    When ``e = d_a d_b`` it is ``rho_AB``, the one Gram product of the
+    ``(z, C, C)`` view, and ``rho_A`` and ``rho_B`` are its partial traces,
+    taken on the ``(z, d_a, d_b, d_a, d_b)`` view by einsum with no BLAS
+    call.  When ``e < C`` it is ``rho_E'``, the Gram product of the
+    transposed ``(z, e, C)`` view; ``rho_A`` is that of the ``(z, d_a, d_b
+    e)`` view, and ``rho_B`` the sum over A of those of the ``(z, d_b, e)``
+    views, so that no B-first copy of the batch is made."""
     z, a, b, e = t.shape
     t_conj = t.conj()
+    if e == a * b:
+        rho_ab = _gram(t.reshape(z, e, e), t_conj.reshape(z, e, e))
+        blocks = rho_ab.reshape(z, a, b, a, b)
+        return (
+            np.einsum("zibjb->zij", blocks),
+            np.einsum("zaiaj->zij", blocks),
+            rho_ab,
+        )
     rho_b = _gram(t[:, 0], t_conj[:, 0])
     for i in range(1, a):
         rho_b += _gram(t[:, i], t_conj[:, i])
@@ -303,19 +327,20 @@ def _entropies(rho: np.ndarray, what: str) -> np.ndarray:
 
 
 def _sample_entropies(
-    rho_a: np.ndarray, rho_b: np.ndarray, rho_e: np.ndarray
+    rho_a: np.ndarray, rho_b: np.ndarray, rho_joint: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample ``S_A``, ``S_B`` and ``S_AB`` of a batch of purifications
-    on ``A x B x E'``, the last from the spectrum of ``rho_E'``.  When
-    ``d_a = 1`` (``d_b = 1``), ``S_AB`` is ``S_B`` (``S_A``), so that the
-    per-sample I is exactly 0."""
+    on ``A x B x E'``, the last from the spectrum of the joint side of
+    :func:`_state_reductions` (``rho_AB`` when ``e = C``, ``rho_E'`` when
+    ``e < C``).  When ``d_a = 1`` (``d_b = 1``), ``S_AB`` is ``S_B``
+    (``S_A``), so that the per-sample I is exactly 0."""
     s_a = _entropies(rho_a, "A")
     s_b = _entropies(rho_b, "B")
     if rho_a.shape[-1] == 1:
         return s_a, s_b, s_b
     if rho_b.shape[-1] == 1:
         return s_a, s_b, s_a
-    return s_a, s_b, _entropies(rho_e, "E'")
+    return s_a, s_b, _entropies(rho_joint, "AB")
 
 
 def _slice_statistics(t: np.ndarray) -> np.ndarray:
@@ -324,8 +349,8 @@ def _slice_statistics(t: np.ndarray) -> np.ndarray:
     order of the :class:`HaarSampleStats` fields: the Bloch pair comes last
     and is left out when ``d_a = 1``, where its fields stay None."""
     d_a = t.shape[1]
-    rho_a, rho_b, rho_e = _state_reductions(t)
-    s_a, s_b, s_ab = _sample_entropies(rho_a, rho_b, rho_e)
+    rho_a, rho_b, rho_joint = _state_reductions(t)
+    s_a, s_b, s_ab = _sample_entropies(rho_a, rho_b, rho_joint)
     diag = np.diagonal(rho_a, axis1=1, axis2=2).real
     values = [
         s_a,
@@ -438,10 +463,14 @@ def run_oracle(
     from ``<I>``, always downwards, past an onset in ``N/su`` that falls as
     C grows.  At 20 000 samples (relative standard error about 1e-3; seeds
     1-3, ROADMAP item 19) the shift first exceeds 3 standard errors between
-    ``N/su`` = 4.4e13 and 4.4e14 at C = 4, near 7.5e13 at C = 6 (z about
-    -2.4 there), between 7.1e11 and 7.1e12 at C = 16, and between 1.6e10
-    and 1.6e11 at C = 64.  Its cause is not established, and such triples
-    are not refused."""
+    ``N/su`` = 4.4e13 and 4.4e14 at C = 4, between 5.0e13 and 7.5e13 at C
+    = 6 (mean z -1.7 and -3.2 there), between 7.1e11 and 7.1e12 at C = 16,
+    and between 1.6e10 and 1.6e11 at C = 64.  The size of the shift past
+    the onset depends on the rounding order of the reductions: at
+    (2,3,10^15) the mean z is -16.0 with ``rho_A`` and ``rho_B`` taken as
+    partial traces of ``rho_AB``, and -11.4 with each as its own Gram
+    product.  Its cause is not established, and such triples are not
+    refused."""
     _check_run(dims, n_samples, seed)
 
     def work(start: int, stop: int) -> tuple[int, np.ndarray, np.ndarray]:

@@ -74,8 +74,8 @@ def _states(triple, seed: int, count: int) -> np.ndarray:
 
 
 def _chunk_reductions(dims: Dimensions, seed: int, chunk: int, count: int):
-    """``rho_A``, ``rho_B`` and ``rho_E'`` of a chunk, as the oracle reduces
-    it in either regime."""
+    """``rho_A``, ``rho_B`` and the joint side (``rho_AB`` when e = C,
+    ``rho_E'`` when e < C) of a chunk, as the oracle reduces it."""
     return sampling_module._state_reductions(_chunk(dims, seed, chunk, count))
 
 
@@ -293,7 +293,7 @@ def test_runs_draw_no_state(triple, normals, monkeypatch):
 
 
 def _reductions_by_side():
-    """Eight samples' reductions per side; "AB" is the C-level rho_E' of the
+    """Eight samples' reductions per side; "AB" is the rho_AB of the
     factorised Bartlett factor, "E" the d_e-level rho_E' of the swapped one,
     which stands for the environment."""
     swapped = _chunk_reductions(DIMS, 1, 0, 8)
@@ -330,12 +330,13 @@ def test_reduce_product_state():
 
 
 @pytest.mark.parametrize("triple", [(2, 3, 7), (4, 4, 64), (3, 2, 6),
-                                    (3, 4, 2), (8, 8, 16), (64, 1, 2)])
+                                    (3, 4, 2), (8, 8, 16), (64, 1, 2),
+                                    (1, 3, 7), (2, 2, 4)])
 def test_bartlett_factor_is_a_purification(triple):
     """Read as a vector on A x B x E', the C x e Bartlett factor L purifies
     rho_AB = L L^H in both regimes: its A and B reductions are the partial
-    traces of L L^H, and rho_E' has the top e eigenvalues of L L^H (all C
-    of them when e = C)."""
+    traces of L L^H, and the joint side has the top e eigenvalues of L L^H
+    (it is L L^H itself when e = C, rho_E' when e < C)."""
     dims = Dimensions(*triple)
     d_a, d_b, c = dims.d_a, dims.d_b, dims.d_a * dims.d_b
     e = min(c, dims.d_e)
@@ -350,6 +351,25 @@ def test_bartlett_factor_is_a_purification(triple):
     spectrum = np.linalg.eigvalsh(rho_e)
     top = np.linalg.eigvalsh(rho_ab)[:, c - e:]
     assert np.max(np.abs(spectrum - top)) < 1e-15
+
+
+@pytest.mark.parametrize("triple,calls", [
+    ((1, 3, 7), 1), ((2, 3, 7), 1), ((4, 4, 64), 1), ((8, 8, 64), 1),
+    ((3, 4, 2), 5), ((8, 8, 16), 10),
+])
+def test_state_reductions_gram_calls(triple, calls, monkeypatch):
+    """A slice makes one Gram product when e = C, whatever d_A is, and
+    d_A + 2 when e < C (rho_A, rho_E' and one rho_B term per A level)."""
+    counted = []
+    real_gram = sampling_module._gram
+
+    def counting(x, x_conj):
+        counted.append(x.shape)
+        return real_gram(x, x_conj)
+
+    monkeypatch.setattr(sampling_module, "_gram", counting)
+    sampling_module._state_reductions(_chunk(Dimensions(*triple), 1, 0, 4))
+    assert len(counted) == calls
 
 
 def test_schmidt_symmetry():
@@ -813,7 +833,7 @@ def test_run_oracle_solves_two_and_three_levels_in_closed_form(
     triple, sizes, monkeypatch
 ):
     """Only reduced states of four levels and up reach LAPACK: the 6x6
-    rho_E' at (2,3,7) and the 4x4 rho_B at (3,4,2)."""
+    rho_AB at (2,3,7) and the 4x4 rho_B at (3,4,2)."""
     assert set(_eigvalsh_sizes(triple, monkeypatch)) == sizes
 
 
