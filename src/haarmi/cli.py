@@ -11,7 +11,7 @@ Commands
 Exit codes: 0 success, 2 invalid input (including ``series`` or
 ``integral`` on a swapped triple, d_A d_B > d_E, and any triple with
 N >= 2**1024), 3 numerical failure
-(quadrature non-convergence, validity violation, worker failure),
+(quadrature tolerance unattainable, validity violation, worker failure),
 4 verification failure, 5 output I/O error.
 
 Output is deterministic for identical argv and environment: CSV/JSON use

@@ -29,8 +29,7 @@ class RegimeError(HaarMIError, ValueError):
 
 
 class NonConvergenceError(HaarMIError, ArithmeticError):
-    """An adaptive quadrature failed to reach the requested tolerance within
-    its evaluation budget."""
+    """A quadrature's error bound cannot meet the requested tolerance."""
 
 
 class NumericalValidityError(HaarMIError, ArithmeticError):

@@ -19,10 +19,8 @@ where the weight has unit width and ``t h`` is O(1) for every accepted
 triple; the scale returns as one product, which underflows J to 0 once
 ``C d_e`` passes about ``2**537``.  Each partial fraction of R is a Binet
 tail (:func:`binet_tail` at ``z = p d_e``), scaled the same way, so ``J``
-and ``binet_tail`` share one quadrature.  Its nodes and Bose denominators
-depend on the tolerance alone: each refinement level is tabulated on first
-use, in a bounded cache, and the first pair of levels (2 and 4 panels) is
-one integrand call on 192 nodes.
+and ``binet_tail`` share one quadrature, one integrand call on panels fixed
+in advance, with an a-priori error bound (:func:`_bose_quad`).
 The Gauss-Legendre rule itself is built at import in pure Python; numpy is
 imported at the first quadrature, so importing this module loads none.
 
@@ -47,18 +45,11 @@ from .errors import DomainError, NonConvergenceError
 if TYPE_CHECKING:
     import numpy as np
 
-#: Hard cap on integrand evaluations per quadrature call.
-EVAL_BUDGET = 1_000_000
-
 #: Default relative tolerance of every quadrature here and of ``--tol``.
 _TOL_DEFAULT = 1e-14
 
 #: Bose-Einstein factors below exp(-_EXP_CUT) are flushed to zero.
 _EXP_CUT = 700.0
-
-#: Levels of up to this many panels (8192 nodes, 128 KiB of tables) are
-#: cached by :func:`_nodes`; deeper ones are built per call.
-_CACHED_PANELS = 256
 
 
 def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -110,90 +101,102 @@ def _gl_arrays() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value of a converged quadrature (failure to converge raises
-    :class:`NonConvergenceError` instead). error_estimate is the difference
-    between the last two panel refinements, floored at 8 ulp of the value
-    for rounding; evaluations counts every integrand evaluation made."""
+    """Value of a quadrature, error_estimate an a-priori bound on its error
+    (:func:`_bose_quad`), and evaluations the integrand evaluations made."""
 
     value: float
     error_estimate: float
     evaluations: int
 
 
-@functools.lru_cache(maxsize=16)
-def _nodes(
-    upper: float, *levels: int
-) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
-    """Panel half-widths, nodes ``t`` and Bose denominators ``expm1(2 pi t)``
-    of the composite rules with the given panel counts on ``(0, upper]``,
-    joined level after level (panel k of a level is ``[2k, 2k+2] * half``).
-    The arrays are read-only: every call with the same tolerance shares
-    them.  Cached levels have at most ``_CACHED_PANELS`` panels, so the 16
-    entries hold at most 2 MiB."""
+#: Bernstein ellipse, and panel bound per half-width and majorant (_bose_quad).
+_RHO = 2.4
+_PANEL_BOUND = 64 / 15 * 8 * _RHO ** (2 - 2 * _GL_ORDER) / (_RHO**2 - 1)
+
+
+def _plan(upper: float, pole: float) -> tuple[tuple[float, float, int], ...]:
+    """Panels on ``(0, upper]`` as runs ``(lower, half, count)``: if the
+    nearest pole z is below 1, geometric panels ``[0, z], [z, 2z], ...``
+    below 1, then the fewest equal panels of width at most 2."""
+    runs, lower = [], 0.0
+    if pole < 1:
+        runs, lower = [(0.0, 0.5 * pole, 1)], float(pole)
+        while 2.0 * lower < 1.0:
+            runs.append((lower, 0.5 * lower, 1))
+            lower *= 2.0
+    count = math.ceil((upper - lower) / 2.0)
+    runs.append((lower, 0.5 * (upper - lower) / count, count))
+    return tuple(runs)
+
+
+def _tabulate(runs: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes ``t`` and Bose denominators ``expm1(2 pi t)`` of a plan."""
     import numpy as np
 
     gl_nodes, _ = _gl_arrays()
-    halves = tuple(0.5 * upper / panels for panels in levels)
-    parts = [
-        (half * (2.0 * np.arange(panels)[:, None] + 1.0 + gl_nodes)).ravel()
-        for half, panels in zip(halves, levels)
-    ]
-    t = np.concatenate(parts)
-    bose = np.concatenate([np.expm1(2.0 * math.pi * part) for part in parts])
+    t = np.concatenate([
+        (lower + half * (2.0 * np.arange(count)[:, None] + 1.0 + gl_nodes)).ravel()
+        for lower, half, count in runs
+    ])
+    bose = np.expm1(2.0 * math.pi * t)
     t.flags.writeable = bose.flags.writeable = False
-    return halves, t, bose
+    return t, bose
 
 
-def _bose_quad(g: Callable[[np.ndarray], np.ndarray], tol: float) -> QuadratureResult:
-    """``integral_0^inf g(t) / (e^{2 pi t} - 1) dt`` for g analytic near the
-    real axis, by composite Gauss-Legendre on ``(0, T]``,
-    ``T = ln(1000/tol)/(2 pi)`` (clamped so ``e^{2 pi T}`` stays finite).
-    Panels double until two refinements differ by less than ``tol``
-    relative (a tolerance that underflows to 0 is never met), within
-    ``EVAL_BUDGET`` integrand evaluations.  ``tol`` must lie in (0, 1): a
-    relative tolerance of 1 accepts any value, and past 1000 T is negative.
+#: The equal panels on ``(0, T]``, keyed by T: each tolerance is tabulated
+#: once, in 16 entries of at most 1792 nodes; geometric plans, per call.
+_equal_panels = functools.lru_cache(maxsize=16)(_tabulate)
 
-    The nodes and Bose denominators depend on ``tol`` alone, so each level
-    is tabulated on first use (:func:`_nodes`).  The first refinement pair,
-    2 and 4 panels, is tabulated and evaluated together: one call of ``g``
-    on 192 nodes, with the budget checked for all of them before it."""
+
+def _bose_quad(
+    g: Callable[[np.ndarray], np.ndarray],
+    majorant: Callable[[float], float],
+    pole: float,
+    tol: float,
+    scale: float,
+) -> QuadratureResult:
+    """``scale^2 integral_0^inf g(t) / (e^{2 pi t} - 1) dt``, one call of ``g``:
+    32-point Gauss-Legendre on the panels of :func:`_plan` on ``(0, T]``,
+    ``T = min(ln(1000/tol), 700)/(2 pi)``; ``tol`` in (0, 1).  ``g(t) = t
+    q(t)`` comes with its nearest pole and a non-increasing majorant,
+    ``|q(t)| <= majorant(a)`` for real ``t >= a``.  The error bound sums
+    the tail, ``majorant(T) (T/(2 pi) + 1/(4 pi^2)) r/(1 - r)`` with ``r =
+    e^{-2 pi T}`` (``integral_T^inf t/(e^{2 pi t} - 1) dt`` is ``sum_k r^k
+    (T/(2 pi k) + 1/(2 pi k)^2)``), 8 ulp for rounding, and the panels'
+    error: n points err by at most ``w (64/15) M rho^(2-2n)/(rho^2 - 1)``
+    on a panel of half-width w if the integrand is analytic and bounded by
+    M in its Bernstein ellipse (Trefethen, SIAM Rev. 50, 67, 2008, Thm
+    4.5).  The poles lie on the imaginary axis, at ``+-ik`` (k >= 1) and
+    at or beyond ``+-i pole``; at ``rho = 2.4`` a planned panel's ellipse
+    (``w <= 1``) meets that axis only below ``0.7 w``, and only if the
+    panel starts at 0.  Sampled there, the integrand stays within ``6.35
+    majorant(a)``, ``a`` the panel's left end (worst on ``[0, 2]`` at
+    (1,1,1)), so with ``M = 8 majorant(a)`` a panel adds ``_PANEL_BOUND w
+    majorant(a)``, about ``1.9e-23 w``: below 1e-19 of every value here.
+    So only the tail can miss ``tol``, and :class:`NonConvergenceError` is
+    raised when it passes ``tol |value|``, which the cap on T allows only
+    below tol of about 1e-301.  The error is floored at 8 ulp of the scaled
+    value, so a value that underflows still carries an honest error."""
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tolerance must be in (0, 1), got {tol!r}")
     upper = min(math.log(1000.0 / tol), _EXP_CUT) / (2.0 * math.pi)
+    runs = _plan(upper, pole)
+    t, bose = _equal_panels(runs) if len(runs) == 1 else _tabulate(runs)
     _, gl_weights = _gl_arrays()
-    previous = None
-    levels = (2, 4)
-    evaluations = 0
-    while True:
-        count = sum(levels) * _GL_ORDER
-        if evaluations + count > EVAL_BUDGET:
-            raise NonConvergenceError(
-                f"quadrature exceeded {EVAL_BUDGET} evaluations without two "
-                f"refinements agreeing to {tol:g} relative"
-            )
-        tabulate = _nodes if levels[-1] <= _CACHED_PANELS else _nodes.__wrapped__
-        halves, t, bose = tabulate(upper, *levels)
-        rows = (g(t) / bose).reshape(-1, _GL_ORDER)
-        evaluations += count
-        start = 0
-        for half, panels in zip(halves, levels):
-            total = half * float((rows[start:start + panels] @ gl_weights).sum())
-            start += panels
-            if previous is not None:
-                drift = abs(total - previous)
-                if drift < tol * abs(total):
-                    error = max(drift, 8.0 * math.ulp(total))
-                    return QuadratureResult(total, error, evaluations)
-            previous = total
-        levels = (2 * levels[-1],)
-
-
-def _scaled(result: QuadratureResult, inv: float) -> QuadratureResult:
-    """``result`` times ``inv**2``, its error floored at 8 ulp of the product,
-    so a value that underflows still carries an honest error."""
-    value = result.value * inv * inv
-    error = max(result.error_estimate * inv * inv, 8.0 * math.ulp(value))
-    return QuadratureResult(value, error, result.evaluations)
+    sums = (g(t) / bose).reshape(-1, _GL_ORDER) @ gl_weights
+    value, bound, panels = 0.0, 0.0, 0
+    for lower, half, count in runs:
+        value += half * float(sums[panels:panels + count].sum())
+        panels += count
+        bound += _PANEL_BOUND * count * half * majorant(lower)
+    r = math.exp(-2.0 * math.pi * upper)
+    tail = majorant(upper) * (upper / (2 * math.pi) + 0.25 / math.pi**2) * r / (1 - r)
+    if tail > tol * abs(value):
+        raise NonConvergenceError(f"quadrature tail beyond t = {upper:.4g} is "
+                                  f"bounded by {tail:.3g}, above {tol:g} relative")
+    error = (tail + bound + 8.0 * math.ulp(value)) * scale * scale
+    value = value * scale * scale
+    return QuadratureResult(value, max(error, 8.0 * math.ulp(value)), t.size)
 
 
 def binet_tail(z: float, tol: float = _TOL_DEFAULT) -> QuadratureResult:
@@ -204,12 +207,16 @@ def binet_tail(z: float, tol: float = _TOL_DEFAULT) -> QuadratureResult:
     for every real ``z > 0``.  It decays like ``1/(24 z^2)``, and is
     computed as ``(1/z)^2 integral t / (1 + (t/z)^2) ...``: the integrand
     is O(1) for every ``z``, so a value that underflows reads 0, never
-    ``NonConvergenceError``.  ``z`` may be an int beyond binary64.
+    ``NonConvergenceError``.  Below 1 its pole at ``iz`` nears the real
+    axis, and the panels start geometric from z (:func:`_plan`).  ``z``
+    may be an int beyond binary64.
     """
     if not z > 0:
         raise DomainError(f"binet_tail requires z > 0, got {z!r}")
     inv = 1 / z
-    return _scaled(_bose_quad(lambda t: t / (1.0 + (t * inv) ** 2), tol), inv)
+    # a * inv * a * inv overflows to inf where (a * inv) ** 2 would raise
+    return _bose_quad(lambda t: t / (1.0 + (t * inv) ** 2),
+                      lambda a: 1.0 / (1.0 + a * inv * a * inv), z, tol, inv)
 
 
 def _kernel_shape(dims: Dimensions, scale: int) -> Callable:
@@ -277,7 +284,8 @@ def compute_J(dims: Dimensions, tol: float = _TOL_DEFAULT) -> QuadratureResult:
     value, so a J that underflows reads 0 with an honest error.  Defined
     for every accepted triple, and finite when a dimension is 1."""
     h = _kernel_shape(dims, dims.d_e)
-    return _scaled(_bose_quad(lambda t: t * h(t), tol), 1 / dims.n)
+    # |h| <= 1 on the real axis, and its poles lie at +-i d_e {1, d_a, d_b, C}
+    return _bose_quad(lambda t: t * h(t), lambda a: 1.0, dims.d_e, tol, 1 / dims.n)
 
 
 def mutual_information_integral(dims: Dimensions, tol: float = _TOL_DEFAULT) -> float:

@@ -149,14 +149,6 @@ def _chunk_stream(seed: int, chunk: int) -> np.random.Generator:
     )
 
 
-def _unit_rows(block: np.ndarray) -> np.ndarray:
-    """Scale each row of a complex ``(z, k)`` block to unit norm, in place."""
-    parts = block.view(np.float64)
-    # einsum forms the squared row norms without a block-sized temporary.
-    parts /= np.sqrt(np.einsum("ij,ij->i", parts, parts))[:, None]
-    return block
-
-
 def _normals(gen: np.random.Generator, rows: int, k: int) -> np.ndarray:
     """A ``(rows, k)`` block of complex normals, drawn in one call: real and
     imaginary parts alternate, as in the complex128 memory layout."""
@@ -182,7 +174,9 @@ def _purifications(dims: Dimensions, seed: int, chunk: int, count: int):
     normals of a partial chunk are a prefix of a full chunk's.  A sample's
     normals fill L row by row: the ``e(e-1)/2`` entries below the diagonal
     of rows ``i < e`` through an index array, then rows ``i >= e``, all
-    ``e`` entries each, as one contiguous tail of the sample's row."""
+    ``e`` entries each, as one contiguous tail of the sample's row.  The
+    squared norm sums the normals and the diagonal apart: the O(1) squares
+    added to the diagonal's, about ``2 C d_e``, would lose their low bits."""
     d_a, d_b, c = dims.d_a, dims.d_b, dims.d_a * dims.d_b
     e = min(c, dims.d_e)
     rows = max(1, _SLICE_ENTRIES // (2 * (c * e + d_a * d_a + d_b * d_b + e * e)))
@@ -196,11 +190,17 @@ def _purifications(dims: Dimensions, seed: int, chunk: int, count: int):
         normals = _normals(gen, z, c * e - e * (e + 1) // 2)
         block[:, top] = normals[:, : top.size]
         block[:, e * e :] = normals[:, top.size :]
+        parts, diag = normals.view(np.float64), diagonal[start : start + z]
+        # einsum forms each sum of squares without a temporary.
+        norms = np.sqrt(
+            np.einsum("ij,ij->i", parts, parts) + np.einsum("ij,ij->i", diag, diag)
+        )
         # Only the slice stays alive while its consumer holds it.
-        del normals
+        del normals, parts
         # L_ii sits at flat index i (e + 1), for i < e.
-        block[:, : e * e : e + 1] = diagonal[start : start + z]
-        yield _unit_rows(block).reshape(z, d_a, d_b, e)
+        block[:, : e * e : e + 1] = diag
+        block.view(np.float64)[:] /= norms[:, None]
+        yield block.reshape(z, d_a, d_b, e)
         # Drop the slice before the next is drawn: only the consumer holds it.
         del block
 
@@ -455,22 +455,14 @@ def run_oracle(
     Precision: I is a difference of entropies of size ``ln C`` while I
     itself is about ``su/(2N)`` (``su = (d_a^2 - 1)(d_b^2 - 1)``), so
     binary64 rounding adds about ``5e-16 N/su`` to ``2e-15 N/su`` relative
-    to I (root mean square per sample, against the same matrices in a
-    random rotated basis, over 4096 samples at each of (2,2,4), (2,3,7),
-    (3,2,7), (3,4,2), (4,4,64), (8,8,16) and (2,2,62500); the largest
-    sample was ``7e-15 N/su``).  The closed-form spectra of two- and
-    three-level states are within that spread.  The mean I does move away
-    from ``<I>``, always downwards, past an onset in ``N/su`` that falls as
-    C grows.  At 20 000 samples (relative standard error about 1e-3; seeds
-    1-3, ROADMAP item 19) the shift first exceeds 3 standard errors between
-    ``N/su`` = 4.4e13 and 4.4e14 at C = 4, between 5.0e13 and 7.5e13 at C
-    = 6 (mean z -1.7 and -3.2 there), between 7.1e11 and 7.1e12 at C = 16,
-    and between 1.6e10 and 1.6e11 at C = 64.  The size of the shift past
-    the onset depends on the rounding order of the reductions: at
-    (2,3,10^15) the mean z is -16.0 with ``rho_A`` and ``rho_B`` taken as
-    partial traces of ``rho_AB``, and -11.4 with each as its own Gram
-    product.  Its cause is not established, and such triples are not
-    refused."""
+    to I per sample.  The purification's squared norm is summed in parts
+    (:func:`_purifications`): summed whole, it came out low at large
+    ``d_e``, every reduced state's trace was ``1 + eta`` and every I low by
+    about eta (mean z -245 at (8,8,10^14), 20 000 samples).  Now the mean I
+    stays within 3 standard errors at 20 000 samples up to ``N/su`` =
+    4.4e14 at C = 4, 2.5e14 at C = 6, 7.1e12 at C = 16 and 1.6e12 at C =
+    64.  A residual remains past those (mean z about -32 at (2,3,10^17)),
+    and such triples are not refused (ROADMAP item 19)."""
     _check_run(dims, n_samples, seed)
 
     def work(start: int, stop: int) -> tuple[int, np.ndarray, np.ndarray]:

@@ -2,20 +2,27 @@
 Binet remainder and digamma in Decimal at the caller's precision, and the
 series term exactly."""
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
 from haarmi import Dimensions, bernoulli, zeta_negative_odd
 
 
-def binet_remainder(z: int) -> Decimal:
-    """``r(z) = ln z + 1/(2z) - psi(z+1)`` for an integer ``z >= 1`` at the
-    current Decimal precision: the Stirling series ``sum_k B_2k / (2k
-    w^2k)`` at ``w = z + shift >= 64``, where each omitted term is below
-    1e-70 of the sum, and the recurrence ``psi(z+1) = psi(w) - sum_{j<shift}
-    1/(z+j)`` below it."""
-    shift = max(0, 64 - z)
-    w = Decimal(z + shift)
+def _decimal(x: int | Fraction) -> Decimal:
+    """``x`` at the current Decimal precision: exact for an int, or for a
+    dyadic Fraction whose digits fit it."""
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def binet_remainder(z: int | Fraction) -> Decimal:
+    """``r(z) = ln z + 1/(2z) - psi(z+1)`` for an integer ``z >= 1``, or a
+    dyadic Fraction ``z > 0``, at the current Decimal precision: the
+    Stirling series ``sum_k B_2k / (2k w^2k)`` at ``w = z + shift >= 64``,
+    where each omitted term is below 1e-70 of the sum, and the recurrence
+    ``psi(z+1) = psi(w) - sum_{j<shift} 1/(z+j)`` below it."""
+    shift = max(0, math.ceil(64 - z))
+    w = _decimal(z + shift)
     value = Decimal(0)
     for k in range(1, 31):
         b = bernoulli(2 * k)
@@ -24,9 +31,9 @@ def binet_remainder(z: int) -> Decimal:
         if abs(term) < abs(value) * Decimal("1e-70"):
             break
     if shift:
-        z_dec = Decimal(z)
+        z_dec = _decimal(z)
         value += (z_dec.ln() + 1 / (2 * z_dec) - w.ln() + 1 / (2 * w)
-                  + sum(1 / Decimal(z + j) for j in range(1, shift)))
+                  + sum(1 / _decimal(z + j) for j in range(1, shift)))
     return value
 
 

@@ -588,6 +588,19 @@ def test_numerical_failure_exits_3(monkeypatch):
     assert cli.run(config) == 3
 
 
+@pytest.mark.parametrize("tol", ["1e-16", "3e-17"])
+def test_integral_at_tight_tolerance_exits_0(tol, capsys):
+    """At (3,2,78) two refinements once failed to agree to 1e-16, and the
+    command exited 3, though J was right to half an ulp; the fixed plan
+    answers, and its I is the closed form's to 1e-15."""
+    argv = ["integral", "--da", "3", "--db", "2", "--de", "78", "--tol", tol,
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    exact = mutual_information_exact(Dimensions(3, 2, 78)).total
+    assert row["I_integral"] == pytest.approx(exact, rel=1e-15, abs=0)
+
+
 def test_run_exact_exit_0(capsys):
     config = cli.parse_args(["exact", "--da", "2", "--db", "3", "--de", "7",
                              "--format", "csv"])

@@ -26,8 +26,8 @@ PUBLIC_SURFACE = {
     # series
     "K_MAX_DEFAULT", "SeriesExpansion", "bernoulli_term", "expand",
     # integral
-    "EVAL_BUDGET", "QuadratureResult", "binet_tail", "bound_deficit",
-    "compute_J", "folded_integrand", "kernel_R", "mutual_information_integral",
+    "QuadratureResult", "binet_tail", "bound_deficit", "compute_J",
+    "folded_integrand", "kernel_R", "mutual_information_integral",
     # sampling
     "CHUNK_SIZE", "RNG_IDENTITY", "STATE_DIMENSION_CAP",
     "HaarSampleStats", "run_oracle",

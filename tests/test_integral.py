@@ -76,18 +76,72 @@ def test_binet_tail_domain(bad):
 def test_binet_tail_scales_out_z():
     """The quadrature is of ``t / (1 + (t/z)^2)``, which is O(1) for every
     z, times ``(1/z)^2``: near the subnormal range the tail is ``1/(24
-    z^2)`` from the first refinement pair, past ``z*z`` overflowing it is
+    z^2)`` from the default plan's 4 panels, past ``z*z`` overflowing it is
     finite with a positive error, and an int beyond binary64 is a valid
     ``z``."""
     below = binet_tail(1.2e154)
     assert below.value == pytest.approx(1.0 / 24.0 / 1.2e154 / 1.2e154, rel=1e-12)
-    assert below.evaluations == 192
+    assert below.evaluations == 128
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         results = [binet_tail(z) for z in (1.5e154, 1e300, 10**400, math.inf)]
     assert results[0].value == pytest.approx(1.0 / 24.0 / 1.5e154 / 1.5e154, rel=1e-12)
     assert [r.value for r in results[1:]] == [0.0, 0.0, 0.0]
     assert all(0.0 < r.error_estimate < 1e-300 for r in results)
+
+
+@pytest.mark.parametrize("z", [2.0**-40, 2.0**-20, 2.0**-10, 0.01, 0.1])
+def test_binet_tail_below_one_matches_reference(z):
+    """Below 1 the pole at ``iz`` nears the axis, and geometric panels from
+    z resolve it: the tail is within its error bound of ``r(z)/2`` in
+    50-digit decimals, and that bound meets the default tolerance."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        reference = binet_remainder(Fraction(z)) / 2
+    result = binet_tail(z)
+    assert abs(Decimal(result.value) - reference) <= Decimal(result.error_estimate)
+    assert result.error_estimate <= 1e-14 * result.value
+
+
+def _panel_ellipse(lower: float, half: float) -> np.ndarray:
+    """4096 points of the Bernstein ellipse (parameter ``_RHO``) of the
+    panel ``[lower, lower + 2 half]``."""
+    rho = integral_module._RHO
+    w = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    return lower + half * (1.0 + 0.5 * (rho * w + 1.0 / (rho * w)))
+
+
+def _j_integrand(triple):
+    h = integral_module._kernel_shape(Dimensions(*triple), triple[2])
+    return lambda t: t * h(t) / np.expm1(2.0 * np.pi * t), lambda a: 1.0
+
+
+def _binet_integrand(z):
+    return (lambda t: t / (1.0 + (t / z) ** 2) / np.expm1(2.0 * np.pi * t),
+            lambda a: 1.0 / (1.0 + (a / z) ** 2))
+
+
+@pytest.mark.parametrize("integrand, lower, half", [
+    # [0, 2] at (1,1,1), the largest: h's triple pole meets the Bose pole
+    pytest.param(_j_integrand((1, 1, 1)), 0.0, 1.0, id="J-1-1-1-first"),
+    pytest.param(_j_integrand((1, 1, 1)), 2.0, 1.0, id="J-1-1-1-second"),
+    pytest.param(_j_integrand((2, 3, 7)), 0.0, 0.7785, id="J-2-3-7-default"),
+    pytest.param(_binet_integrand(1.0), 0.0, 1.0, id="binet-1"),
+    pytest.param(_binet_integrand(0.99), 0.0, 0.495, id="binet-0.99-geometric"),
+    pytest.param(_binet_integrand(0.01), 0.32, 0.16, id="binet-0.01-geometric"),
+    pytest.param(_binet_integrand(2.0**-40), 0.5, 1.0, id="binet-2^-40-equal"),
+])
+def test_panel_ellipses_hold_the_stated_majorant(integrand, lower, half):
+    """The panel bound of ``_bose_quad`` takes ``|f| <= 8 m(a)`` on the
+    ellipse of every panel (``a`` its left end, m the majorant): sampled
+    on the worst panels, the ellipse stays off the imaginary axis or
+    crosses it below ``0.7 half``, clear of every pole, and the integrand
+    holds the majorant."""
+    f, majorant = integrand
+    t = _panel_ellipse(lower, half)
+    assert np.all(np.abs(t.imag) < 0.992 * half)
+    assert lower > 0.41 * half or np.all(np.abs(t.imag[t.real <= 0]) < 0.7 * half)
+    assert np.max(np.abs(f(t))) <= 8.0 * majorant(lower)
 
 
 def test_quadrature_result_contract():
@@ -109,40 +163,47 @@ def test_tolerance_validation():
             compute_J(Dimensions(2, 2, 4), tol=tol)
 
 
-def test_evaluation_budget_enforced(monkeypatch):
-    monkeypatch.setattr(integral_module, "EVAL_BUDGET", 64)
-    with pytest.raises(NonConvergenceError):
-        binet_tail(1.0, tol=1e-18)
+def test_plan_evaluation_counts():
+    """One integrand call on 32 nodes per panel: ``ceil(T/2)`` equal panels
+    on ``(0, T]``, ``T = min(ln(1000/tol), 700)/(2 pi)``, and for
+    ``binet_tail`` below 1 the geometric panels ``[0, z], [z, 2z], ...``
+    below 1 first, the equal panels then starting where they end."""
+    def equal(tol, lower=0.0):
+        upper = min(math.log(1000.0 / tol), 700.0) / (2.0 * math.pi)
+        return 32 * math.ceil((upper - lower) / 2.0)
 
-
-def test_budget_covers_the_first_refinement_pair(monkeypatch):
-    """The 2- and 4-panel levels are evaluated together (192 nodes): a
-    budget one short of them raises, as it would between the two levels."""
     dims = Dimensions(2, 3, 7)
-    monkeypatch.setattr(integral_module, "EVAL_BUDGET", 191)
-    with pytest.raises(NonConvergenceError):
-        compute_J(dims)
-    monkeypatch.setattr(integral_module, "EVAL_BUDGET", 192)
-    assert compute_J(dims).evaluations == 192
+    for tol, evaluations in ((1e-3, 64), (1e-14, 128), (1e-100, 608),
+                             (1e-300, 1792)):
+        assert compute_J(dims, tol).evaluations == equal(tol) == evaluations
+        assert binet_tail(6.0, tol).evaluations == evaluations
+    # 0.01 to 0.64 in 7 geometric panels, then 3 equal ones
+    assert binet_tail(0.01).evaluations == 32 * 7 + equal(1e-14, 0.64) == 320
+    # 2**-40 to 2**-1 in 40, then 3
+    assert binet_tail(2.0**-40).evaluations == 32 * 40 + equal(1e-14, 0.5) == 1376
+    assert binet_tail(0.75).evaluations == 32 + equal(1e-14, 0.75)
 
 
-#: Results at refinement depths from the first pair (192 evaluations) to
-#: 256 panels (16 320).
+#: The default plan's 4 panels (128 evaluations) and binet_tail below 1.
+#: Re-captured when the plan replaced the refinement loop: every value is
+#: bitwise the one the loop returned (its 4-panel level, or agreeing to
+#: the last bit); the errors are the a-priori bounds, and the counts the
+#: plan's.
 QUADRATURE_PINS = [
     pytest.param(lambda: compute_J(Dimensions(2, 3, 7)),
-                 "0x1.8b2ce11351ea9p-16", "0x1.293725bb804a4p-65", 192,
+                 "0x1.8b2ce11351ea9p-16", "0x1.5fa8f0383208ap-65", 128,
                  id="J-2-3-7"),
     pytest.param(lambda: compute_J(Dimensions(1, 1, 5), 1e-16),
-                 "0x1.ae3212012f4d2p-10", "0x1.47ae147ae147cp-59", 192,
+                 "0x1.ae3212012f4d2p-10", "0x1.485978c556eb0p-59", 128,
                  id="J-1-1-5-tol-1e-16"),
     pytest.param(lambda: compute_J(Dimensions(1, 1, 2), 1e-16),
-                 "0x1.39b362da21638p-7", "0x1.0000000000000p-56", 192,
+                 "0x1.39b362da21638p-7", "0x1.0085e65a2be79p-56", 128,
                  id="J-1-1-2-tol-1e-16"),
     pytest.param(lambda: binet_tail(0.1),
-                 "0x1.8f827e59f56f6p+0", "0x1.a900000000000p-47", 960,
+                 "0x1.8f827e59f56f6p+0", "0x1.0000000000000p-49", 224,
                  id="binet-0.1"),
     pytest.param(lambda: binet_tail(0.01),
-                 "0x1.6fa54e0c681e6p+4", "0x1.3880000000000p-45", 16320,
+                 "0x1.6fa54e0c681e6p+4", "0x1.38809c0f8f03ep-45", 320,
                  id="binet-0.01"),
 ]
 
@@ -157,14 +218,18 @@ def test_quadrature_is_bitwise_pinned(run, value, error, evaluations):
 
 
 def test_node_tables_are_bounded_and_read_only():
-    binet_tail(0.01)  # tabulates levels up to 256 panels
-    cache = integral_module._nodes.cache_info()
+    """Only the equal panels from 0 are cached, one entry per T; every
+    table, cached or built per call, is read-only."""
+    for tol in (1e-3, 1e-14, 1e-300):
+        compute_J(Dimensions(2, 3, 7), tol)
+    cache = integral_module._equal_panels.cache_info()
     assert cache.maxsize is not None and cache.currsize <= cache.maxsize
     upper = math.log(1000.0 / 1e-14) / (2.0 * math.pi)
-    for levels in [(2, 4), (8,), (integral_module._CACHED_PANELS,)]:
-        halves, t, bose = integral_module._nodes(upper, *levels)
-        assert len(halves) == len(levels)
-        assert t.size == bose.size == sum(levels) * integral_module._GL_ORDER
+    for runs in (integral_module._plan(upper, 7), integral_module._plan(upper, 0.01)):
+        t, bose = (integral_module._equal_panels(runs) if len(runs) == 1
+                   else integral_module._tabulate(runs))
+        assert t.size == bose.size == integral_module._GL_ORDER * sum(
+            count for _, _, count in runs)
         for table in (t, bose):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -412,22 +477,27 @@ def test_compute_j_underflow_carries_error():
 
 
 @pytest.mark.parametrize(
-    "triple", [(3, 3, 1152), (2, 6, 1536), (6, 6, 288), (2, 3, 7)]
+    "triple", [(3, 3, 1152), (2, 6, 1536), (6, 6, 288), (2, 3, 7),
+               (3, 2, 78), (2, 2, 32), (4, 2, 104)]
 )
 def test_compute_j_matches_exact_rational(triple):
     """psi(z+1) = ln z + 1/(2z) - 2 binet_tail(z) in the four harmonic
     numbers of i_diag leaves i_diag = (d_a-1)(d_b-1)/(2N) - 2 su J, so J is
-    known exactly; wide environments (d_e up to 128 C) included."""
+    known exactly; wide environments (d_e up to 128 C) included.  At every
+    tolerance from 1e-3 to 1e-300, J lands within its tolerance (or 1e-14)
+    and within its error bound; the last three triples are ones where two
+    refinements failed to agree at 1e-16 or 3e-17."""
     dims = Dimensions(*triple)
     su = casimir_counts(dims).su_product
     exact = (
         Fraction((dims.d_a - 1) * (dims.d_b - 1), 2 * dims.n)
         - i_diag_rational(dims)
     ) / (2 * su)
-    result = compute_J(dims)
-    gap = abs(Fraction(result.value) - exact)
-    assert gap <= Fraction(1e-14) * exact
-    assert gap <= Fraction(result.error_estimate)
+    for tol in (1e-3, 1e-6, 1e-10, 1e-14, 1e-16, 3e-17, 1e-30, 1e-100, 1e-300):
+        result = compute_J(dims, tol)
+        gap = abs(Fraction(result.value) - exact)
+        assert gap <= Fraction(max(tol, 1e-14)) * exact, tol
+        assert gap <= Fraction(result.error_estimate), tol
 
 
 def test_unattainable_tolerance_fails_loudly():

@@ -67,8 +67,8 @@ def _states(triple, seed: int, count: int) -> np.ndarray:
     regime, shaped ``(count, d_a, d_b, d_e)``."""
     block = np.random.default_rng(seed).standard_normal(
         (count, 2 * math.prod(triple))
-    )
-    return sampling_module._unit_rows(block.view(np.complex128)).reshape(
+    ).view(np.complex128)
+    return (block / np.linalg.norm(block, axis=1, keepdims=True)).reshape(
         count, *triple
     )
 
@@ -792,17 +792,27 @@ def test_oracle_fields_are_their_per_sample_columns(dims):
     """Every mean/stderr pair of the oracle's stats, merged from its chunks'
     moments, is the mean and standard error of its own per-sample column to
     a few ulps (exactly, for a column of zeros), across a chunk boundary, in
-    both regimes; at d_A = 1 the sector fields are None."""
+    both regimes; at d_A = 1 the sector fields are None.
+
+    A standard error is compared to eight ulps, or to its conditioning
+    where that is wider: the co-moments are taken about rounded means, and
+    a mean off by about an ulp moves the SE of a column of spread sigma by
+    ``(ulp/sigma)^2`` relative.  That passes eight ulps only for a column
+    of rounding noise: at d_A = 1, where rho_A is the 1x1 trace of a unit
+    state, the purity and the diagonal second moment span a few ulps of 1
+    (0.56 there, against below 1e-28 for every other column)."""
     n = CHUNK_SIZE + 5
     stats = run_oracle(dims, n, 9, workers=2)
     columns = _per_sample_columns(dims, 9, n)
     for (mean_field, stderr_field), values in columns.items():
         mean = np.mean(values)
         stderr = np.std(values, ddof=1) / math.sqrt(n)
+        sigma = stderr * math.sqrt(n)
+        conditioning = (math.ulp(mean) / sigma) ** 2 if sigma else 0.0
         assert getattr(stats, mean_field) == pytest.approx(
             mean, rel=_MERGE_REL, abs=0), mean_field
         assert getattr(stats, stderr_field) == pytest.approx(
-            stderr, rel=_MERGE_REL, abs=0), stderr_field
+            stderr, rel=max(_MERGE_REL, conditioning), abs=0), stderr_field
     fields = {f.name for f in dataclasses.fields(stats)}
     covered = {name for pair in columns for name in pair}
     sectors = {"cartan_var", "stderr_cartan_var", "offdiag_var",
