@@ -213,10 +213,18 @@ def binet_tail(z: float, tol: float = _TOL_DEFAULT) -> QuadratureResult:
     """
     if not z > 0:
         raise DomainError(f"binet_tail requires z > 0, got {z!r}")
+    import numpy as np
+
     inv = 1 / z
+
+    def g(t: np.ndarray) -> np.ndarray:
+        # Below z ~ 5e-154, (t * inv) ** 2 overflows to inf, and t / inf = 0
+        # is the integrand's value there.
+        with np.errstate(over="ignore"):
+            return t / (1.0 + (t * inv) ** 2)
+
     # a * inv * a * inv overflows to inf where (a * inv) ** 2 would raise
-    return _bose_quad(lambda t: t / (1.0 + (t * inv) ** 2),
-                      lambda a: 1.0 / (1.0 + a * inv * a * inv), z, tol, inv)
+    return _bose_quad(g, lambda a: 1.0 / (1.0 + a * inv * a * inv), z, tol, inv)
 
 
 def _kernel_shape(dims: Dimensions, scale: int) -> Callable:

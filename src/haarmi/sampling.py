@@ -9,13 +9,31 @@ purifications, shaped ``(z, d_a, d_b, e)``, and of their one conjugate.
 When ``e = C`` (every factorised triple) a sample takes one product,
 ``rho_AB`` itself, and ``rho_A`` and ``rho_B`` are its partial traces.
 When ``e < C``, ``rho_A`` keeps the A axis as rows, ``rho_E'`` the E'
-axis, and ``rho_B`` is the sum over A of the Gram products of the ``(d_b,
-e)`` blocks, so that the batch is never copied with B first.  A pure state
-has ``S_AB = S_E'`` (Schmidt), so ``S_AB`` comes from whichever of
-``rho_AB`` and ``rho_E'`` has ``e`` levels, and no matrix larger than
-``max(d_a, d_b, min(C, d_e))`` is diagonalised.  The
-Bloch sectors need no generator basis: with ``Tr(g_a g_b) = 2 delta_ab``,
-the Cartan components of ``rho_A`` square-sum to ``2 sum_i (rho_ii - Tr
+axis, and ``rho_B`` is summed over A and E', so that the batch is never
+copied with B first.  A pure state has ``S_AB = S_E'`` (Schmidt), so
+``S_AB`` comes from whichever of ``rho_AB`` and ``rho_E'`` has ``e``
+levels, and no matrix larger than ``max(d_a, d_b, min(C, d_e))`` is
+diagonalised.
+
+How a run forms those products depends on that largest size, read once
+per run (:func:`_small_states`).  Two threads of one process calling
+OpenBLAS at once on small matrices run slower than one, though two
+processes making the same calls run 1.2-1.9 times as fast: with one BLAS
+thread, batched ``eigvalsh`` and ``matmul`` on 512 matrices of m x m gained
+nothing from a second thread up to m = 10, while ``einsum``, which calls
+no BLAS, gained at every m.  So when no reduced state has more than 8
+levels, every Gram product is one einsum contraction (``rho_B`` one
+contraction over A and E'), and so is the co-moment product of
+:func:`_moments`; the run's only LAPACK calls, ``eigvalsh`` and the
+cubic's guard rows, take one lock that :func:`run_oracle` creates for the
+run, so that one worker calls OpenBLAS while the others draw and reduce.
+Larger states are batched matmuls with no lock: einsum's own cost grows
+faster than zgemm's, and whole runs on 2 workers gained or tied on the
+einsum path up to 8 levels, were split at 9 and 10, and lost in 13 of 16
+measurements from 11 levels on.
+
+The Bloch sectors need no generator basis: with ``Tr(g_a g_b) = 2
+delta_ab``, the Cartan components of ``rho_A`` square-sum to ``2 sum_i (rho_ii - Tr
 rho/d_a)^2`` and each off-diagonal pair ``i < j`` to ``4 |rho_ij|^2``;
 unlike ``sum_i rho_ii^2 - 1/d_a`` or ``purity - sum_i rho_ii^2``, neither
 cancels.  Spectra are chosen by matrix size (:func:`_spectrum`): two
@@ -70,9 +88,11 @@ nothing about the result.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -95,6 +115,19 @@ _CUBIC_MARGIN = 1e-3
 #: 2**17, 2 MiB, over the purification, its three reduced states and one
 #: copy of each (see :func:`_purifications`).
 _SLICE_ENTRIES = 2**17
+
+#: Largest reduced state, in levels, of a run that contracts its Gram
+#: products in einsum and makes its LAPACK calls one thread at a time
+#: (:func:`_small_states`).  Two threads calling OpenBLAS at once on m x m
+#: batches of 512 ran slower than one up to m = 10 or 12, and einsum, which
+#: calls no BLAS, ran faster at every m; but einsum's cost grows faster than
+#: zgemm's, and whole 2-worker runs gained or tied only up to 8 levels
+#: (crossover tables in CHANGES.md).
+_SMALL_LEVELS = 8
+
+#: The lock of a run whose LAPACK calls need none: entering it does nothing.
+_NO_LOCK = contextlib.nullcontext()
+
 
 @dataclass(frozen=True)
 class HaarSampleStats:
@@ -130,6 +163,13 @@ class HaarSampleStats:
     stderr_cartan_var: float | None = None
     offdiag_var: float | None = None
     stderr_offdiag_var: float | None = None
+
+
+def _small_states(dims: Dimensions) -> bool:
+    """Whether no reduced state of an oracle run at ``dims`` has more than
+    ``_SMALL_LEVELS`` levels: ``max(d_a, d_b, min(C, d_e)) <= 8``."""
+    e = min(dims.d_a * dims.d_b, dims.d_e)
+    return max(dims.d_a, dims.d_b, e) <= _SMALL_LEVELS
 
 
 def _check_run(dims: Dimensions, n_samples: int, seed: int) -> None:
@@ -213,30 +253,40 @@ def _gram(x: np.ndarray, x_conj: np.ndarray) -> np.ndarray:
 
 
 def _state_reductions(
-    t: np.ndarray,
+    t: np.ndarray, contract: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``rho_A``, ``rho_B`` and the joint side of a batch of pure states
     shaped ``(z, d_a, d_b, e)``, from Gram products of views of ``t`` and of
     its one conjugate.  The joint side is the ``e``-level state whose
-    spectrum gives ``S_AB``.
+    spectrum gives ``S_AB``.  With ``contract`` each Gram product is one
+    einsum contraction, with no BLAS call; without it, a batched matmul.
 
     When ``e = d_a d_b`` it is ``rho_AB``, the one Gram product of the
     ``(z, C, C)`` view, and ``rho_A`` and ``rho_B`` are its partial traces,
     taken on the ``(z, d_a, d_b, d_a, d_b)`` view by einsum with no BLAS
     call.  When ``e < C`` it is ``rho_E'``, the Gram product of the
     transposed ``(z, e, C)`` view; ``rho_A`` is that of the ``(z, d_a, d_b
-    e)`` view, and ``rho_B`` the sum over A of those of the ``(z, d_b, e)``
-    views, so that no B-first copy of the batch is made."""
+    e)`` view.  ``rho_B`` is one contraction over A and E' with
+    ``contract``, and otherwise the sum over A of the Gram products of the
+    ``(z, d_b, e)`` views, so that no B-first copy of the batch is made."""
     z, a, b, e = t.shape
     t_conj = t.conj()
     if e == a * b:
-        rho_ab = _gram(t.reshape(z, e, e), t_conj.reshape(z, e, e))
+        flat, flat_conj = t.reshape(z, e, e), t_conj.reshape(z, e, e)
+        if contract:
+            rho_ab = np.einsum("zik,zjk->zij", flat, flat_conj)
+        else:
+            rho_ab = _gram(flat, flat_conj)
         blocks = rho_ab.reshape(z, a, b, a, b)
         return (
             np.einsum("zibjb->zij", blocks),
             np.einsum("zaiaj->zij", blocks),
             rho_ab,
         )
+    if contract:
+        # rho_E' = L^T conj(L): the AB levels are summed, not E'.
+        return tuple(np.einsum(subscripts, t, t_conj) for subscripts in (
+            "zibe,zjbe->zij", "zaie,zaje->zij", "zabi,zabj->zij"))
     rho_b = _gram(t[:, 0], t_conj[:, 0])
     for i in range(1, a):
         rho_b += _gram(t[:, i], t_conj[:, i])
@@ -250,16 +300,16 @@ def _state_reductions(
     )
 
 
-def _spectrum(rho: np.ndarray) -> np.ndarray:
+def _spectrum(rho: np.ndarray, lock=_NO_LOCK) -> np.ndarray:
     """Eigenvalues of a batch of Hermitian matrices shaped ``(z, m, m)``,
     shape ``(z, m)``, by matrix size: the closed form for two levels, the
     trigonometric root of the characteristic cubic for three (Smith, CACM
     4, 168, 1961; Kopp, Int. J. Mod. Phys. C 19, 523, 2008), and LAPACK's
-    ``eigvalsh`` for one level, for four and up, and for the three-level
-    rows the cubic cannot resolve.  The batch must have a positive trace
-    and a finite diagonal, as the reduced states :func:`_entropies` passes
-    do: LAPACK can return a finite spectrum for a NaN on the diagonal
-    (``diag(nan, 1, 1, 1)`` gives ``[0, -0, 1, 1]``)."""
+    ``eigvalsh``, called under ``lock``, for one level, for four and up,
+    and for the three-level rows the cubic cannot resolve.  The batch must
+    have a positive trace and a finite diagonal, as the reduced states
+    :func:`_entropies` passes do: LAPACK can return a finite spectrum for a
+    NaN on the diagonal (``diag(nan, 1, 1, 1)`` gives ``[0, -0, 1, 1]``)."""
     m = rho.shape[-1]
     if m == 2:
         a, d = rho[:, 0, 0].real, rho[:, 1, 1].real
@@ -269,7 +319,8 @@ def _spectrum(rho: np.ndarray) -> np.ndarray:
         # det / high, not trace - high, which cancels for a nearly pure state.
         return np.stack([(a * d - off) / high, high], axis=-1)
     if m != 3:
-        return np.linalg.eigvalsh(rho)
+        with lock:
+            return np.linalg.eigvalsh(rho)
     diag = np.diagonal(rho, axis1=1, axis2=2).real
     trace = np.sum(diag, axis=-1)
     q = trace / 3.0
@@ -293,7 +344,8 @@ def _spectrum(rho: np.ndarray) -> np.ndarray:
     # Near |r| = 1 two roots nearly coincide, and arccos loses sqrt(eps).
     guard = np.abs(r) > 1.0 - _CUBIC_MARGIN
     if np.any(guard):
-        values[guard] = np.linalg.eigvalsh(rho[guard])
+        with lock:
+            values[guard] = np.linalg.eigvalsh(rho[guard])
     return values
 
 
@@ -316,41 +368,48 @@ def _entropy_from_weights(weights: np.ndarray, what: str) -> np.ndarray:
     return np.sum(contrib, axis=-1)
 
 
-def _entropies(rho: np.ndarray, what: str) -> np.ndarray:
+def _entropies(rho: np.ndarray, what: str, lock=_NO_LOCK) -> np.ndarray:
     """Per-sample von Neumann entropy of a batch of reduced states.  A Gram
     product has a non-finite diagonal wherever its factor has a non-finite
     entry, so one check of the diagonal, before any spectrum, is the
     state's validity check."""
     if not np.isfinite(np.diagonal(rho, axis1=1, axis2=2)).all():
         raise NumericalValidityError(f"rho_{what} has a non-finite diagonal")
-    return _entropy_from_weights(_spectrum(rho), f"eigendecomposition of {what}")
+    return _entropy_from_weights(
+        _spectrum(rho, lock), f"eigendecomposition of {what}"
+    )
 
 
 def _sample_entropies(
-    rho_a: np.ndarray, rho_b: np.ndarray, rho_joint: np.ndarray
+    rho_a: np.ndarray, rho_b: np.ndarray, rho_joint: np.ndarray, lock=_NO_LOCK
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample ``S_A``, ``S_B`` and ``S_AB`` of a batch of purifications
     on ``A x B x E'``, the last from the spectrum of the joint side of
     :func:`_state_reductions` (``rho_AB`` when ``e = C``, ``rho_E'`` when
     ``e < C``).  When ``d_a = 1`` (``d_b = 1``), ``S_AB`` is ``S_B``
-    (``S_A``), so that the per-sample I is exactly 0."""
-    s_a = _entropies(rho_a, "A")
-    s_b = _entropies(rho_b, "B")
+    (``S_A``), so that the per-sample I is exactly 0.  LAPACK is called
+    under ``lock``."""
+    s_a = _entropies(rho_a, "A", lock)
+    s_b = _entropies(rho_b, "B", lock)
     if rho_a.shape[-1] == 1:
         return s_a, s_b, s_b
     if rho_b.shape[-1] == 1:
         return s_a, s_b, s_a
-    return s_a, s_b, _entropies(rho_joint, "AB")
+    return s_a, s_b, _entropies(rho_joint, "AB", lock)
 
 
-def _slice_statistics(t: np.ndarray) -> np.ndarray:
+def _slice_statistics(
+    t: np.ndarray, contract: bool = False, lock=_NO_LOCK
+) -> np.ndarray:
     """The per-sample statistics of a row slice of purifications shaped
     ``(z, d_a, d_b, e)``, shaped ``(k, z)``, one row per statistic in the
     order of the :class:`HaarSampleStats` fields: the Bloch pair comes last
-    and is left out when ``d_a = 1``, where its fields stay None."""
+    and is left out when ``d_a = 1``, where its fields stay None.
+    ``contract`` and ``lock`` are those of :func:`_state_reductions` and
+    :func:`_spectrum`."""
     d_a = t.shape[1]
-    rho_a, rho_b, rho_joint = _state_reductions(t)
-    s_a, s_b, s_ab = _sample_entropies(rho_a, rho_b, rho_joint)
+    rho_a, rho_b, rho_joint = _state_reductions(t, contract)
+    s_a, s_b, s_ab = _sample_entropies(rho_a, rho_b, rho_joint, lock)
     diag = np.diagonal(rho_a, axis1=1, axis2=2).real
     values = [
         s_a,
@@ -373,12 +432,21 @@ def _slice_statistics(t: np.ndarray) -> np.ndarray:
     return np.stack(values)
 
 
-def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+def _moments(
+    values: np.ndarray, contract: bool = False
+) -> tuple[int, np.ndarray, np.ndarray]:
     """The count, mean vector and centred co-moment matrix ``sum_i (x_i -
-    mean)(x_i - mean)^T`` of the columns of a ``(k, z)`` block."""
+    mean)(x_i - mean)^T`` of the columns of a ``(k, z)`` block, by an
+    einsum contraction with ``contract`` and a BLAS product without.  The
+    contraction needs no lock, so a worker that has its chunk's spectra
+    does not wait out another worker's ``eigvalsh`` to finish the chunk."""
     mean = np.mean(values, axis=1)
     centred = values - mean[:, None]
-    return values.shape[1], mean, centred @ centred.T
+    if contract:
+        comoment = np.einsum("iz,jz->ij", centred, centred)
+    else:
+        comoment = centred @ centred.T
+    return values.shape[1], mean, comoment
 
 
 def _merge(left, right) -> tuple[int, np.ndarray, np.ndarray]:
@@ -444,7 +512,19 @@ def run_oracle(
     chunk order by the pairwise update (:func:`_merge`).  So neither the
     per-sample values nor the pending chunks grow with ``n_samples``, and
     the fixed merge order keeps every field independent of the worker
-    count.  A triple is admitted by the one rule that ``verify`` also
+    count.
+
+    When no reduced state has more than 8 levels, ``max(d_a, d_b, min(C,
+    d_e)) <= 8``, the Gram products and each chunk's co-moment product are
+    einsum contractions, and the run makes its LAPACK calls under one
+    ``threading.Lock`` created here for the run: below that size two
+    threads calling OpenBLAS at once ran slower than one, while einsum
+    calls no BLAS and runs beside them (see the module docstring).  Such a
+    run's fields may differ from the matmul path's in their last bits,
+    since the contractions sum in another order; larger triples take the
+    matmul path, lock-free.
+
+    A triple is admitted by the one rule that ``verify`` also
     reads, :func:`haarmi.dims._oracle_refusal`, and refused with its
     reason: past the sampling cap on the purification
     (:class:`InvalidDimensionError`), so factorised triples with ``C <=
@@ -464,12 +544,15 @@ def run_oracle(
     64.  A residual remains past those (mean z about -32 at (2,3,10^17)),
     and such triples are not refused (ROADMAP item 19)."""
     _check_run(dims, n_samples, seed)
+    small = _small_states(dims)
+    lock = threading.Lock() if small else _NO_LOCK
+    statistics = functools.partial(_slice_statistics, contract=small, lock=lock)
 
     def work(start: int, stop: int) -> tuple[int, np.ndarray, np.ndarray]:
         slices = _purifications(dims, seed, start // CHUNK_SIZE, stop - start)
         # map holds each slice only while its statistics are formed, so no
         # slice or reduction is alive when the next slice is drawn.
-        return _moments(np.hstack(list(map(_slice_statistics, slices))))
+        return _moments(np.hstack(list(map(statistics, slices))), small)
 
     count, mean, comoment = functools.reduce(
         _merge, _run_chunks(n_samples, workers, work)

@@ -90,6 +90,19 @@ def test_binet_tail_scales_out_z():
     assert all(0.0 < r.error_estimate < 1e-300 for r in results)
 
 
+@pytest.mark.parametrize("z", [1e-160, 1e-300])
+def test_binet_tail_near_zero_raises_no_warning(z):
+    """Below z ~ 5e-154 ``(t/z)^2`` overflows to inf on most nodes, where
+    the integrand is 0; that raises no warning, and the tail is ``1/(4z)``
+    (its next term, ``(ln z + gamma)/2``, is below 1e-156 of it) to 2 ulp."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = binet_tail(z).value
+    low = math.nextafter(math.nextafter(1.0, 0.0), 0.0)
+    high = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
+    assert low <= value * 4.0 * z <= high
+
+
 @pytest.mark.parametrize("z", [2.0**-40, 2.0**-20, 2.0**-10, 0.01, 0.1])
 def test_binet_tail_below_one_matches_reference(z):
     """Below 1 the pole at ``iz`` nears the axis, and geometric panels from

@@ -5,6 +5,8 @@ the parallel oracle."""
 import dataclasses
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -75,8 +77,11 @@ def _states(triple, seed: int, count: int) -> np.ndarray:
 
 def _chunk_reductions(dims: Dimensions, seed: int, chunk: int, count: int):
     """``rho_A``, ``rho_B`` and the joint side (``rho_AB`` when e = C,
-    ``rho_E'`` when e < C) of a chunk, as the oracle reduces it."""
-    return sampling_module._state_reductions(_chunk(dims, seed, chunk, count))
+    ``rho_E'`` when e < C) of a chunk, as the oracle reduces it: by einsum
+    contractions when every reduced state is small, by matmul otherwise."""
+    return sampling_module._state_reductions(
+        _chunk(dims, seed, chunk, count), sampling_module._small_states(dims)
+    )
 
 
 def _per_sample_mutual_information(dims: Dimensions, seed: int, n: int):
@@ -318,15 +323,17 @@ def test_reduce_state_is_density_matrix(keep, dim):
 
 
 def test_reduce_product_state():
-    """For psi = u (x) v (x) w the reductions are the pure projectors."""
+    """For psi = u (x) v (x) w the reductions are the pure projectors, on
+    either path; the complex w tells rho_E' from its conjugate."""
     u = np.array([1.0, 1.0j]) / math.sqrt(2)
     v = np.array([1.0, 0.0, 0.0])
-    w = np.array([0.6, 0.8, 0.0, 0.0])
+    w = np.array([0.6, 0.8j, 0.0, 0.0])
     t = np.einsum("a,b,e->abe", u, v, w)[None]
-    rho_a, rho_b, rho_e = sampling_module._state_reductions(t)
-    np.testing.assert_allclose(rho_a[0], np.outer(u, u.conj()), atol=1e-14)
-    np.testing.assert_allclose(rho_b[0], np.outer(v, v.conj()), atol=1e-14)
-    np.testing.assert_allclose(rho_e[0], np.outer(w, w.conj()), atol=1e-14)
+    for contract in (False, True):
+        rho_a, rho_b, rho_e = sampling_module._state_reductions(t, contract)
+        np.testing.assert_allclose(rho_a[0], np.outer(u, u.conj()), atol=1e-14)
+        np.testing.assert_allclose(rho_b[0], np.outer(v, v.conj()), atol=1e-14)
+        np.testing.assert_allclose(rho_e[0], np.outer(w, w.conj()), atol=1e-14)
 
 
 @pytest.mark.parametrize("triple", [(2, 3, 7), (4, 4, 64), (3, 2, 6),
@@ -336,16 +343,15 @@ def test_bartlett_factor_is_a_purification(triple):
     """Read as a vector on A x B x E', the C x e Bartlett factor L purifies
     rho_AB = L L^H in both regimes: its A and B reductions are the partial
     traces of L L^H, and the joint side has the top e eigenvalues of L L^H
-    (it is L L^H itself when e = C, rho_E' when e < C)."""
+    (it is L L^H itself when e = C, rho_E' when e < C), on the path the
+    oracle takes at the triple."""
     dims = Dimensions(*triple)
     d_a, d_b, c = dims.d_a, dims.d_b, dims.d_a * dims.d_b
     e = min(c, dims.d_e)
     factor = _chunk(dims, 2, 0, 64).reshape(-1, c, e)
     rho_ab = np.einsum("zij,zkj->zik", factor, factor.conj())
     blocks = rho_ab.reshape(-1, d_a, d_b, d_a, d_b)
-    rho_a, rho_b, rho_e = sampling_module._state_reductions(
-        factor.reshape(-1, d_a, d_b, e)
-    )
+    rho_a, rho_b, rho_e = _chunk_reductions(dims, 2, 0, 64)
     assert np.max(np.abs(rho_a - np.einsum("zibjb->zij", blocks))) < 1e-15
     assert np.max(np.abs(rho_b - np.einsum("zaiaj->zij", blocks))) < 1e-15
     spectrum = np.linalg.eigvalsh(rho_e)
@@ -355,11 +361,15 @@ def test_bartlett_factor_is_a_purification(triple):
 
 @pytest.mark.parametrize("triple,calls", [
     ((1, 3, 7), 1), ((2, 3, 7), 1), ((4, 4, 64), 1), ((8, 8, 64), 1),
-    ((3, 4, 2), 5), ((8, 8, 16), 10),
+    ((3, 4, 2), 5), ((8, 8, 16), 10), ((8, 1, 4), 10), ((2, 4, 8), 1),
+    ((3, 3, 9), 1), ((16, 2, 4), 18),
 ])
 def test_state_reductions_gram_calls(triple, calls, monkeypatch):
-    """A slice makes one Gram product when e = C, whatever d_A is, and
-    d_A + 2 when e < C (rho_A, rho_E' and one rho_B term per A level)."""
+    """The BLAS Gram products of a slice on the matmul path: one when e =
+    C, whatever d_A is, and d_A + 2 when e < C (rho_A, rho_E' and one
+    rho_B term per A level).  A one-slice oracle run makes those when some
+    reduced state has more than 8 levels, and none otherwise, where every
+    product is an einsum contraction."""
     counted = []
     real_gram = sampling_module._gram
 
@@ -368,8 +378,45 @@ def test_state_reductions_gram_calls(triple, calls, monkeypatch):
         return real_gram(x, x_conj)
 
     monkeypatch.setattr(sampling_module, "_gram", counting)
-    sampling_module._state_reductions(_chunk(Dimensions(*triple), 1, 0, 4))
+    dims = Dimensions(*triple)
+    sampling_module._state_reductions(_chunk(dims, 1, 0, 4))
     assert len(counted) == calls
+    counted.clear()
+    run_oracle(dims, n_samples=4, seed=1)
+    assert len(counted) == (0 if sampling_module._small_states(dims) else calls)
+
+
+#: Band between the einsum and the matmul path, set from the dtype: a
+#: reduced-state entry sums at most 64 products of entries of a unit
+#: vector, so two orders of summation differ by at most 64 eps in it, and
+#: the statistics, of size ln 8 at most, are held to the same band.
+_PATH_BAND = 64 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("triple", [(2, 3, 7), (3, 4, 2), (2, 3, 4), (2, 2, 4),
+                                    (2, 4, 8), (8, 1, 4), (3, 1, 2), (1, 3, 7)])
+def test_einsum_path_matches_matmul_path(triple):
+    """On the same slices the einsum contractions give the matmul path's
+    reduced states and per-sample statistics to ``_PATH_BAND``, whichever
+    order each sums in, and a chunk's co-moments to the bound of two sums
+    of ``z`` products, ``2 z eps`` times the sum of their magnitudes."""
+    dims = Dimensions(*triple)
+    assert sampling_module._small_states(dims)
+    lock = threading.Lock()
+    for chunk in range(4):
+        t = _chunk(dims, 5, chunk, CHUNK_SIZE)
+        for matmul, einsum in zip(sampling_module._state_reductions(t),
+                                  sampling_module._state_reductions(t, True)):
+            assert np.max(np.abs(einsum - matmul)) <= _PATH_BAND
+        reference = sampling_module._slice_statistics(t)
+        statistics = sampling_module._slice_statistics(t, True, lock)
+        assert np.max(np.abs(statistics - reference)) <= _PATH_BAND
+        _, mean, comoment = sampling_module._moments(statistics)
+        _, mean_einsum, comoment_einsum = sampling_module._moments(statistics, True)
+        assert np.array_equal(mean_einsum, mean)
+        magnitude = np.abs(statistics - mean[:, None])
+        band = 2 * CHUNK_SIZE * np.finfo(np.float64).eps * (magnitude @ magnitude.T)
+        assert np.all(np.abs(comoment_einsum - comoment) <= band)
 
 
 def test_schmidt_symmetry():
@@ -582,6 +629,32 @@ def test_run_oracle_chunking_boundaries():
 
 def _fields(stats) -> dict:
     return {name: getattr(stats, name) for name in stats.__dataclass_fields__}
+
+
+@pytest.mark.parametrize("triple", [(2, 3, 7), (3, 4, 2)])
+def test_small_state_lock_under_many_workers(triple):
+    """Eight workers, more than the cores, and a thread switch every
+    microsecond: the run that makes its LAPACK and BLAS calls under one
+    lock finishes within its time bound, and every field equals the
+    one-worker run's bitwise."""
+    dims = Dimensions(*triple)
+    n = 16 * CHUNK_SIZE + 3
+    reference = _fields(run_oracle(dims, n, seed=12, workers=1))
+    result = {}
+
+    def eight_workers():
+        result.update(_fields(run_oracle(dims, n, seed=12, workers=8)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=eight_workers, daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert result == reference
 
 
 @pytest.mark.parametrize("dims", [DIMS, FACTORISED, Dimensions(64, 1, 2)])
