@@ -35,7 +35,7 @@ from .errors import (
     InvalidDimensionError,
     RegimeError,
 )
-from .integral import _TOL_DEFAULT, _deficit, compute_J
+from .integral import _TOL_DEFAULT, _deficit, _j_rows, compute_J
 from .page import (
     MutualInformationBreakdown,
     mutual_information_exact,
@@ -256,24 +256,34 @@ def _fill_series(row: dict, dims: Dimensions, k_max: int):
     return expansion
 
 
-def _fill_integral(row: dict, dims: Dimensions, tol: float):
-    dims.require_factorised("integral")
+def _has_j(dims: Dimensions) -> bool:
+    """Whether the integral route computes J: in the factorised regime,
+    unless a dimension is 1 (su = 0, and the route is exactly 0)."""
+    return dims.factorised_regime and dims.d_a > 1 and dims.d_b > 1
+
+
+def _j_value(dims: Dimensions, tol: float) -> float | None:
+    """J of a single triple by :func:`compute_J`, or None without one."""
+    return compute_J(dims, tol).value if _has_j(dims) else None
+
+
+def _fill_integral(row: dict, dims: Dimensions, j: float | None) -> None:
+    """The integral route's columns from J (None where a dimension is 1)."""
     lead = leading_order(dims)
-    if dims.d_a == 1 or dims.d_b == 1:
+    if j is None:
         row.update(I_integral=0.0, bound_deficit=0.0, I_leading=lead)
         return
-    j = compute_J(dims, tol).value
     deficit = _deficit(dims, j)
     row.update(I_integral=lead - deficit, J=j, bound_deficit=deficit, I_leading=lead)
 
 
-def _fill_analytic(row: dict, dims: Dimensions, config: RunConfig) -> None:
+def _fill_analytic(row: dict, dims: Dimensions, k_max: int, j: float | None) -> None:
     """The exact route, plus the series and integral routes where they are
-    defined (the factorised regime)."""
+    defined (the factorised regime), the latter from J."""
     _fill_exact(row, dims)
     if dims.factorised_regime:
-        _fill_series(row, dims, config.k_max)
-        _fill_integral(row, dims, config.tol)
+        _fill_series(row, dims, k_max)
+        _fill_integral(row, dims, j)
 
 
 def run_oracle(
@@ -330,7 +340,8 @@ def _series_view(row, dims, config, checks):
 
 
 def _integral_view(row, dims, config, checks):
-    _fill_integral(row, dims, config.tol)
+    dims.require_factorised("integral")
+    _fill_integral(row, dims, _j_value(dims, config.tol))
     shown = row if row["J"] is not None else dict(row, J="n/a (dimension 1)")
     return _row_pairs(shown, "I_integral", "J", "I_leading", "bound_deficit")
 
@@ -356,7 +367,7 @@ def _oracle_view(row, dims, config, checks):
 
 
 def _verify_view(row, dims, config, checks):
-    _fill_analytic(row, dims, config)
+    _fill_analytic(row, dims, config.k_max, _j_value(dims, config.tol))
     exact_value = row["I_exact"]
     rational_value = float(mutual_information_rational(dims))
 
@@ -443,7 +454,7 @@ def _run_single(config: RunConfig) -> RunResult:
 
 
 def _run_sweep(config: RunConfig) -> RunResult:
-    rows = []
+    grid = []
     da_lo, da_hi = config.da_range
     db_lo, db_hi = config.db_range
     for d_a in range(da_lo, da_hi + 1):
@@ -453,11 +464,15 @@ def _run_sweep(config: RunConfig) -> RunResult:
                 de_values = [m * d_a * d_b for m in range(mult_lo, mult_hi + 1)]
             else:
                 de_values = range(config.de_range[0], config.de_range[1] + 1)
-            for d_e in de_values:
-                dims = Dimensions(d_a, d_b, d_e)
-                row = _empty_row(dims)
-                _fill_analytic(row, dims, config)
-                rows.append(row)
+            grid.extend(Dimensions(d_a, d_b, d_e) for d_e in de_values)
+    # Every row's J from one quadrature; none, and no numpy, if no row has J.
+    with_j = [dims for dims in grid if _has_j(dims)]
+    js = iter(_j_rows(with_j, config.tol) if with_j else ())
+    rows = []
+    for dims in grid:
+        row = _empty_row(dims)
+        _fill_analytic(row, dims, config.k_max, next(js).value if _has_j(dims) else None)
+        rows.append(row)
     if config.output_format != "table":
         return RunResult(rows=rows)
 

@@ -10,7 +10,7 @@ Bose-Einstein kernel and yields, in the factorised regime
     J = integral_0^inf R(u) / (e^{2 pi d_e u} - 1) du,
     R(u) = u (C^2 - u^4) / ((u^2+1)(u^2+d_a^2)(u^2+d_b^2)(u^2+C^2)),
 
-with ``C = d_a d_b``.  The scale of R is ``u/C^2`` (:func:`_kernel_shape`),
+with ``C = d_a d_b``.  The scale of R is ``u/C^2`` (:func:`_kernel_h`),
 so in ``t = d_e u``
 
     J = Jhat / (C d_e)^2,   Jhat = integral_0^inf t h(t/d_e) / (e^{2 pi t} - 1) dt,
@@ -19,8 +19,11 @@ where the weight has unit width and ``t h`` is O(1) for every accepted
 triple; the scale returns as one product, which underflows J to 0 once
 ``C d_e`` passes about ``2**537``.  Each partial fraction of R is a Binet
 tail (:func:`binet_tail` at ``z = p d_e``), scaled the same way, so ``J``
-and ``binet_tail`` share one quadrature, one integrand call on panels fixed
-in advance, with an a-priori error bound (:func:`_bose_quad`).
+and ``binet_tail`` share one quadrature with an a-priori error bound
+(:func:`_bose_quad`): one integrand call per block of rows on panels fixed
+in advance.  A row is one integral, and every J row shares the panels, so
+``sweep`` gets the J of all its rows from one call (:func:`_j_rows`);
+``compute_J`` and ``binet_tail`` are its one-row case.
 The Gauss-Legendre rule itself is built at import in pure Python; numpy is
 imported at the first quadrature, so importing this module loads none.
 
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import TYPE_CHECKING, Callable
@@ -148,20 +152,34 @@ def _tabulate(runs: tuple) -> tuple[np.ndarray, np.ndarray]:
 _equal_panels = functools.lru_cache(maxsize=16)(_tabulate)
 
 
+#: The most float64 entries a block of rows holds in each temporary of
+#: :func:`_bose_quad` (rows times nodes; a block holds at least one row).
+_BLOCK_ENTRIES = 2**12
+
+
 def _bose_quad(
-    g: Callable[[np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray, slice], np.ndarray],
     majorant: Callable[[float], float],
     pole: float,
     tol: float,
-    scale: float,
-) -> QuadratureResult:
-    """``scale^2 integral_0^inf g(t) / (e^{2 pi t} - 1) dt``, one call of ``g``:
-    32-point Gauss-Legendre on the panels of :func:`_plan` on ``(0, T]``,
-    ``T = min(ln(1000/tol), 700)/(2 pi)``; ``tol`` in (0, 1).  ``g(t) = t
-    q(t)`` comes with its nearest pole and a non-increasing majorant,
-    ``|q(t)| <= majorant(a)`` for real ``t >= a``.  The error bound sums
-    the tail, ``majorant(T) (T/(2 pi) + 1/(4 pi^2)) r/(1 - r)`` with ``r =
-    e^{-2 pi T}`` (``integral_T^inf t/(e^{2 pi t} - 1) dt`` is ``sum_k r^k
+    scales: Sequence[float],
+) -> list[QuadratureResult]:
+    """``scale^2 integral_0^inf g(t) / (e^{2 pi t} - 1) dt`` for each row,
+    one per scale: 32-point Gauss-Legendre on the panels of :func:`_plan`
+    on ``(0, T]``, ``T = min(ln(1000/tol), 700)/(2 pi)``; ``tol`` in (0,
+    1).  ``g(t, rows)`` returns the rows ``rows`` (a slice) at the nodes,
+    row by row, as ``rows x nodes`` values; the rows share the nodes, and
+    so the pole and majorant.  They go through in blocks of at most
+    ``_BLOCK_ENTRIES // nodes`` rows (at least one), so no temporary grows
+    with the number of rows, and each row's panel sums are one
+    matrix-vector product of its own: a row's result does not depend on
+    its block, and is bitwise that of a one-row call.
+
+    Each row ``g(t) = t q(t)`` comes with the nearest pole and a
+    non-increasing majorant, ``|q(t)| <= majorant(a)`` for real ``t >=
+    a``.  The error bound sums the tail, ``majorant(T) (T/(2 pi) + 1/(4
+    pi^2)) r/(1 - r)`` with ``r = e^{-2 pi T}`` (``integral_T^inf t/(e^{2
+    pi t} - 1) dt`` is ``sum_k r^k
     (T/(2 pi k) + 1/(2 pi k)^2)``), 8 ulp for rounding, and the panels'
     error: n points err by at most ``w (64/15) M rho^(2-2n)/(rho^2 - 1)``
     on a panel of half-width w if the integrand is analytic and bounded by
@@ -174,29 +192,41 @@ def _bose_quad(
     (1,1,1)), so with ``M = 8 majorant(a)`` a panel adds ``_PANEL_BOUND w
     majorant(a)``, about ``1.9e-23 w``: below 1e-19 of every value here.
     So only the tail can miss ``tol``, and :class:`NonConvergenceError` is
-    raised when it passes ``tol |value|``, which the cap on T allows only
-    below tol of about 1e-301.  The error is floored at 8 ulp of the scaled
-    value, so a value that underflows still carries an honest error."""
+    raised, at the first row where it passes ``tol |value|``, which the cap
+    on T allows only below tol of about 1e-301.  The tail and panel bounds
+    are the same for every row.  The error is floored at 8 ulp of the
+    scaled value, so a value that underflows still carries an honest
+    error."""
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tolerance must be in (0, 1), got {tol!r}")
     upper = min(math.log(1000.0 / tol), _EXP_CUT) / (2.0 * math.pi)
     runs = _plan(upper, pole)
     t, bose = _equal_panels(runs) if len(runs) == 1 else _tabulate(runs)
     _, gl_weights = _gl_arrays()
-    sums = (g(t) / bose).reshape(-1, _GL_ORDER) @ gl_weights
-    value, bound, panels = 0.0, 0.0, 0
+    bound = 0.0
     for lower, half, count in runs:
-        value += half * float(sums[panels:panels + count].sum())
-        panels += count
         bound += _PANEL_BOUND * count * half * majorant(lower)
     r = math.exp(-2.0 * math.pi * upper)
     tail = majorant(upper) * (upper / (2 * math.pi) + 0.25 / math.pi**2) * r / (1 - r)
-    if tail > tol * abs(value):
-        raise NonConvergenceError(f"quadrature tail beyond t = {upper:.4g} is "
-                                  f"bounded by {tail:.3g}, above {tol:g} relative")
-    error = (tail + bound + 8.0 * math.ulp(value)) * scale * scale
-    value = value * scale * scale
-    return QuadratureResult(value, max(error, 8.0 * math.ulp(value)), t.size)
+    results = []
+    step = max(1, _BLOCK_ENTRIES // t.size)
+    for start in range(0, len(scales), step):
+        rows = slice(start, start + step)
+        # (rows, panels, 32) @ (32,) is one matrix-vector product per row; one
+        # over the whole block would round a row by its place in the block
+        sums = (g(t, rows) / bose).reshape(-1, t.size // _GL_ORDER, _GL_ORDER) @ gl_weights
+        for row_sums, scale in zip(sums, scales[rows]):
+            value, panels = 0.0, 0
+            for _, half, count in runs:
+                value += half * float(row_sums[panels:panels + count].sum())
+                panels += count
+            if tail > tol * abs(value):
+                raise NonConvergenceError(f"quadrature tail beyond t = {upper:.4g} is "
+                                          f"bounded by {tail:.3g}, above {tol:g} relative")
+            error = (tail + bound + 8.0 * math.ulp(value)) * scale * scale
+            value = value * scale * scale
+            results.append(QuadratureResult(value, max(error, 8.0 * math.ulp(value)), t.size))
+    return results
 
 
 def binet_tail(z: float, tol: float = _TOL_DEFAULT) -> QuadratureResult:
@@ -209,58 +239,65 @@ def binet_tail(z: float, tol: float = _TOL_DEFAULT) -> QuadratureResult:
     is O(1) for every ``z``, so a value that underflows reads 0, never
     ``NonConvergenceError``.  Below 1 its pole at ``iz`` nears the real
     axis, and the panels start geometric from z (:func:`_plan`).  ``z``
-    may be an int beyond binary64.
+    may be an int beyond binary64.  At ``z <= 2**-1024`` (about
+    5.56e-309, where ``1/z`` overflows) the scale is infinite, and
+    :class:`DomainError` is raised; from the next float up the value is
+    finite and within its error of ``1/(4z)``.
     """
     if not z > 0:
         raise DomainError(f"binet_tail requires z > 0, got {z!r}")
+    inv = 1 / z
+    if inv == math.inf:
+        raise DomainError(f"binet_tail requires 1/z finite (z > 2**-1024), got {z!r}")
     import numpy as np
 
-    inv = 1 / z
-
-    def g(t: np.ndarray) -> np.ndarray:
+    def g(t: np.ndarray, rows: slice) -> np.ndarray:
         # Below z ~ 5e-154, (t * inv) ** 2 overflows to inf, and t / inf = 0
         # is the integrand's value there.
         with np.errstate(over="ignore"):
             return t / (1.0 + (t * inv) ** 2)
 
     # a * inv * a * inv overflows to inf where (a * inv) ** 2 would raise
-    return _bose_quad(g, lambda a: 1.0 / (1.0 + a * inv * a * inv), z, tol, inv)
+    return _bose_quad(g, lambda a: 1.0 / (1.0 + a * inv * a * inv), z, tol, [inv])[0]
 
 
-def _kernel_shape(dims: Dimensions, scale: int) -> Callable:
-    """``x -> h(x / scale)``, the kernel without its scale:
-    ``R(u) = (u / C^2) h(u)``, with ``v = u^2 / C`` and
-
-        h(u) = (1 - v)(1 + v) / ((1+u^2)(1+u^2/d_a^2)(1+u^2/d_b^2)(1+u^2/C^2)).
-
-    Each coefficient is an integer true division (``1/(C scale^2)``,
-    ``1/(d_a scale)^2``, ...), so no dimension is converted to binary64;
-    one that underflows reads 0, where its term is below 1's last bit."""
+def _kernel_coefficients(dims: Dimensions, scale: int) -> tuple[float, ...]:
+    """The coefficients ``(k_v, k_1, k_a, k_b, k_c)`` of ``h(x / scale)``
+    (:func:`_kernel_h`).  Each is an integer true division (``1/(C
+    scale^2)``, ``1/(d_a scale)^2``, ...), so no dimension is converted to
+    binary64; one that underflows reads 0, where its term is below 1's
+    last bit."""
     c = dims.d_a * dims.d_b
-    k_v = 1 / (c * scale * scale)
-    k_1, k_a, k_b, k_c = (1 / (d * scale) ** 2 for d in (1, dims.d_a, dims.d_b, c))
+    return (1 / (c * scale * scale),
+            *(1 / (d * scale) ** 2 for d in (1, dims.d_a, dims.d_b, c)))
 
-    def h(x):
-        x2 = x * x
-        v = x2 * k_v
-        return (1.0 - v) * (1.0 + v) / (
-            (1.0 + x2 * k_1) * (1.0 + x2 * k_a) * (1.0 + x2 * k_b) * (1.0 + x2 * k_c)
-        )
 
-    return h
+def _kernel_h(x, k_v, k_1, k_a, k_b, k_c):
+    """The kernel without its scale, ``R(u) = (u / C^2) h(u)``: with ``v =
+    u^2 / C``,
+
+        h(u) = (1 - v)(1 + v) / ((1+u^2)(1+u^2/d_a^2)(1+u^2/d_b^2)(1+u^2/C^2)),
+
+    here ``h(x / scale)`` from :func:`_kernel_coefficients` at that scale,
+    as floats or as one column of them per row."""
+    x2 = x * x
+    v = x2 * k_v
+    return (1.0 - v) * (1.0 + v) / (
+        (1.0 + x2 * k_1) * (1.0 + x2 * k_a) * (1.0 + x2 * k_b) * (1.0 + x2 * k_c)
+    )
 
 
 def kernel_R(u: float | np.ndarray, dims: Dimensions) -> float | np.ndarray:
     """Rational kernel ``u (C^2-u^4) / ((u^2+1)(u^2+d_a^2)(u^2+d_b^2)(u^2+C^2))``
     at a real ``u`` or elementwise on an array, formed as
-    ``(u / C^2) h(u)`` (:func:`_kernel_shape` at scale 1), so it is finite
+    ``(u / C^2) h(u)`` (:func:`_kernel_h` at scale 1), so it is finite
     for every accepted triple.
 
     Positive on (0, C^{1/2}), negative beyond, and antisymmetric under the
     scale inversion ``u -> C/u`` with weight ``C/u^2``.
     """
     c = dims.d_a * dims.d_b
-    return u * (1 / (c * c)) * _kernel_shape(dims, 1)(u)
+    return u * (1 / (c * c)) * _kernel_h(u, *_kernel_coefficients(dims, 1))
 
 
 def _bose_factor(x: float) -> float:
@@ -291,9 +328,22 @@ def compute_J(dims: Dimensions, tol: float = _TOL_DEFAULT) -> QuadratureResult:
     ``tol`` is relative.  The error is floored at 8 ulp of the returned
     value, so a J that underflows reads 0 with an honest error.  Defined
     for every accepted triple, and finite when a dimension is 1."""
-    h = _kernel_shape(dims, dims.d_e)
+    return _j_rows([dims], tol)[0]
+
+
+def _j_rows(dims_seq: Sequence[Dimensions], tol: float) -> list[QuadratureResult]:
+    """:func:`compute_J` of each triple, in order, from one quadrature: a
+    row per triple, all on the equal panels, as every pole is at least 1."""
+    import numpy as np
+
+    # one row of coefficients per triple, read as columns by the integrand
+    coefficients = np.array([_kernel_coefficients(dims, dims.d_e) for dims in dims_seq])
+
+    def g(t: np.ndarray, rows: slice) -> np.ndarray:
+        return t * _kernel_h(t, *coefficients[rows].T[:, :, None])
+
     # |h| <= 1 on the real axis, and its poles lie at +-i d_e {1, d_a, d_b, C}
-    return _bose_quad(lambda t: t * h(t), lambda a: 1.0, dims.d_e, tol, 1 / dims.n)
+    return _bose_quad(g, lambda a: 1.0, 1, tol, [1 / dims.n for dims in dims_seq])
 
 
 def mutual_information_integral(dims: Dimensions, tol: float = _TOL_DEFAULT) -> float:

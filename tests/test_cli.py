@@ -1,6 +1,7 @@
 """Command-line surface: parsing, exit codes, serialization schemas."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -247,6 +248,42 @@ def test_sweep_de_mult_always_factorised():
     rows = result.stdout.strip().split("\n")[1:]
     assert len(rows) == 9 * 4
     assert all(row.split(",")[4] == "factorised" for row in rows)
+
+
+#: sha256 of sweep output, captured before the sweep took every row's J
+#: from one quadrature: the benchmark's three CSV sweeps, and a JSON table
+#: of d = 1, swapped and factorised rows together.
+SWEEP_PINS = [
+    pytest.param(["--da", "2..6", "--db", "2..6", "--de-mult", "1..16", "--format", "csv"],
+                 "bad895bc9e71da533d639dade96076372098cc356b6f441ea4a5a7987aa72e59",
+                 id="csv-2..6-2..6-x1..16"),
+    pytest.param(["--da", "3", "--db", "5", "--de-mult", "64..128", "--format", "csv"],
+                 "c03d3e62cf32075dcde0825dcced07f042b28e8f8c89a242b5210b65ac63b93f",
+                 id="csv-3-5-x64..128"),
+    pytest.param(["--da", "20", "--db", "20", "--de-mult", "1..2", "--format", "csv"],
+                 "b8fca4baa0b5406234ed02b2435cac27251f9ef4d0c8016b1989dafbd86b688c",
+                 id="csv-20-20-x1..2"),
+    pytest.param(["--da", "1..4", "--db", "1..5", "--de", "1..30", "--format", "json"],
+                 "f09eb7f00d3c9e7619ad06c748632f6fc53b0cd01d9351b7b75c49e82ca9e965",
+                 id="json-1..4-1..5-1..30"),
+]
+
+
+@pytest.mark.parametrize("spans, digest", SWEEP_PINS)
+def test_sweep_output_is_pinned(spans, digest, capsys):
+    assert cli.main(["sweep", *spans]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_sweep_below_the_tolerance_floor_exits_3(capsys):
+    """At tol 1e-302 the capped quadrature's tail bound, 1.75e-303, passes
+    tol times the scaled J of the sweep's first row: exit 3, with the
+    quadrature's message."""
+    argv = ["sweep", "--da", "2..3", "--db", "2", "--de-mult", "1..2", "--tol", "1e-302"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == (
+        "", "haarmi: numerical failure: quadrature tail beyond t = 111.4 is "
+            "bounded by 1.75e-303, above 1e-302 relative\n")
 
 
 def test_cli_byte_determinism():

@@ -63,6 +63,21 @@ print(before, code, "numpy" in sys.modules)
     assert loaded == ["False", "0", "True"]
 
 
+def test_sweep_without_a_j_row_loads_no_numpy():
+    """A sweep takes every row's J from one quadrature, and makes none when
+    no row has one: swapped rows, and factorised rows with a dimension 1."""
+    loaded = _probe("""
+import sys
+import haarmi.cli as cli
+seen = []
+for spans in (["--da", "3", "--db", "4", "--de", "2..5"],
+              ["--da", "1", "--db", "1..3", "--de", "1..4"]):
+    seen += [cli.main(["sweep", *spans, "--format", "csv"]), "numpy" in sys.modules]
+print(*seen)
+""")
+    assert loaded == ["0", "False", "0", "False"]
+
+
 def test_verify_skips_the_oracle_without_loading_the_sampler():
     """Past the sampling cap, verify records the oracle check as skipped by
     the admission rule in ``haarmi.dims``, which needs no sampler."""

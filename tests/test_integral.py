@@ -116,6 +116,28 @@ def test_binet_tail_below_one_matches_reference(z):
     assert result.error_estimate <= 1e-14 * result.value
 
 
+@pytest.mark.parametrize("z", [2.0**-1024, 3e-309, 1e-310, 5e-324])
+def test_binet_tail_raises_where_one_over_z_overflows(z):
+    """At ``z <= 2**-1024`` the scale ``1/z`` is inf, and the tail would
+    read NaN: a DomainError, with no numpy warning, instead."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="1/z finite"):
+            binet_tail(z)
+
+
+@pytest.mark.parametrize("z", [1e-308, math.nextafter(2.0**-1024, 1.0)])
+def test_binet_tail_above_the_onset_is_within_its_error(z):
+    """Just above the onset the integral of ``t / (1 + (t/z)^2)`` is
+    subnormal, yet the tail stays within its error bound of ``1/(4z)``
+    (whose next term is ``(ln z + gamma)/2``, below 2e-305 of it)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = binet_tail(z)
+    four_z = 4 * Fraction(z)
+    assert abs(Fraction(result.value) * four_z - 1) <= Fraction(result.error_estimate) * four_z
+
+
 def _panel_ellipse(lower: float, half: float) -> np.ndarray:
     """4096 points of the Bernstein ellipse (parameter ``_RHO``) of the
     panel ``[lower, lower + 2 half]``."""
@@ -125,8 +147,9 @@ def _panel_ellipse(lower: float, half: float) -> np.ndarray:
 
 
 def _j_integrand(triple):
-    h = integral_module._kernel_shape(Dimensions(*triple), triple[2])
-    return lambda t: t * h(t) / np.expm1(2.0 * np.pi * t), lambda a: 1.0
+    k = integral_module._kernel_coefficients(Dimensions(*triple), triple[2])
+    return (lambda t: t * integral_module._kernel_h(t, *k) / np.expm1(2.0 * np.pi * t),
+            lambda a: 1.0)
 
 
 def _binet_integrand(z):
@@ -228,6 +251,54 @@ def test_quadrature_is_bitwise_pinned(run, value, error, evaluations):
         assert result.value.hex() == value
         assert result.error_estimate.hex() == error
         assert result.evaluations == evaluations
+
+
+#: The benchmark's three sweeps, ``--da``, ``--db`` and ``--de-mult``
+#: spans, as the 467 triples of their rows in order.
+SWEEP_GRID = [
+    Dimensions(d_a, d_b, m * d_a * d_b)
+    for das, dbs, mults in (((2, 6), (2, 6), (1, 16)), ((3, 3), (5, 5), (64, 128)),
+                            ((20, 20), (20, 20), (1, 2)))
+    for d_a in range(das[0], das[1] + 1)
+    for d_b in range(dbs[0], dbs[1] + 1)
+    for m in range(mults[0], mults[1] + 1)
+]
+
+
+def _bits(result):
+    return result.value.hex(), result.error_estimate.hex(), result.evaluations
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-14, 1e-16, 1e-300])
+def test_j_rows_are_bitwise_compute_j(tol):
+    """The sweep's one quadrature gives each row the J of its own
+    ``compute_J`` call, bit for bit, over the benchmark's rows, and over
+    one block's rows and one either side: 64, 128 or 1792 nodes per row
+    make blocks of 64, 32 or 2 rows."""
+    single = [_bits(compute_J(dims, tol)) for dims in SWEEP_GRID]
+    block = max(1, integral_module._BLOCK_ENTRIES // single[0][2])
+    assert len(SWEEP_GRID) > block + 1
+    for count in (len(SWEEP_GRID), block - 1, block, block + 1):
+        rows = integral_module._j_rows(SWEEP_GRID[:count], tol)
+        assert [_bits(result) for result in rows] == single[:count]
+
+
+def test_quadrature_blocks_are_bounded():
+    """However many rows, no block of the integrand holds more than
+    ``_BLOCK_ENTRIES`` values, and each row gets its own result: row k of
+    ``(1 + k/1000) t/2``, against the Bose weight, is ``(1 + k/1000)/48``."""
+    entries = []
+
+    def g(t, rows):
+        block = np.outer(1.0 + np.arange(1000)[rows] / 1000, 0.5 * t)
+        entries.append(block.size)
+        return block
+
+    results = integral_module._bose_quad(g, lambda a: 1.0, 7, 1e-14, [1.0] * 1000)
+    assert max(entries) <= integral_module._BLOCK_ENTRIES
+    assert sum(entries) == 1000 * results[0].evaluations
+    for k, result in enumerate(results):
+        assert result.value == pytest.approx((1 + k / 1000) / 48, rel=1e-14)
 
 
 def test_node_tables_are_bounded_and_read_only():
