@@ -277,6 +277,19 @@ def _fill_integral(row: dict, dims: Dimensions, j: float | None) -> None:
     row.update(I_integral=lead - deficit, J=j, bound_deficit=deficit, I_leading=lead)
 
 
+def _strict_bound(row: dict, dims: Dimensions, tol: float) -> tuple[str, str]:
+    """Status and detail of the strict bound ``<I> < su/(2N)`` on a row with
+    J: it holds when ``Jhat > 0`` (``J = Jhat/(C d_e)^2``).  J has Jhat's
+    sign unless it underflows to 0, once ``C d_e`` passes about ``2**537``;
+    Jhat is then one unscaled quadrature, shown beside the deficit."""
+    j_hat, claim = row["J"], "(> 0)"
+    if j_hat == 0.0:
+        j_hat = _j_rows([dims], tol, unscaled=True)[0].value
+        claim = f"(J underflows; Jhat = {j_hat:.6e} > 0)"
+    status = "pass" if j_hat > 0.0 else "fail"
+    return status, f"bound_deficit = {row['bound_deficit']:.6e} {claim}"
+
+
 def _fill_analytic(row: dict, dims: Dimensions, k_max: int, j: float | None) -> None:
     """The exact route, plus the series and integral routes where they are
     defined (the factorised regime), the latter from J."""
@@ -398,12 +411,7 @@ def _verify_view(row, dims, config, checks):
             record("strict_bound", "skipped",
                    "a dimension is 1: <I> = leading order = 0")
         else:
-            deficit = row["bound_deficit"]
-            record(
-                "strict_bound",
-                "pass" if deficit > 0.0 else "fail",
-                f"bound_deficit = {deficit:.6e} (> 0)",
-            )
+            record("strict_bound", *_strict_bound(row, dims, config.tol))
     else:
         for name in ("integral_route", "series_route", "strict_bound"):
             record(name, "skipped", "swapped regime: factorised-only route")

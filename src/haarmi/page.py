@@ -12,7 +12,9 @@ eigenvector part the difference.  The binary64 evaluator sums parts in one
 terms cancel and O(1/N) values stay accurate in *relative* terms.  The
 rational one sums ``H_mn - H_n - (m^(p-1) - 1)/(2n)``, pairing harmonic
 numbers into ranges each summed once, with no state kept between calls;
-``<I>`` telescopes the ``H_N`` its three Page entropies share.
+``<I>`` telescopes the ``H_N`` its three Page entropies share.  The ranges
+and corrections are added as unreduced integer pairs and reduced once,
+into the one ``Fraction`` returned.
 
 Conventions: ``page_entropy(m, n)`` is the average entanglement entropy of
 the dimension-``m`` part of a random pure state on ``m x n`` (symmetric
@@ -25,14 +27,17 @@ Dirichlet concentration per cell.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dims import _N_LIMIT, Dimensions, casimir_counts
 from .errors import DomainError, InvalidDimensionError, _require_int
-# digamma stays importable here: perfbench's tracer wraps ``page.digamma``.
-from .special import _psi_remainder, digamma, harmonic_rational  # noqa: F401
+from .special import _pair_sum, _psi_remainder, _range_sum
+# digamma and harmonic_rational stay importable here: perfbench's tracer
+# wraps ``page.digamma`` and ``page.harmonic_rational`` by name.
+from .special import digamma, harmonic_rational  # noqa: F401
 
 
 def _check_sizes(m: int, n: int, route: str | None = None) -> None:
@@ -71,14 +76,20 @@ def _float_value(parts: tuple) -> float:
 def _rational_value(parts: tuple) -> Fraction:
     """Exact ``sum s(H_mn - H_n - (m^(p-1) - 1)/(2n))``: the shared ``H_mn``
     enters once with its net sign, and the harmonic numbers added and those
-    taken are paired in sorted order into ranges (of length 0 too)."""
+    taken are paired in sorted order into ranges.  The nonzero corrections
+    and the ranges of nonzero length are summed as integer pairs, one gcd
+    per merge (:func:`~haarmi.special._pair_sum`), and reduced once."""
     size = parts[0][1] * parts[0][2]
     net = sum(s for s, _, _, _ in parts)
     added = [size] * net + [n for s, _, n, _ in parts if s < 0]
     taken = [size] * -net + [n for s, _, n, _ in parts if s > 0]
-    ranges = zip(sorted(added), sorted(taken))
-    correction = sum(Fraction(s * (m ** (p - 1) - 1), 2 * n) for s, m, n, p in parts)
-    return sum(harmonic_rational(x, y) for x, y in ranges) - correction
+    terms = [(-s * (m ** (p - 1) - 1), 2 * n)
+             for s, m, n, p in parts if m ** (p - 1) > 1]
+    for x, y in zip(sorted(added), sorted(taken)):
+        if x != y:
+            num, den = _range_sum(min(x, y), max(x, y))
+            terms.append((num if x > y else -num, den))
+    return Fraction(*functools.reduce(_pair_sum, terms, (0, 1)))
 
 
 def _mutual_parts(dims: Dimensions, p: int, sort: bool, sign: int = 1) -> tuple:

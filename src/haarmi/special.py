@@ -7,7 +7,8 @@ remainder ``r(z) = ln z + 1/(2z) - psi(z+1)`` of :func:`_psi_remainder`
 (a positive series per recurrence step, then the Stirling series), from
 which :func:`digamma` and every closed form in :mod:`haarmi.page` read
 ``psi`` and ``r``.  Exact harmonic differences are summed by binary
-splitting.  Nothing is cached at run time: the only tables, ``B_0`` to
+splitting in integer pairs, with one gcd per merge and one reduction at
+the end.  Nothing is cached at run time: the only tables, ``B_0`` to
 ``B_120`` and the binary64 ``zeta(1-2k)`` for ``k <= 60``, are built once
 at import from the integer tangent numbers.
 """
@@ -91,36 +92,48 @@ _ZETA = tuple(
 )
 
 
-def _range_sum(a: int, b: int) -> Fraction:
-    """``sum_{k=a+1}^{b} 1/k`` for ``0 <= a < b`` by binary splitting.
+def _pair_sum(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """``p1/q1 + p2/q2`` as an unreduced pair over ``q1 q2 / g``, ``g =
+    gcd(q1, q2)``: the one gcd of a merge (denominators positive)."""
+    (p1, q1), (p2, q2) = x, y
+    g = math.gcd(q1, q2)
+    r1, r2 = q1 // g, q2 // g
+    return p1 * r2 + p2 * r1, q1 * r2
 
-    ``Fraction`` addition reduces at every merge, which keeps operands near
-    the size of the result rather than the product of all denominators.
+
+def _range_sum(a: int, b: int) -> tuple[int, int]:
+    """``sum_{k=a+1}^{b} 1/k`` for ``0 <= a < b`` by binary splitting, as an
+    integer pair ``(p, q)``, ``q > 0``, not reduced.
+
+    A leaf of at most ``_HARMONIC_LEAF`` terms is one running pair, and
+    each merge divides out only the gcd of the two denominators
+    (:func:`_pair_sum`), so ``q`` stays near the lcm of the range rather
+    than the product of all its terms; the caller reduces once.
     """
     if b - a <= _HARMONIC_LEAF:
         p, q = 0, 1
         for k in range(a + 1, b + 1):
             p, q = p * k + q, q * k
-        return Fraction(p, q)
+        return p, q
     mid = (a + b) // 2
-    return _range_sum(a, mid) + _range_sum(mid, b)
+    return _pair_sum(_range_sum(a, mid), _range_sum(mid, b))
 
 
 def harmonic_rational(n: int, start: int = 0) -> Fraction:
     """Exact harmonic difference ``H_n - H_start`` (``H_0 = 0``), for any
     two indices in either order; ``harmonic_rational(n)`` is ``H_n``.
 
-    The range is summed by binary splitting (Haible & Papanikolaou, 1998),
-    so working memory stays near the size of the result and nothing is
-    kept between calls.
+    The range is summed by binary splitting (Haible & Papanikolaou, 1998)
+    in integer pairs and reduced once, so working memory stays near the
+    size of the result and nothing is kept between calls.
     """
     _require_int("harmonic index", n, 0)
     _require_int("harmonic start", start, 0)
     if n == start:
         return Fraction(0)
     if n < start:
-        return -_range_sum(n, start)
-    return _range_sum(start, n)
+        return -Fraction(*_range_sum(n, start))
+    return Fraction(*_range_sum(start, n))
 
 
 # Stirling coefficients B_{2k}/(2k) = -zeta(1-2k), k = 1..10.  From z >= 10

@@ -488,6 +488,34 @@ def test_verify_dimension_one_skips_strict_bound(triple, capsys):
             if name != "strict_bound"} == {"pass"}
 
 
+@pytest.mark.parametrize("triple", [(2, 3, 10**300), (2**127, 2**128, 2**700)])
+def test_strict_bound_where_j_underflows(triple):
+    """Past ``C d_e ~ 2**537`` J and the deficit underflow to 0, but the
+    unscaled Jhat, about 1/24, decides the bound, and the check passes.
+    verify's O(N) rational check never finishes at these triples, so the
+    decision is tested on the row ``_fill_integral`` fills."""
+    dims = Dimensions(*triple)
+    row = cli._empty_row(dims)
+    cli._fill_integral(row, dims, cli._j_value(dims, 1e-14))
+    assert row["J"] == row["bound_deficit"] == 0.0
+    assert cli._strict_bound(row, dims, 1e-14) == (
+        "pass",
+        "bound_deficit = 0.000000e+00 (J underflows; Jhat = 4.166667e-02 > 0)",
+    )
+
+
+def test_strict_bound_follows_the_sign_of_j():
+    """Where J does not underflow its sign is Jhat's: a row with J > 0
+    passes with today's detail, and one whose J is made negative fails."""
+    dims = Dimensions(2, 3, 7)
+    row = cli._empty_row(dims)
+    cli._fill_integral(row, dims, cli._j_value(dims, 1e-14))
+    assert cli._strict_bound(row, dims, 1e-14) == (
+        "pass", f"bound_deficit = {row['bound_deficit']:.6e} (> 0)")
+    row["J"] = -row["J"]
+    assert cli._strict_bound(row, dims, 1e-14)[0] == "fail"
+
+
 def test_verify_fault_injection_exits_4(monkeypatch, capsys):
     real_compute_J = cli.compute_J
 

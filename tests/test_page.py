@@ -1,8 +1,10 @@
 """Closed-form averages: entropy formulas, moments, and the breakdown of
 the average mutual information into diagonal and eigenvector parts."""
 
+import hashlib
 import math
 import random
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -426,21 +428,50 @@ def test_rational_route_identities_on_grid():
 def test_rational_route_sums_two_ranges(monkeypatch):
     """Two harmonic ranges per triple, ``(N - a) + |b - c|`` terms in all,
     with ``a``, ``b``, ``c`` the larger factor of S_A, S_B, S_AB: both
-    regimes, ``c > b`` at (4,4,2) and ``b == c`` at (2,3,3)."""
+    regimes, ``c > b`` at (4,4,2), and at (2,3,3) ``b == c``, whose range
+    of length 0 is not summed."""
     lengths = []
-    real = page_module.harmonic_rational
+    real = page_module._range_sum
 
-    def counting(n, start=0):
-        lengths.append(abs(n - start))
-        return real(n, start)
+    def counting(a, b):
+        lengths.append(b - a)
+        return real(a, b)
 
-    monkeypatch.setattr(page_module, "harmonic_rational", counting)
-    for triple, terms in [
-        ((4, 5, 1000), 18_000), ((4, 4, 2), 32), ((2, 3, 3), 9), ((3, 4, 2), 22)
+    monkeypatch.setattr(page_module, "_range_sum", counting)
+    for triple, ranges, terms in [
+        ((4, 5, 1000), 2, 18_000), ((4, 4, 2), 2, 32), ((2, 3, 3), 1, 9),
+        ((3, 4, 2), 2, 22),
     ]:
         lengths.clear()
         mutual_information_rational(Dimensions(*triple))
-        assert len(lengths) == 2 and sum(lengths) == terms, triple
+        assert len(lengths) == ranges and sum(lengths) == terms, triple
+
+
+#: sha256 of the exact values at each triple, captured before the rational
+#: route summed in integer pairs: the benchmark's four ``exact-rational``
+#: triples, a swapped triple and one with a dimension of 1.
+RATIONAL_PINS = [
+    ((2, 3, 1000), "4d8153b380314cb2fa0db6734869fe39affc4d6e834079bb0ff7d192a1db3f6e"),
+    ((3, 4, 1000), "84afde7fb3aa18ca7738b4650dca774bc67e7e6e45e3752c5f2e49d72fa84d6c"),
+    ((4, 5, 1000), "6c16d15244d438c83ffdaabaed820d18a7617eb689cb2ae33ae7107508292f1f"),
+    ((2, 2, 5000), "575ee59ee2b8bf3bdd0b4424b5ef80adda01e6abd46463c865490f9374efeb17"),
+    ((3, 4, 2), "ec26d457d947b46a51770e48b3d1e23c4377750c32650c6563e9d36b7fc9e8ba"),
+    ((1, 3, 7), "b28733617c66c8e45fdec9774e8e82d89671fa748ba18818d9ee67c8c562298a"),
+]
+
+
+@pytest.mark.parametrize("triple, digest", RATIONAL_PINS)
+def test_rational_values_are_pinned(triple, digest):
+    """``<I>`` and ``i_diag``, then the Page and diagonal entropies of the
+    factor pairs ``(d_a, d_b d_e)``, ``(d_b, d_a d_e)`` and ``(d_a d_b,
+    d_e)``, as hex numerators and denominators."""
+    dims = Dimensions(*triple)
+    d_a, d_b, d_e = triple
+    values = [mutual_information_rational(dims), i_diag_rational(dims)]
+    for m, n in ((d_a, d_b * d_e), (d_b, d_a * d_e), (d_a * d_b, d_e)):
+        values += [page_entropy_rational(m, n), diagonal_entropy_avg_rational(m, n)]
+    text = ";".join(f"{v.numerator:x}/{v.denominator:x}" for v in values)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_closed_forms_evaluate_only_the_poles_left(monkeypatch):
@@ -483,6 +514,36 @@ def test_rational_route_leaves_no_state():
     finally:
         tracemalloc.stop()
     assert after - before <= 100_000
+
+
+@pytest.mark.parametrize("triple", [(2, 2, 2**14), (4, 5, 1000)])
+def test_rational_route_memory_is_linear_in_the_result(triple):
+    """The tracemalloc peak of one call is at most 7 S, S the size of the
+    result's numerator plus denominator (two integers of size W = S/2).
+
+    The bound follows from the design.  Every pair is at most W per
+    integer: a merge divides out the gcd of its denominators, so the last
+    one's is near the lcm of the range, within 1 % of the reduced result's.
+    While the longest range's top merge runs, the route holds the other
+    range's pair (2W), the merge's two operand pairs (4W: each is at most
+    the merged one), its gcd and quotients (W, their product is the
+    merged denominator) and one finished product (W), 8W in all.  The
+    product being formed is the largest temporary: CPython's Karatsuba
+    holds its result, copies of both operands' halves and their half
+    sums, then recurses at half the size, 5W in all for balanced operands
+    and about 5.5W for uneven ones.  8W + 5.5W < 14W = 7 S, and the final
+    reduction holds less.  No term grows with the number of merges, so
+    memory stays linear in N."""
+    dims = Dimensions(*triple)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = mutual_information_rational(dims)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    size = sys.getsizeof(value.numerator) + sys.getsizeof(value.denominator)
+    assert peak <= 7 * size, (peak, size)
 
 
 def test_exact_factorisation_when_dimension_one():

@@ -134,14 +134,15 @@ def test_harmonic_recurrence():
         assert harmonic_rational(n) - harmonic_rational(n - 1) == Fraction(1, n)
 
 
-_HARMONIC_INDICES = [0, 1, 2, 63, 64, 65, 200]
+_HARMONIC_INDICES = [0, 1, 2, 63, 64, 65, 127, 128, 129, 200, 257, 1000]
 
 
 @pytest.mark.parametrize("start", _HARMONIC_INDICES)
 @pytest.mark.parametrize("n", _HARMONIC_INDICES)
 def test_harmonic_difference_matches_naive_sum(n, start):
     """``harmonic_rational(n, start)`` is ``H_n - H_start`` in either order,
-    across the binary-splitting leaf boundary."""
+    across the binary-splitting leaf boundary and past two and three merge
+    levels (129, 257 and 1000 terms)."""
     def naive(m):
         return sum((Fraction(1, k) for k in range(1, m + 1)), Fraction(0))
 
