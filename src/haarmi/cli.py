@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -277,16 +278,14 @@ def _fill_integral(row: dict, dims: Dimensions, j: float | None) -> None:
     row.update(I_integral=lead - deficit, J=j, bound_deficit=deficit, I_leading=lead)
 
 
-def _strict_bound(row: dict, dims: Dimensions, tol: float) -> tuple[str, str]:
+def _strict_bound(row: dict) -> tuple[str, str]:
     """Status and detail of the strict bound ``<I> < su/(2N)`` on a row with
-    J: it holds when ``Jhat > 0`` (``J = Jhat/(C d_e)^2``).  J has Jhat's
-    sign unless it underflows to 0, once ``C d_e`` passes about ``2**537``;
-    Jhat is then one unscaled quadrature, shown beside the deficit."""
-    j_hat, claim = row["J"], "(> 0)"
-    if j_hat == 0.0:
-        j_hat = _j_rows([dims], tol, unscaled=True)[0].value
-        claim = f"(J underflows; Jhat = {j_hat:.6e} > 0)"
-    status = "pass" if j_hat > 0.0 else "fail"
+    J: it holds when ``Jhat > 0``, for ``J = Jhat/(C d_e)^2``."""
+    j = row["J"]
+    # the quadrature raises where Jhat is 0, so J = +0.0 is a positive Jhat
+    # that underflowed (C d_e past about 2**537): the sign survives underflow
+    status = "pass" if j >= 0.0 and math.copysign(1.0, j) > 0.0 else "fail"
+    claim = "(> 0)" if j else "(J underflows to 0)"
     return status, f"bound_deficit = {row['bound_deficit']:.6e} {claim}"
 
 
@@ -411,7 +410,7 @@ def _verify_view(row, dims, config, checks):
             record("strict_bound", "skipped",
                    "a dimension is 1: <I> = leading order = 0")
         else:
-            record("strict_bound", *_strict_bound(row, dims, config.tol))
+            record("strict_bound", *_strict_bound(row))
     else:
         for name in ("integral_route", "series_route", "strict_bound"):
             record(name, "skipped", "swapped regime: factorised-only route")

@@ -331,13 +331,9 @@ def compute_J(dims: Dimensions, tol: float = _TOL_DEFAULT) -> QuadratureResult:
     return _j_rows([dims], tol)[0]
 
 
-def _j_rows(
-    dims_seq: Sequence[Dimensions], tol: float, unscaled: bool = False
-) -> list[QuadratureResult]:
+def _j_rows(dims_seq: Sequence[Dimensions], tol: float) -> list[QuadratureResult]:
     """:func:`compute_J` of each triple, in order, from one quadrature: a
-    row per triple, all on the equal panels, as every pole is at least 1.
-    With ``unscaled``, each row is ``Jhat = (C d_e)^2 J`` instead, which
-    does not underflow."""
+    row per triple, all on the equal panels, as every pole is at least 1."""
     import numpy as np
 
     # one row of coefficients per triple, read as columns by the integrand
@@ -347,8 +343,7 @@ def _j_rows(
         return t * _kernel_h(t, *coefficients[rows].T[:, :, None])
 
     # |h| <= 1 on the real axis, and its poles lie at +-i d_e {1, d_a, d_b, C}
-    scales = [1.0 if unscaled else 1 / dims.n for dims in dims_seq]
-    return _bose_quad(g, lambda a: 1.0, 1, tol, scales)
+    return _bose_quad(g, lambda a: 1.0, 1, tol, [1 / dims.n for dims in dims_seq])
 
 
 def mutual_information_integral(dims: Dimensions, tol: float = _TOL_DEFAULT) -> float:

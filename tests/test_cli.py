@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -490,30 +491,30 @@ def test_verify_dimension_one_skips_strict_bound(triple, capsys):
 
 @pytest.mark.parametrize("triple", [(2, 3, 10**300), (2**127, 2**128, 2**700)])
 def test_strict_bound_where_j_underflows(triple):
-    """Past ``C d_e ~ 2**537`` J and the deficit underflow to 0, but the
-    unscaled Jhat, about 1/24, decides the bound, and the check passes.
-    verify's O(N) rational check never finishes at these triples, so the
-    decision is tested on the row ``_fill_integral`` fills."""
+    """Past ``C d_e ~ 2**537`` J and the deficit underflow to +0, but J
+    keeps the sign of Jhat, about 1/24, and the check passes.  verify's
+    O(N) rational check never finishes at these triples, so the decision
+    is tested on the row ``_fill_integral`` fills."""
     dims = Dimensions(*triple)
     row = cli._empty_row(dims)
     cli._fill_integral(row, dims, cli._j_value(dims, 1e-14))
     assert row["J"] == row["bound_deficit"] == 0.0
-    assert cli._strict_bound(row, dims, 1e-14) == (
-        "pass",
-        "bound_deficit = 0.000000e+00 (J underflows; Jhat = 4.166667e-02 > 0)",
-    )
+    assert cli._strict_bound(row) == (
+        "pass", "bound_deficit = 0.000000e+00 (J underflows to 0)")
 
 
 def test_strict_bound_follows_the_sign_of_j():
-    """Where J does not underflow its sign is Jhat's: a row with J > 0
-    passes with today's detail, and one whose J is made negative fails."""
+    """A row with J > 0 passes with the deficit as its detail; one whose J
+    is made negative fails, and so does a J of -0, a negative Jhat that
+    underflowed, and a NaN."""
     dims = Dimensions(2, 3, 7)
     row = cli._empty_row(dims)
     cli._fill_integral(row, dims, cli._j_value(dims, 1e-14))
-    assert cli._strict_bound(row, dims, 1e-14) == (
+    assert cli._strict_bound(row) == (
         "pass", f"bound_deficit = {row['bound_deficit']:.6e} (> 0)")
-    row["J"] = -row["J"]
-    assert cli._strict_bound(row, dims, 1e-14)[0] == "fail"
+    for j in (-row["J"], -0.0, math.nan):
+        row["J"] = j
+        assert cli._strict_bound(row)[0] == "fail", j
 
 
 def test_verify_fault_injection_exits_4(monkeypatch, capsys):

@@ -283,18 +283,6 @@ def test_j_rows_are_bitwise_compute_j(tol):
         assert [_bits(result) for result in rows] == single[:count]
 
 
-def test_unscaled_j_rows_scale_to_j():
-    """The unscaled rows are Jhat = (C d_e)^2 J: scaled by ``1/N`` twice, as
-    the quadrature scales them, each is its J bit for bit, and past ``C
-    d_e ~ 2**537``, where J underflows to 0, Jhat is still about 1/24."""
-    grid = SWEEP_GRID[:40] + [Dimensions(2, 3, 10**300), Dimensions(2**127, 2**128, 2**700)]
-    hats = integral_module._j_rows(grid, 1e-14, unscaled=True)
-    for dims, hat in zip(grid, hats):
-        scale = 1 / dims.n
-        assert hat.value * scale * scale == compute_J(dims).value, dims
-    assert [hat.value for hat in hats[-2:]] == pytest.approx([1 / 24] * 2, rel=1e-9)
-
-
 def test_quadrature_blocks_are_bounded():
     """However many rows, no block of the integrand holds more than
     ``_BLOCK_ENTRIES`` values, and each row gets its own result: row k of

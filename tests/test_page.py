@@ -521,19 +521,21 @@ def test_rational_route_memory_is_linear_in_the_result(triple):
     """The tracemalloc peak of one call is at most 7 S, S the size of the
     result's numerator plus denominator (two integers of size W = S/2).
 
-    The bound follows from the design.  Every pair is at most W per
-    integer: a merge divides out the gcd of its denominators, so the last
-    one's is near the lcm of the range, within 1 % of the reduced result's.
-    While the longest range's top merge runs, the route holds the other
-    range's pair (2W), the merge's two operand pairs (4W: each is at most
-    the merged one), its gcd and quotients (W, their product is the
-    merged denominator) and one finished product (W), 8W in all.  The
-    product being formed is the largest temporary: CPython's Karatsuba
-    holds its result, copies of both operands' halves and their half
-    sums, then recurses at half the size, 5W in all for balanced operands
-    and about 5.5W for uneven ones.  8W + 5.5W < 14W = 7 S, and the final
-    reduction holds less.  No term grows with the number of merges, so
-    memory stays linear in N."""
+    The bound is the design's held integers plus a measured margin for one
+    product.  Every pair is at most W per integer: a merge divides out the
+    gcd of its denominators, so the last one's is near the lcm of the
+    range, within 1 % of the reduced result's.  While the longest range's
+    top merge runs, the route holds the other range's pair (2W), the
+    merge's two operand pairs (4W: each is at most the merged one), its
+    gcd and quotients (W, their product is the merged denominator) and one
+    finished product (W), 8W in all.  The product being formed is the
+    largest temporary, and its cost is the interpreter's, so it is
+    measured, not derived: on CPython 3.11 the tracemalloc peak of one
+    product of two W/2-size integers, its result included, is 4.9W at
+    (2,2,2**14) and 4.6W at (4,5,1000), and uneven operands peak lower.
+    8W + 5W = 13W leaves 1W of 14W = 7 S for other interpreters, and the
+    final reduction holds less.  No term grows with the number of merges,
+    so memory stays linear in N."""
     dims = Dimensions(*triple)
     tracemalloc.start()
     try:
